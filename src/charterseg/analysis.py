@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .rescale import DECREASING, INCREASING, ScoredMatrix
 from .stats import ks_two_sample
-from .tree import Internal, Leaf, RegressionTree, extreme_leaf_indices
+from .tree import Internal, Leaf, RegressionTree, extreme_leaf_indices, preorder
 
 ALIGNED = "aligned"
 MISALIGNED = "misaligned"
@@ -135,12 +135,6 @@ def _collect_path_nodes(tree: RegressionTree, paths) -> list[Internal]:
     return out
 
 
-def _all_internal(node) -> list[Internal]:
-    if isinstance(node, Leaf):
-        return []
-    return [node] + _all_internal(node.left) + _all_internal(node.right)
-
-
 def alignment_verdicts(tree: RegressionTree, paths=None,
                        scope: str = "paths") -> dict[str, AlignmentVerdict]:
     """Judge each factor by the split nodes along the extreme-leaf paths.
@@ -163,7 +157,7 @@ def alignment_verdicts(tree: RegressionTree, paths=None,
     if scope not in ("paths", "all"):
         raise DegenerateInputError(f"unknown verdict scope {scope!r}")
     if scope == "all":
-        nodes = _all_internal(tree.root)
+        nodes = [node for node in preorder(tree.root) if isinstance(node, Internal)]
     else:
         if paths is None:
             paths = extreme_leaves(tree)

@@ -50,6 +50,10 @@ class SubsampleSpec:
     criterion: Criterion
     min_leaf: Optional[int] = None  # overrides tree.min_leaf for this subsample
 
+    def __post_init__(self):
+        if self.min_leaf is not None and self.min_leaf < 1:
+            raise ConfigError(f"subsample {self.name!r} min_leaf must be >= 1, got {self.min_leaf}")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -66,6 +70,10 @@ class TreeConfig:
     prune_rule: str = "min_cv"
 
     def __post_init__(self):
+        if self.min_leaf < 1:
+            raise ConfigError(f"tree.min_leaf must be >= 1, got {self.min_leaf}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"tree.max_depth must be >= 0, got {self.max_depth}")
         if self.prune_rule not in ("min_cv", "one_se"):
             raise ConfigError(f"prune_rule must be min_cv or one_se, got {self.prune_rule!r}")
         if self.cv_folds < 2:
@@ -77,6 +85,14 @@ class ForestConfig:
     n_trees: int = 2000
     mtry: Optional[int] = None
     min_leaf: int = 5
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
+        if self.mtry is not None and self.mtry < 1:
+            raise ConfigError(f"forest.mtry must be >= 1, got {self.mtry}")
+        if self.min_leaf < 1:
+            raise ConfigError(f"forest.min_leaf must be >= 1, got {self.min_leaf}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,31 @@ def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _section(doc: dict, key: str) -> dict:
+    if not isinstance(doc[key], dict):
+        raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
+    return doc[key]
+
+
+def _number(kind, value, key: str):
+    """int(value) or float(value); a failed or lossy conversion names the key."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or (isinstance(value, float) and out != value):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return out
+
+
+def _optional_int(obj: dict, key: str, default: Optional[int], where: str) -> Optional[int]:
+    """obj[key] as an int, None when it is null, default when it is absent."""
+    if key not in obj:
+        return default
+    return None if obj[key] is None else _number(int, obj[key], f"{where}.{key}")
+
+
 def _parse_criterion(obj) -> Criterion:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"criterion must be an object with a 'kind', got {obj!r}")
@@ -182,7 +223,8 @@ def _parse_proxy(obj) -> ProxySpec:
             raw_field=str(obj["raw_field"]),
             direction=str(obj["direction"]),
             mode=str(obj["mode"]),
-            threshold=None if obj.get("threshold") is None else float(obj["threshold"]),
+            threshold=(None if obj.get("threshold") is None
+                       else _number(float, obj["threshold"], "proxy spec threshold")),
         )
     except KeyError as exc:
         raise ConfigError(f"proxy spec missing key {exc}") from None
@@ -197,13 +239,14 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
     cfg = base or RunConfig()
 
     if "data" in doc:
-        d = doc["data"]
+        d = _section(doc, "data")
         _expect_keys(d, {"path", "columns", "window"}, "data")
         window = d.get("window")
         if window is not None:
             if not (isinstance(window, list) and len(window) == 2):
                 raise ConfigError(f"window must be [start, end], got {window!r}")
-            window = (int(window[0]), int(window[1]))
+            window = (_number(int, window[0], "data.window"),
+                      _number(int, window[1], "data.window"))
         columns = d.get("columns")
         if columns is not None and not isinstance(columns, dict):
             raise ConfigError("data.columns must be an object")
@@ -222,50 +265,50 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
         if not isinstance(doc["subsamples"], list) or not doc["subsamples"]:
             raise ConfigError("subsamples must be a non-empty list")
         for s in doc["subsamples"]:
-            _expect_keys(s, {"name", "criterion", "min_leaf"}, "subsample")
-            if "name" not in s or "criterion" not in s:
+            if not isinstance(s, dict) or "name" not in s or "criterion" not in s:
                 raise ConfigError(f"subsample needs name and criterion: {s!r}")
-            ml = s.get("min_leaf")
+            _expect_keys(s, {"name", "criterion", "min_leaf"}, "subsample")
             subs.append(SubsampleSpec(str(s["name"]), _parse_criterion(s["criterion"]),
-                                      None if ml is None else int(ml)))
+                                      _optional_int(s, "min_leaf", None, "subsample")))
         cfg = replace(cfg, subsamples=tuple(subs))
 
     if "tree" in doc:
-        t = doc["tree"]
+        t = _section(doc, "tree")
         _expect_keys(t, {"min_leaf", "max_depth", "cv_folds", "prune_rule"}, "tree")
         base_t = cfg.tree
         cfg = replace(cfg, tree=TreeConfig(
-            min_leaf=int(t.get("min_leaf", base_t.min_leaf)),
-            max_depth=(int(t["max_depth"]) if t.get("max_depth") is not None
-                       else None if "max_depth" in t else base_t.max_depth),
-            cv_folds=int(t.get("cv_folds", base_t.cv_folds)),
+            min_leaf=_number(int, t.get("min_leaf", base_t.min_leaf), "tree.min_leaf"),
+            max_depth=_optional_int(t, "max_depth", base_t.max_depth, "tree"),
+            cv_folds=_number(int, t.get("cv_folds", base_t.cv_folds), "tree.cv_folds"),
             prune_rule=str(t.get("prune_rule", base_t.prune_rule)),
         ))
 
     if "forest" in doc:
-        f = doc["forest"]
+        f = _section(doc, "forest")
         _expect_keys(f, {"n_trees", "mtry", "min_leaf"}, "forest")
         base_f = cfg.forest
         cfg = replace(cfg, forest=ForestConfig(
-            n_trees=int(f.get("n_trees", base_f.n_trees)),
-            mtry=(int(f["mtry"]) if f.get("mtry") is not None
-                  else None if "mtry" in f else base_f.mtry),
-            min_leaf=int(f.get("min_leaf", base_f.min_leaf)),
+            n_trees=_number(int, f.get("n_trees", base_f.n_trees), "forest.n_trees"),
+            mtry=_optional_int(f, "mtry", base_f.mtry, "forest"),
+            min_leaf=_number(int, f.get("min_leaf", base_f.min_leaf), "forest.min_leaf"),
         ))
 
     if "selection" in doc:
-        s = doc["selection"]
+        s = _section(doc, "selection")
         _expect_keys(s, {"mode", "fixed", "forest_scope"}, "selection")
         base_s = cfg.selection
         fixed = s.get("fixed")
+        if fixed is not None and not (isinstance(fixed, list)
+                                      and all(isinstance(x, str) for x in fixed)):
+            raise ConfigError(f"selection.fixed must be a list of proxy names, got {fixed!r}")
         cfg = replace(cfg, selection=SelectionConfig(
             mode=str(s.get("mode", base_s.mode)),
-            fixed=tuple(str(x) for x in fixed) if fixed is not None else base_s.fixed,
+            fixed=tuple(fixed) if fixed is not None else base_s.fixed,
             forest_scope=str(s.get("forest_scope", base_s.forest_scope)),
         ))
 
     if "seed" in doc:
-        cfg = replace(cfg, seed=int(doc["seed"]))
+        cfg = replace(cfg, seed=_number(int, doc["seed"], "seed"))
     if "out" in doc:
         cfg = replace(cfg, out=str(doc["out"]))
     return cfg

@@ -4,13 +4,16 @@ Splits minimise within-node sum of squared errors. Candidate thresholds sit
 at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
 the fitted partition exactly. Pruning follows the weakest-link sequence with
-k-fold cross-validated selection of the complexity penalty.
+k-fold cross-validated selection of the complexity penalty. A tree's collapse
+schedule is computed once; CV routes each test row once through a fold tree
+and reads its prediction at every candidate penalty off the row's path.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -44,6 +47,17 @@ class Internal:
 
 
 TreeNode = Union[Leaf, Internal]
+
+
+def preorder(node: TreeNode) -> list[TreeNode]:
+    """Every node of a subtree, each before its left and then its right subtree."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Internal):
+            stack += [node.right, node.left]
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,15 +98,7 @@ class RegressionTree:
 
     def leaves(self) -> list[Leaf]:
         """Leaves in left-to-right (preorder) order."""
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return [node for node in preorder(self.root) if isinstance(node, Leaf)]
 
     @property
     def n_leaves(self) -> int:
@@ -218,54 +224,56 @@ def predict(tree: RegressionTree, feature_row) -> float:
     return node.mean
 
 
-def _internal_nodes(node: TreeNode, path=()) -> list:
-    """Preorder list of (path, node) for internal nodes; path is left/right bits."""
-    if isinstance(node, Leaf):
-        return []
-    out = [(path, node)]
-    out.extend(_internal_nodes(node.left, path + (0,)))
-    out.extend(_internal_nodes(node.right, path + (1,)))
-    return out
+def _collapse_schedule(root: TreeNode) -> list[tuple[float, Internal, int]]:
+    """Weakest-link collapses in order, as (penalty, node, leaves removed).
+
+    Each step folds the internal node of least g = (its SSE - its leaves' SSE)
+    / (its leaves - 1), ties to the earlier in preorder, until the root is a
+    leaf. A step's penalty is the largest g so far (g need not ascend), so
+    pruning at alpha takes exactly the steps whose penalty is at most alpha.
+    """
+    nodes = preorder(root)
+    at = {id(t): i for i, t in enumerate(nodes)}
+    internal = [i for i, t in enumerate(nodes) if isinstance(t, Internal)]
+    parent = {at[id(c)]: i for i in internal for c in (nodes[i].left, nodes[i].right)}
+    leaves, leaf_sse = [1] * len(nodes), [t.sse for t in nodes]
+    stamp = [0] * len(nodes)  # heap entries with another stamp are stale
+
+    def refresh(i: int) -> tuple[float, int, int]:
+        left, right = at[id(nodes[i].left)], at[id(nodes[i].right)]
+        leaves[i], leaf_sse[i] = leaves[left] + leaves[right], leaf_sse[left] + leaf_sse[right]
+        stamp[i] += 1
+        return (nodes[i].sse - leaf_sse[i]) / (leaves[i] - 1), i, stamp[i]
+
+    heap = [refresh(i) for i in reversed(internal)]  # children before their parent
+    heapq.heapify(heap)
+    size = [2 * count - 1 for count in leaves]  # a subtree is contiguous in preorder
+    steps, penalty = [], -np.inf
+    while heap:
+        g, i, s = heapq.heappop(heap)
+        if s == stamp[i]:
+            penalty = max(penalty, g)
+            steps.append((penalty, nodes[i], leaves[i] - 1))
+            # A collapse changes only its ancestors' g; re-add their leaf SSE sums.
+            stamp[i:i + size[i]] = [-1] * size[i]
+            leaves[i], leaf_sse[i] = 1, nodes[i].sse
+            while i in parent:
+                i = parent[i]
+                heapq.heappush(heap, refresh(i))
+    return steps
 
 
-def _subtree_leaf_stats(node: TreeNode) -> tuple[int, float]:
-    """(leaf count, summed leaf SSE) of the subtree."""
-    if isinstance(node, Leaf):
-        return 1, node.sse
-    nl, sl = _subtree_leaf_stats(node.left)
-    nr, sr = _subtree_leaf_stats(node.right)
-    return nl + nr, sl + sr
-
-
-def _weakest_links(node: TreeNode):
-    """(g, path, node) per internal node, g = per-leaf SSE cost of collapsing."""
-    out = []
-    for path, t in _internal_nodes(node):
-        leaves, leaf_sse = _subtree_leaf_stats(t)
-        out.append(((t.sse - leaf_sse) / (leaves - 1), path, t))
-    return out
-
-
-def _collapse(node: TreeNode, path: tuple) -> TreeNode:
-    if not path:
+def _cut(node: TreeNode, cut: set[int]) -> TreeNode:
+    if isinstance(node, Leaf) or id(node) in cut:
         return Leaf(node.n, node.mean, node.sse)
-    if path[0] == 0:
-        return Internal(node.split, _collapse(node.left, path[1:]), node.right,
-                        node.n, node.mean, node.sse)
-    return Internal(node.split, node.left, _collapse(node.right, path[1:]),
+    return Internal(node.split, _cut(node.left, cut), _cut(node.right, cut),
                     node.n, node.mean, node.sse)
 
 
 def prune_at(tree: RegressionTree, alpha: float) -> RegressionTree:
     """Collapse internal nodes while the weakest link costs at most alpha."""
-    root = tree.root
-    while isinstance(root, Internal):
-        links = _weakest_links(root)
-        g, path, _ = min(links, key=lambda item: (item[0], item[1]))
-        if g > alpha:
-            break
-        root = _collapse(root, path)
-    return RegressionTree(root, tree.feature_names, tree.params, tree.total_n)
+    cut = {id(node) for penalty, node, _ in _collapse_schedule(tree.root) if penalty <= alpha}
+    return RegressionTree(_cut(tree.root, cut), tree.feature_names, tree.params, tree.total_n)
 
 
 @dataclass(frozen=True)
@@ -288,22 +296,13 @@ class PruneTrace:
 
 def cost_complexity_sequence(tree: RegressionTree) -> PruneTrace:
     """Strictly ascending collapse penalties and the nested subtree sizes."""
-    sizes = [tree.n_leaves]
-    alphas: list[float] = []
-    root = tree.root
-    while isinstance(root, Internal):
-        links = _weakest_links(root)
-        alpha = min(g for g, _, _ in links)
-        # Collapse everything at this penalty, including ancestors whose own
-        # cost drops to it once their children fold, so alphas strictly ascend.
-        while isinstance(root, Internal):
-            links = _weakest_links(root)
-            g, path, _ = min(links, key=lambda item: (item[0], item[1]))
-            if g > alpha:
-                break
-            root = _collapse(root, path)
-        alphas.append(float(alpha))
-        sizes.append(_subtree_leaf_stats(root)[0])
+    alphas, sizes = [], [tree.n_leaves]
+    for penalty, _, removed in _collapse_schedule(tree.root):
+        # Steps sharing a penalty fold together, so alphas strictly ascend.
+        if not alphas or penalty > alphas[-1]:
+            alphas.append(float(penalty))
+            sizes.append(sizes[-1])
+        sizes[-1] -= removed
     return PruneTrace(tuple(alphas), tuple(sizes))
 
 
@@ -314,6 +313,27 @@ def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) 
         return RegressionTree(Leaf(sub.n_rows, mean, sse), matrix.feature_names,
                               params, sub.n_rows)
     return grow(sub, params)
+
+
+def _pruned_predictions(tree: RegressionTree, X: np.ndarray, alphas) -> np.ndarray:
+    """prune_at(tree, alpha).predict_batch(X) for every alpha, as (alphas, rows).
+
+    Each row is routed once. At alpha it stops at the first node on its path
+    whose penalty is at most alpha (every ancestor's exceeds it), else at its leaf.
+    """
+    penalties = {id(node): penalty for penalty, node, _ in _collapse_schedule(tree.root)}
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.empty((alphas.size, X.shape[0]))
+    stack = [(tree.root, np.arange(X.shape[0]), np.inf)]
+    while stack:
+        node, rows, above = stack.pop()
+        penalty = penalties.get(id(node), np.inf) if isinstance(node, Internal) else -np.inf
+        out[np.ix_((penalty <= alphas) & (alphas < above), rows)] = node.mean
+        if isinstance(node, Internal):
+            go_left = X[rows, node.split.feature] < node.split.threshold
+            stack.append((node.left, rows[go_left], min(above, penalty)))
+            stack.append((node.right, rows[~go_left], min(above, penalty)))
+    return out
 
 
 def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 10,
@@ -347,22 +367,15 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
         return full, PruneTrace((), (1,), (0.0,), None, 0.0, rule)
 
     alphas = trace.alphas
-    evals = [0.0]
-    evals += [float(np.sqrt(a * b)) for a, b in zip(alphas[:-1], alphas[1:])]
-    evals.append(alphas[-1])
+    evals = [0.0, *(float(np.sqrt(a * b)) for a, b in zip(alphas[:-1], alphas[1:])), alphas[-1]]
 
     rng = make_rng(seed)
     folds = np.array_split(rng.permutation(n), k)
     cv = np.empty((len(evals), k))
     for fi, test_idx in enumerate(folds):
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        fold_tree = _fold_tree(matrix, np.flatnonzero(mask), params)
-        X_test = matrix.scores[test_idx]
-        y_test = matrix.response[test_idx]
-        for ai, alpha in enumerate(evals):
-            pred = prune_at(fold_tree, alpha).predict_batch(X_test)
-            cv[ai, fi] = float(np.mean((pred - y_test) ** 2))
+        fold_tree = _fold_tree(matrix, np.setdiff1d(np.arange(n), test_idx), params)
+        preds = _pruned_predictions(fold_tree, matrix.scores[test_idx], evals)
+        cv[:, fi] = np.mean((preds - matrix.response[test_idx]) ** 2, axis=1)
 
     means = cv.mean(axis=1)
     best = 0
@@ -386,15 +399,9 @@ def extreme_leaf_indices(tree: RegressionTree) -> tuple[int, int]:
     Ties break to the larger leaf, then the leftmost position.
     """
     leaves = tree.leaves()
-    lo = hi = 0
-    for i, leaf in enumerate(leaves[1:], start=1):
-        cur = leaves[lo]
-        if leaf.mean < cur.mean or (leaf.mean == cur.mean and leaf.n > cur.n):
-            lo = i
-        cur = leaves[hi]
-        if leaf.mean > cur.mean or (leaf.mean == cur.mean and leaf.n > cur.n):
-            hi = i
-    return lo, hi
+    lo = min(range(len(leaves)), key=lambda i: (leaves[i].mean, -leaves[i].n))
+    hi = max(range(len(leaves)), key=lambda i: (leaves[i].mean, leaves[i].n))
+    return lo, hi  # min and max keep the first of equal keys
 
 
 def export_dot(tree: RegressionTree, labels=None) -> str:
@@ -405,16 +412,8 @@ def export_dot(tree: RegressionTree, labels=None) -> str:
     names = list(labels) if labels is not None else list(tree.feature_names)
     lo, hi = extreme_leaf_indices(tree)
 
-    ids: dict[int, str] = {}
-    order: list[TreeNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        ids[id(node)] = f"n{len(order)}"
-        order.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
+    order = preorder(tree.root)
+    ids = {id(node): f"n{i}" for i, node in enumerate(order)}
 
     lines = ["digraph tree {", "  node [shape=box];"]
     leaf_pos = 0

@@ -151,6 +151,82 @@ def same_topology(a, b) -> bool:
     return False
 
 
+def internal_paths(node, path=()):
+    """Preorder (path, node) for internal nodes; path is left/right bits."""
+    if isinstance(node, Leaf):
+        return []
+    out = [(path, node)]
+    out.extend(internal_paths(node.left, path + (0,)))
+    out.extend(internal_paths(node.right, path + (1,)))
+    return out
+
+
+def subtree_leaf_stats(node):
+    """(leaf count, summed leaf SSE) of the subtree."""
+    if isinstance(node, Leaf):
+        return 1, node.sse
+    nl, sl = subtree_leaf_stats(node.left)
+    nr, sr = subtree_leaf_stats(node.right)
+    return nl + nr, sl + sr
+
+
+def weakest_links(node):
+    """(g, path, node) per internal node, g = per-leaf SSE cost of collapsing."""
+    out = []
+    for path, t in internal_paths(node):
+        leaves, leaf_sse = subtree_leaf_stats(t)
+        out.append(((t.sse - leaf_sse) / (leaves - 1), path, t))
+    return out
+
+
+def collapse(node, path):
+    """Copy of the tree with the internal node at path replaced by a leaf."""
+    if not path:
+        return Leaf(node.n, node.mean, node.sse)
+    if path[0] == 0:
+        return Internal(node.split, collapse(node.left, path[1:]), node.right,
+                        node.n, node.mean, node.sse)
+    return Internal(node.split, node.left, collapse(node.right, path[1:]),
+                    node.n, node.mean, node.sse)
+
+
+def reference_collapses(tree, alpha=float("inf")):
+    """Weakest-link pruning by rescanning the whole tree after every collapse.
+
+    Collapses the (g, preorder path)-least internal node while its g is at
+    most alpha. Returns the pruned tree and the (g, path) of each collapse.
+    """
+    root, done = tree.root, []
+    while isinstance(root, Internal):
+        g, path, _ = min(weakest_links(root), key=lambda item: (item[0], item[1]))
+        if g > alpha:
+            break
+        root = collapse(root, path)
+        done.append((g, path))
+    return RegressionTree(root, tree.feature_names, tree.params, tree.total_n), done
+
+
+def reference_prune_at(tree, alpha):
+    return reference_collapses(tree, alpha)[0]
+
+
+def reference_cost_complexity_sequence(tree):
+    """(alphas, subtree sizes): each alpha collapses every link costing at most it."""
+    sizes = [tree.n_leaves]
+    alphas = []
+    root = tree.root
+    while isinstance(root, Internal):
+        alpha = min(g for g, _, _ in weakest_links(root))
+        while isinstance(root, Internal):
+            g, path, _ = min(weakest_links(root), key=lambda item: (item[0], item[1]))
+            if g > alpha:
+                break
+            root = collapse(root, path)
+        alphas.append(float(alpha))
+        sizes.append(subtree_leaf_stats(root)[0])
+    return tuple(alphas), tuple(sizes)
+
+
 _DOT_NODE = re.compile(r'^\s*(n\d+)\s*\[label="(.*)"\];\s*$')
 _DOT_EDGE = re.compile(r'^\s*(n\d+)\s*->\s*(n\d+);\s*$')
 

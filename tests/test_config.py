@@ -119,6 +119,30 @@ def test_country_group_criteria():
     ({"selection": {"forest_scope": "global"}}, "forest_scope"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
+    ({"seed": "1.5"}, "seed must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"tree": []}, "tree must be an object"),
+    ({"forest": "many"}, "forest must be an object"),
+    ({"selection": None}, "selection must be an object"),
+    ({"data": [1]}, "data must be an object"),
+    ({"subsamples": ["all"]}, "subsample needs name"),
+    ({"tree": {"min_leaf": "abc"}}, "tree.min_leaf must be an integer"),
+    ({"tree": {"max_depth": "deep"}}, "tree.max_depth must be an integer"),
+    ({"tree": {"min_leaf": 0}}, "tree.min_leaf must be >= 1"),
+    ({"tree": {"max_depth": -1}}, "tree.max_depth must be >= 0"),
+    ({"forest": {"n_trees": 0}}, "forest.n_trees must be >= 1"),
+    ({"forest": {"min_leaf": 0}}, "forest.min_leaf must be >= 1"),
+    ({"forest": {"mtry": 0}}, "forest.mtry must be >= 1"),
+    ({"forest": {"mtry": [3]}}, "forest.mtry must be an integer"),
+    ({"data": {"window": [2005, "later"]}}, "data.window must be an integer"),
+    ({"proxies": [{"name": "X", "group": "C", "raw_field": "capital_ratio",
+                   "direction": "decreasing", "mode": "threshold",
+                   "threshold": "high"}]}, "threshold must be a number"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "all"}, "min_leaf": 0}]},
+     "min_leaf must be >= 1"),
+    ({"selection": {"fixed": "Capt"}}, "selection.fixed must be a list"),
+    ({"selection": {"fixed": ["Capt", 3]}}, "selection.fixed must be a list"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -290,6 +290,36 @@ def test_cli_study_exit_codes(study_env, no_env_config, capsys, tmp_path):
     assert main(["study", "--config", str(bad_cfg)]) == 1
 
 
+@pytest.mark.parametrize("section, key", [
+    ("tree", "min_leaf"), ("forest", "n_trees"), ("forest", "min_leaf"), ("forest", "mtry"),
+])
+def test_cli_study_rejects_zero_at_parse_time(study_env, no_env_config, capsys, tmp_path,
+                                              section, key):
+    doc = fast_config(study_env["csv"], tmp_path / "never")
+    doc.setdefault(section, {})[key] = 0
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["study", "--config", str(cfg)]) == 2
+    assert f"{section}.{key} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"tree": []}, "tree must be an object"),
+    ({"seed": "1.5"}, "seed must be an integer"),
+    ({"tree": {"min_leaf": "abc"}}, "tree.min_leaf must be an integer"),
+    ({"selection": {"fixed": "Capt"}}, "selection.fixed must be a list"),
+])
+def test_cli_malformed_config_exits_2_without_traceback(no_env_config, capsys, tmp_path,
+                                                        doc, fragment):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_cli_env_var_supplies_config(study_env, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv(CONFIG_ENV_VAR, str(study_env["config"]))
     rc = main(["ingest", "--out", str(tmp_path / "env_out")])

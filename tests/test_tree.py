@@ -15,6 +15,8 @@ from charterseg.tree import (
     RegressionTree,
     SplitRule,
     TreeParams,
+    _collapse_schedule,
+    _pruned_predictions,
     best_split,
     cost_complexity_sequence,
     cv_prune,
@@ -34,9 +36,13 @@ from helpers import (
     check_stats_consistency,
     consistent_internal,
     direct_sse,
+    internal_paths,
     make_matrix,
     parse_dot,
     random_matrix,
+    reference_collapses,
+    reference_cost_complexity_sequence,
+    reference_prune_at,
     same_topology,
 )
 
@@ -384,6 +390,80 @@ def test_cv_prune_keeps_noise_free_planted_tree(three_split_spec):
     pruned, _ = cv_prune(mat, TreeParams(min_leaf=30), k=10, seed=5)
     assert same_topology(full, pruned)
     assert full.n_leaves == 4
+
+
+def midpoint_alphas(alphas):
+    """0, the geometric midpoints and the last alpha, as cv_prune scores them."""
+    mids = [float(np.sqrt(a * b)) for a, b in zip(alphas[:-1], alphas[1:])]
+    return [0.0, *mids, *alphas[-1:]]
+
+
+@pytest.mark.parametrize("min_leaf", range(1, 11))
+def test_pruning_matches_rescanning_reference(min_leaf):
+    rng = make_rng(100 + min_leaf)
+    for tie_heavy in (False, True):
+        mat = random_matrix(rng, n=30 + 8 * min_leaf, m=3, tie_heavy=tie_heavy)
+        tree = grow(mat, TreeParams(min_leaf=min_leaf))
+        trace = cost_complexity_sequence(tree)
+        assert (trace.alphas, trace.subtree_sizes) == reference_cost_complexity_sequence(tree)
+        alphas = [0.0, *trace.alphas, *midpoint_alphas(trace.alphas)]
+        X = np.round(rng.uniform(1.0, 5.0, size=(40, 3)) * 2.0) / 2.0
+        for alpha, pred in zip(alphas, _pruned_predictions(tree, X, alphas)):
+            reference = reference_prune_at(tree, alpha)
+            assert export_json(prune_at(tree, alpha)) == export_json(reference)
+            assert np.array_equal(pred, reference.predict_batch(X))
+
+
+def test_cv_prune_matches_rescanning_reference():
+    rng = make_rng(27)
+    mat = random_matrix(rng, n=120, m=4)
+    params = TreeParams(min_leaf=4)
+    pruned, trace = cv_prune(mat, params, k=5, seed=3)
+    assert list(trace.eval_alphas) == midpoint_alphas(trace.alphas)
+    for fi, test_idx in enumerate(np.array_split(make_rng(3).permutation(mat.n_rows), 5)):
+        fold_tree = grow(mat.take(np.setdiff1d(np.arange(mat.n_rows), test_idx)), params)
+        for ai, alpha in enumerate(trace.eval_alphas):
+            pred = reference_prune_at(fold_tree, alpha).predict_batch(mat.scores[test_idx])
+            assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
+    reference = reference_prune_at(grow(mat, params), trace.chosen_alpha)
+    assert export_json(pruned) == export_json(reference)
+
+
+def test_schedule_breaks_ties_in_preorder():
+    # a (depth 2, left) and b (depth 1, right) both cost exactly g = 20 to
+    # collapse; preorder takes a first, where depth order would take b.
+    a = consistent_internal(SplitRule(0, 1.5), Leaf(10, 0.0, 1.0), Leaf(10, 2.0, 1.0))
+    b = consistent_internal(SplitRule(0, 4.5), Leaf(10, 10.0, 1.0), Leaf(10, 12.0, 1.0))
+    left = consistent_internal(SplitRule(0, 2.5), a, Leaf(20, 50.0, 1.0))
+    tree = build_tree(consistent_internal(SplitRule(0, 3.5), left, b), ("f0",))
+    paths = {id(node): path for path, node in internal_paths(tree.root)}
+    steps = _collapse_schedule(tree.root)
+    _, reference = reference_collapses(tree)
+    assert [paths[id(node)] for _, node, _ in steps] == [path for _, path in reference]
+    assert [step[:2] for step in reference[:2]] == [(20.0, (0, 0)), (20.0, (1,))]
+    assert [removed for _, _, removed in steps] == [1, 1, 2]
+
+
+def test_prune_at_cuts_at_first_step_above_alpha():
+    # Rounding puts the root's cost after its child folds (g2) just below
+    # the child's own cost (g1), so g does not ascend along the schedule.
+    child = Internal(SplitRule(0, 1.5), Leaf(5, 0.0, 5.705757280793544),
+                     Leaf(5, 1.0, 1.8390834669152767), 10, 0.5, 7.812280975358874)
+    root = Internal(SplitRule(0, 2.5), child, Leaf(5, 2.0, 8.21207861793246),
+                    15, 1.0, 16.29179982094139)
+    tree = build_tree(root, ("f0",))
+    (g1, _), (g2, _) = reference_collapses(tree)[1]
+    assert g2 < g1
+    assert prune_at(tree, g2).n_leaves == 3  # the first step already costs more
+    alphas = [0.0, g2, g1]
+    X = np.array([[1.0], [2.0], [3.0]])
+    for alpha, pred in zip(alphas, _pruned_predictions(tree, X, alphas)):
+        reference = reference_prune_at(tree, alpha)
+        assert export_json(prune_at(tree, alpha)) == export_json(reference)
+        assert np.array_equal(pred, reference.predict_batch(X))
+    trace = cost_complexity_sequence(tree)
+    assert (trace.alphas, trace.subtree_sizes) == reference_cost_complexity_sequence(tree)
+    assert trace.alphas == (g1,)
 
 
 # ------------------------------------------------------------------ export
