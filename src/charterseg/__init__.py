@@ -44,13 +44,10 @@ from .panel import (
     Panel,
     SizeHalf,
     YearRange,
-    attach_betas,
-    compute_beta,
     compute_raw_proxies,
     filter_subsample,
     load_panel,
     summary_stats,
-    tobin_q,
 )
 from .rescale import (
     DEFAULT_PROXY_SPECS,
@@ -85,7 +82,6 @@ from .tree import (
     grow,
     import_json,
     node_sse,
-    predict,
     prune_at,
 )
 

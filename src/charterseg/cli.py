@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Subcommands: ingest (panel intake and summary statistics), select (forest
-importances and per-group proxy choice), grow (one pruned tree on the full
-sample), study (the full multi-subsample pipeline). Exit codes: 0 on
-success, 1 when a study or grow run ends degraded (some subsample supports
-no tree), 2 on configuration or input errors.
+Subcommands: ingest (panel intake and summary statistics), select (the
+study's proxy selection on the full panel, which grow goes on to use), grow
+(one pruned tree on the full sample), study (the full multi-subsample
+pipeline). Exit codes: 0 on success, 1 when a study or grow run ends degraded
+(some subsample supports no tree), 2 on configuration or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,17 +18,18 @@ from pathlib import Path
 
 from .config import CONFIG_ENV_VAR, RunConfig, SubsampleSpec, load_config
 from .errors import ChartersegError
-from .forest import ForestParams, grow_forest, importance_to_csv, permutation_importance
-from .panel import FullSample, compute_raw_proxies, load_panel, write_exclusions_csv
-from .rescale import build_scored_matrix
-from .seeding import derive_seed
-from .select import (
-    default_catalog,
-    select_proxies,
-    selection_to_csv,
-    selection_to_spec_fragment,
+from .panel import FullSample, compute_raw_proxies, load_panel
+from .select import selection_to_spec_fragment
+from .study import (
+    run_study,
+    select_full_panel,
+    summary_table,
+    write_exclusions_table,
+    write_importance_table,
+    write_selection_table,
+    write_study,
+    write_summary_table,
 )
-from .study import _fmt, _summary_table, run_study, write_study
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("ingest", "load the panel, report row counts, write summary statistics"),
-        ("select", "grow the proxy forest and pick one proxy per group"),
+        ("select", "pick one proxy per group on the full sample, as grow does"),
         ("grow", "grow and prune a single tree on the full sample"),
         ("study", "run the full study over all configured subsamples"),
     ):
@@ -88,13 +89,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     frame = compute_raw_proxies(panel)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[name, s.n, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.max),
-             int(s.std_defined)] for name, s in _summary_table(frame)]
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "n", "mean", "std", "min", "max", "std_defined"])
-        writer.writerows(rows)
-    write_exclusions_csv(panel.exclusions + frame.exclusions, out / "exclusions.csv")
+    write_summary_table(out / "summary.csv", summary_table(frame))
+    write_exclusions_table(out / "exclusions.csv", panel.exclusions + frame.exclusions)
     print(f"panel: {len(panel)} rows loaded, window {panel.window[0]}-{panel.window[1]}")
     print(f"usable after ratio checks: {len(frame)} "
           f"(excluded: {len(panel.exclusions) + len(frame.exclusions)})")
@@ -103,39 +99,33 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    panel = _load_data(cfg)
-    matrix = build_scored_matrix(panel, cfg.proxies)
-    forest = grow_forest(matrix, ForestParams(cfg.forest.n_trees, cfg.forest.mtry,
-                                              cfg.forest.min_leaf,
-                                              derive_seed(cfg.seed, 1)))
-    importance = permutation_importance(forest, matrix, seed=derive_seed(cfg.seed, 2))
-    selection = select_proxies(importance, default_catalog(cfg.proxies))
+    chosen, importance = select_full_panel(cfg, _load_data(cfg))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    importance_to_csv(importance, out / "importance.csv")
-    selection_to_csv(selection, out / "selection.csv")
+    write_selection_table(out / "selection.csv", chosen.items())
     (out / "selected_proxies.json").write_text(
-        selection_to_spec_fragment(selection, cfg.proxies), encoding="utf-8")
-    print(f"rows scored: {matrix.n_rows}; forest: {cfg.forest.n_trees} trees, "
-          f"OOB MSE {importance.oob_mse:.6f}")
-    for group, name in selection.chosen:
-        print(f"  {group}: {name} ({selection.importance.by_name()[name]:.1f}% IncMSE)")
-    print(f"wrote {out / 'importance.csv'}, {out / 'selection.csv'}, "
-          f"{out / 'selected_proxies.json'}")
+        selection_to_spec_fragment(chosen, cfg.proxies), encoding="utf-8")
+    scores = {}
+    if importance is None:
+        print("selection: fixed")
+    else:
+        write_importance_table(out / "importance.csv", importance)
+        scores = importance.by_name()
+        oob = "" if math.isnan(importance.oob_mse) else f", OOB MSE {importance.oob_mse:.6f}"
+        print(f"forest: {cfg.forest.n_trees} trees ({cfg.selection.forest_scope}){oob}")
+    for group, name in chosen.items():
+        print(f"  {group}: {name}" + (f" ({scores[name]:.1f}% IncMSE)" if scores else ""))
+    print(f"selection written to {out}")
     return 0
 
 
-def _print_study_summary(results) -> None:
-    factor_order: list[str] = []
-    for r in results:
-        for name, _ in r.verdicts:
-            if name not in factor_order:
-                factor_order.append(name)
-    name_width = max(len(r.name) for r in results)
+def _print_study_summary(result) -> None:
+    factor_order = result.factor_order
+    name_width = max(len(r.name) for r in result.results)
     header = "subsample".ljust(name_width) + "  status   " + "  ".join(
         f"{f:>5}" for f in factor_order)
     print(header)
-    for r in results:
+    for r in result.results:
         verdicts = dict(r.verdicts)
         cells = "  ".join(f"{verdicts.get(f, ''):>5}" for f in factor_order)
         print(f"{r.name.ljust(name_width)}  {r.status:<8} {cells}")
@@ -160,7 +150,7 @@ def cmd_grow(cfg: RunConfig, jobs: int) -> int:
 def cmd_study(cfg: RunConfig, jobs: int) -> int:
     result = run_study(cfg, jobs=jobs)
     write_study(result, cfg.out)
-    _print_study_summary(result.results)
+    _print_study_summary(result)
     print(f"bundle written to {cfg.out}")
     return 1 if result.degraded else 0
 
@@ -185,3 +175,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -187,9 +187,12 @@ def _parse_criterion(obj) -> Criterion:
     if kind == "years":
         _expect_keys(obj, {"kind", "start", "end"}, "criterion")
         try:
-            return YearRange(int(obj["start"]), int(obj["end"]))
+            start, end = int(obj["start"]), int(obj["end"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"years criterion needs integer start and end: {obj!r}") from None
+        if start > end:
+            raise ConfigError(f"years criterion start {start} is after its end {end}")
+        return YearRange(start, end)
     if kind == "countries":
         _expect_keys(obj, {"kind", "group", "codes"}, "criterion")
         if "group" in obj:
@@ -247,6 +250,8 @@ def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
                 raise ConfigError(f"window must be [start, end], got {window!r}")
             window = (_number(int, window[0], "data.window"),
                       _number(int, window[1], "data.window"))
+            if window[0] > window[1]:
+                raise ConfigError(f"data.window start {window[0]} is after its end {window[1]}")
         columns = d.get("columns")
         if columns is not None and not isinstance(columns, dict):
             raise ConfigError("data.columns must be an object")

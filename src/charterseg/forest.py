@@ -8,7 +8,6 @@ independent of how many workers grew it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,14 +191,3 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
         raise EmptyModelError("forest OOB MSE is zero; %IncMSE undefined")
     pct = 100.0 * raw / base.oob_mse
     return ImportanceReport(matrix.feature_names, pct, raw, stderr, base.oob_mse)
-
-
-def importance_to_csv(report: ImportanceReport, path) -> None:
-    """Write the importance table, columns feature, pct_inc_mse, raw_delta, stderr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "pct_inc_mse", "raw_delta", "stderr"])
-        for i, name in enumerate(report.feature_names):
-            writer.writerow([name, repr(float(report.pct_inc_mse[i])),
-                             repr(float(report.raw_delta[i])),
-                             repr(float(report.stderr[i]))])

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import logging
+import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-
-log = logging.getLogger(__name__)
 
 PIGS_COUNTRIES = ("ES", "GR", "IE", "PT")
 
@@ -96,12 +94,6 @@ class Panel:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> np.ndarray:
-        """Numeric field as a float array (key fields excluded)."""
-        if name not in REQUIRED_FIELDS + OPTIONAL_FIELDS:
-            raise SchemaError(f"unknown panel field {name!r}")
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
-
 
 def _parse_cell(text: str, line: int, column: str) -> float:
     text = text.strip()
@@ -130,124 +122,83 @@ def load_panel(path, schema: dict[str, str] | None = None,
 
     Raises:
         SchemaError: a required column is missing from the header.
-        ParseError: a non-blank cell fails numeric parsing.
+        ParseError: the file is not UTF-8, or a non-blank cell fails
+            numeric parsing.
         DuplicateRowError: the same (bank_id, year) appears twice.
     """
     schema = schema or {}
     colname = {f: schema.get(f, f) for f in ALL_FIELDS}
 
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
 
     rows: list[BankYear] = []
     exclusions: list[Exclusion] = []
     seen: set[tuple[str, int]] = set()
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row") from None
+    index = {name.strip(): i for i, name in enumerate(header)}
+    needed = KEY_FIELDS + REQUIRED_FIELDS
+    missing = [colname[f] for f in needed if colname[f] not in index]
+    if missing:
+        raise SchemaError(f"{path}: missing required columns {missing}")
+
+    for line_no, record in enumerate(reader, start=2):
+        def cell(fname: str) -> str:
+            col = colname[fname]
+            i = index.get(col)
+            if i is None or i >= len(record):
+                return ""
+            return record[i]
+
+        bank_id = cell("bank_id").strip()
+        country = cell("country").strip()
+        year_text = cell("year").strip()
+        row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
+        if not bank_id or not country or not year_text:
+            exclusions.append(Exclusion(row_id, "missing bank_id, country, or year"))
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        index = {name.strip(): i for i, name in enumerate(header)}
-        needed = KEY_FIELDS + REQUIRED_FIELDS
-        missing = [colname[f] for f in needed if colname[f] not in index]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns {missing}")
+            year = int(year_text)
+        except ValueError:
+            raise ParseError(f"expected an integer year, got {year_text!r}",
+                             line=line_no, column=colname["year"]) from None
 
-        for line_no, record in enumerate(reader, start=2):
-            def cell(fname: str) -> str:
-                col = colname[fname]
-                i = index.get(col)
-                if i is None or i >= len(record):
-                    return ""
-                return record[i]
+        values = {}
+        missing_field = None
+        for fname in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            v = _parse_cell(cell(fname), line_no, colname[fname])
+            values[fname] = v
+            if fname in REQUIRED_FIELDS and math.isnan(v) and missing_field is None:
+                missing_field = fname
+        if missing_field is not None:
+            exclusions.append(Exclusion(row_id, f"missing {missing_field}"))
+            continue
+        if window is not None and not (window[0] <= year <= window[1]):
+            exclusions.append(Exclusion(row_id, f"year {year} outside window"))
+            continue
 
-            bank_id = cell("bank_id").strip()
-            country = cell("country").strip()
-            year_text = cell("year").strip()
-            row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
-            if not bank_id or not country or not year_text:
-                exclusions.append(Exclusion(row_id, "missing bank_id, country, or year"))
-                continue
-            try:
-                year = int(year_text)
-            except ValueError:
-                raise ParseError(f"expected an integer year, got {year_text!r}",
-                                 line=line_no, column=colname["year"]) from None
-
-            values = {}
-            missing_field = None
-            for fname in REQUIRED_FIELDS + OPTIONAL_FIELDS:
-                v = _parse_cell(cell(fname), line_no, colname[fname])
-                values[fname] = v
-                if fname in REQUIRED_FIELDS and math.isnan(v) and missing_field is None:
-                    missing_field = fname
-            if missing_field is not None:
-                exclusions.append(Exclusion(row_id, f"missing {missing_field}"))
-                continue
-            if window is not None and not (window[0] <= year <= window[1]):
-                exclusions.append(Exclusion(row_id, f"year {year} outside window"))
-                continue
-
-            key = (bank_id, year)
-            if key in seen:
-                raise DuplicateRowError(f"duplicate bank-year {key} at line {line_no}")
-            seen.add(key)
-            rows.append(BankYear(bank_id=bank_id, country=country, year=year, **values))
+        key = (bank_id, year)
+        if key in seen:
+            raise DuplicateRowError(f"duplicate bank-year {key} at line {line_no}")
+        seen.add(key)
+        rows.append(BankYear(bank_id=bank_id, country=country, year=year, **values))
 
     if window is None:
         years = [r.year for r in rows]
         window = (min(years), max(years)) if years else (0, 0)
     return Panel(tuple(rows), provenance=f"sha256:{digest}", window=window,
                  exclusions=tuple(exclusions))
-
-
-def tobin_q(mve: float, bvl: float, nta: float) -> float:
-    """Tobin's Q: (market value of equity + book liabilities) / net total assets."""
-    if not nta > 0:
-        raise DegenerateInputError(f"net total assets must be positive, got {nta}")
-    return (mve + bvl) / nta
-
-
-def compute_beta(bank_returns, market_returns) -> float:
-    """Market beta as the OLS slope of bank returns on market returns."""
-    b = np.asarray(bank_returns, dtype=float)
-    m = np.asarray(market_returns, dtype=float)
-    if b.shape != m.shape or b.ndim != 1:
-        raise DegenerateInputError("return series must be one-dimensional and equally long")
-    if b.size < 2:
-        raise DegenerateInputError("need at least two return observations")
-    # An exactly constant series must fail even when rounding of the mean
-    # leaves a nonzero residual variance.
-    if np.all(m == m[0]):
-        raise DegenerateInputError("market return series has zero variance")
-    mc = m - m.mean()
-    var = float(mc @ mc)
-    if var == 0.0:
-        raise DegenerateInputError("market return series has zero variance")
-    return float(mc @ (b - b.mean())) / var
-
-
-def attach_betas(panel: Panel, betas: dict[tuple[str, int], float]) -> Panel:
-    """Fill missing beta values from a computed map.
-
-    Rows whose beta column is already set keep it; a warning reports how many
-    computed values were shadowed by the column.
-    """
-    rows = []
-    shadowed = 0
-    for r in panel.rows:
-        key = (r.bank_id, r.year)
-        if key in betas:
-            if math.isnan(r.beta):
-                r = replace(r, beta=float(betas[key]))
-            else:
-                shadowed += 1
-        rows.append(r)
-    if shadowed:
-        log.warning("beta column takes precedence over %d computed value(s)", shadowed)
-    return replace(panel, rows=tuple(rows))
 
 
 # Raw proxy columns, in fixed reporting order. Directions (which way risk
@@ -437,10 +388,3 @@ def summary_stats(values) -> SummaryStats:
     return SummaryStats(int(v.size), float(v.mean()), float(v.std(ddof=1)),
                         float(v.min()), float(v.max()))
 
-
-def write_exclusions_csv(exclusions, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "reason"])
-        for e in exclusions:
-            writer.writerow([e.row_id, e.reason])

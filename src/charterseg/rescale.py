@@ -202,17 +202,6 @@ class ScoredMatrix:
             exclusions=self.exclusions,
         )
 
-    def select(self, names, rename: dict[str, str] | None = None) -> "ScoredMatrix":
-        """Column subset in the given order, optionally renamed."""
-        pos = []
-        for name in names:
-            if name not in self.feature_names:
-                raise SchemaError(f"matrix has no feature {name!r}")
-            pos.append(self.feature_names.index(name))
-        new_names = tuple((rename or {}).get(n, n) for n in names)
-        return ScoredMatrix(new_names, self.scores[:, pos], self.response, self.row_ids,
-                            self.exclusions)
-
 
 def build_scored_matrix(panel: Panel, specs, frame: ProxyFrame | None = None) -> ScoredMatrix:
     """Assemble the scored feature matrix for a set of proxy specs.

@@ -7,9 +7,8 @@ Groups with a single candidate pass it through unconditionally.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigError
 from .forest import ImportanceReport
@@ -45,16 +44,13 @@ def default_catalog(specs=DEFAULT_PROXY_SPECS) -> GroupCatalog:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen proxy per group plus the renaming onto canonical letters."""
+    """Chosen proxy per group and the importance report it was read from."""
 
     chosen: tuple[tuple[str, str], ...]  # (group, proxy name) in catalog order
     importance: ImportanceReport
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.chosen)
-
-    def renaming(self) -> dict[str, str]:
-        return {name: group for group, name in self.chosen}
 
 
 def select_proxies(importance: ImportanceReport, catalog: GroupCatalog) -> SelectionResult:
@@ -100,25 +96,9 @@ def canonical_specs(chosen: dict[str, str], specs=DEFAULT_PROXY_SPECS) -> tuple[
     return tuple(out)
 
 
-def selection_to_csv(result: SelectionResult, path) -> None:
-    scores = result.importance.by_name()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "proxy", "pct_inc_mse"])
-        for group, name in result.chosen:
-            writer.writerow([group, name, repr(scores[name])])
+def selection_to_spec_fragment(chosen: dict[str, str], specs=DEFAULT_PROXY_SPECS) -> str:
+    """JSON proxy-spec list for the chosen proxies, loadable as a config's proxies.
 
-
-def selection_to_spec_fragment(result: SelectionResult, specs=DEFAULT_PROXY_SPECS) -> str:
-    """JSON proxy-spec list for the chosen six, loadable as a run config's proxies."""
-    out = []
-    for spec in canonical_specs(result.as_dict(), specs):
-        out.append({
-            "name": spec.name,
-            "group": spec.group,
-            "raw_field": spec.raw_field,
-            "direction": spec.direction,
-            "mode": spec.mode,
-            "threshold": spec.threshold,
-        })
-    return json.dumps(out, indent=2) + "\n"
+    chosen maps each group letter to its proxy name.
+    """
+    return json.dumps([asdict(s) for s in canonical_specs(chosen, specs)], indent=2) + "\n"

@@ -41,7 +41,6 @@ from .panel import (
     PROXY_FIELDS,
     Panel,
     ProxyFrame,
-    SummaryStats,
     compute_raw_proxies,
     filter_subsample,
     load_panel,
@@ -49,7 +48,7 @@ from .panel import (
 )
 from .rescale import GROUPS, ScoredMatrix, build_scored_matrix
 from .seeding import derive_seed
-from .select import SelectionResult, canonical_specs, default_catalog, select_proxies
+from .select import canonical_specs, default_catalog, select_proxies
 from .stats import pearson
 from .tree import RegressionTree, TreeParams, cv_prune, export_dot, export_json
 
@@ -82,6 +81,11 @@ class StudyResult:
     def degraded(self) -> bool:
         return any(r.status != "ok" for r in self.results)
 
+    @property
+    def factor_order(self) -> list[str]:
+        """Verdict factors in first-seen order across the subsamples."""
+        return list(dict.fromkeys(name for r in self.results for name, _ in r.verdicts))
+
 
 class _MatrixCache:
     """Full-panel matrices per spec set, for rescale_scope = "full"."""
@@ -112,19 +116,19 @@ def _scope_matrix(config: RunConfig, specs, sub_panel: Panel, sub_frame: ProxyFr
 
 def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
                    full_cache: _MatrixCache, seed: int):
-    """Returns (chosen mapping, ImportanceReport or None)."""
+    """Returns (group -> proxy in C, A, M, E, L, S order, ImportanceReport or None)."""
     specs = config.proxies
     by_name = {s.name: s for s in specs}
     if config.selection.mode == "fixed":
         chosen = {}
         for name in config.selection.fixed:
             if name not in by_name:
-                raise ConfigError(f"fixed selection names unknown proxy {name!r}")
+                raise ConfigError(f"selection.fixed names unknown proxy {name!r}")
             group = by_name[name].group
             if group in chosen:
-                raise ConfigError(f"fixed selection has two proxies for group {group!r}")
+                raise ConfigError(f"selection.fixed has two proxies for group {group!r}")
             chosen[group] = name
-        return chosen, None
+        return {g: chosen[g] for g in GROUPS if g in chosen}, None
 
     catalog = default_catalog(specs)
     fp = config.forest
@@ -136,8 +140,8 @@ def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
         return select_proxies(importance, catalog).as_dict(), importance
 
     # Independent forest per group, each over that group's candidates only.
+    # There is no single forest, so the report carries no OOB MSE (NaN).
     names, pct, raw, err = [], [], [], []
-    oob = float("nan")
     for gi, (group, members) in enumerate(catalog.groups):
         group_specs = [by_name[m] for m in members]
         matrix = _scope_matrix(config, group_specs, sub_panel, sub_frame, full_cache)
@@ -148,13 +152,24 @@ def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
         pct.extend(rep.pct_inc_mse)
         raw.extend(rep.raw_delta)
         err.extend(rep.stderr)
-        oob = rep.oob_mse
     importance = ImportanceReport(tuple(names), np.array(pct), np.array(raw),
-                                  np.array(err), oob)
+                                  np.array(err), float("nan"))
     return select_proxies(importance, catalog).as_dict(), importance
 
 
-def _summary_table(frame: ProxyFrame) -> tuple:
+def select_full_panel(config: RunConfig, panel: Panel):
+    """The study's proxy selection on the whole panel, as _run_selection returns it.
+
+    Uses the seed of subsample index 0, so it picks what grow picks, and what
+    a study whose first subsample is the full sample picks.
+    """
+    frame = compute_raw_proxies(panel)
+    return _run_selection(config, panel, frame, _MatrixCache(panel, frame),
+                          derive_seed(config.seed, 0))
+
+
+def summary_table(frame: ProxyFrame) -> tuple:
+    """(variable, SummaryStats) for Q and every raw proxy with a finite value."""
     rows = []
     for name in ("q",) + PROXY_FIELDS:
         values = frame.column(name)
@@ -206,7 +221,7 @@ def _study_subsample(config: RunConfig, panel: Panel, full_cache: _MatrixCache,
     except (EmptySubsampleError, EmptyModelError) as exc:
         return SubsampleResult(sub.name, "empty", reason=str(exc))
 
-    summary = _summary_table(sub_frame)
+    summary = summary_table(sub_frame)
     try:
         chosen, importance = _run_selection(config, sub_panel, sub_frame, full_cache, seed)
         six = canonical_specs(chosen, config.proxies)
@@ -215,7 +230,7 @@ def _study_subsample(config: RunConfig, panel: Panel, full_cache: _MatrixCache,
         return SubsampleResult(sub.name, "no_tree", reason=str(exc), summary=summary,
                                exclusions=sub_frame.exclusions)
 
-    chosen_pairs = tuple((g, chosen[g]) for g in GROUPS if g in chosen)
+    chosen_pairs = tuple(chosen.items())
     n = matrix.n_rows
     if n < 2 * min_leaf or n < config.tree.cv_folds:
         reason = (f"{n} rows cannot support a split with min_leaf={min_leaf} "
@@ -255,6 +270,10 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
     Returns:
         StudyResult in configuration order; degraded is True when any
         subsample ended without a tree.
+
+    Raises:
+        ConfigError: a config fault found inside a subsample (an mtry above
+            the feature count, a bad selection.fixed); it ends the run.
     """
     if panel is None:
         if not config.data.path:
@@ -269,6 +288,8 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
         sub, seed = item
         try:
             return _study_subsample(config, panel, full_cache, sub, seed)
+        except ConfigError:
+            raise
         except ChartersegError as exc:
             return SubsampleResult(sub.name, "no_tree", reason=str(exc))
 
@@ -295,6 +316,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_summary_table(path, summary) -> None:
+    """Summary statistics from summary_table, one row per variable."""
+    _write_csv(path, ["variable", "n", "mean", "std", "min", "max", "std_defined"],
+               [[name, s.n, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.max),
+                 int(s.std_defined)] for name, s in summary])
+
+
+def write_exclusions_table(path, exclusions) -> None:
+    _write_csv(path, ["row_id", "reason"], [[e.row_id, e.reason] for e in exclusions])
+
+
+def write_importance_table(path, report: ImportanceReport) -> None:
+    _write_csv(path, ["feature", "pct_inc_mse", "raw_delta", "stderr"],
+               [[name, _fmt(report.pct_inc_mse[i]), _fmt(report.raw_delta[i]),
+                 _fmt(report.stderr[i])] for i, name in enumerate(report.feature_names)])
+
+
+def write_selection_table(path, chosen) -> None:
+    """(group, proxy) pairs, one row each."""
+    _write_csv(path, ["group", "proxy"], chosen)
+
+
 def write_study(result: StudyResult, outdir) -> None:
     """Write the study bundle: report.md, tables/*.csv, trees/*.dot|.json."""
     out = Path(outdir)
@@ -303,11 +346,7 @@ def write_study(result: StudyResult, outdir) -> None:
     tables.mkdir(parents=True, exist_ok=True)
     trees.mkdir(parents=True, exist_ok=True)
 
-    factor_order: list[str] = []
-    for r in result.results:
-        for name, _ in r.verdicts:
-            if name not in factor_order:
-                factor_order.append(name)
+    factor_order = result.factor_order
     _write_csv(tables / "verdicts.csv", ["subsample", "status"] + factor_order,
                [[r.name, r.status] + [dict(r.verdicts).get(f, "") for f in factor_order]
                 for r in result.results])
@@ -328,22 +367,14 @@ def write_study(result: StudyResult, outdir) -> None:
             lines.append(f"- status: {r.status} ({r.reason})")
 
         if r.summary:
-            _write_csv(tables / f"summary_{slug}.csv",
-                       ["variable", "n", "mean", "std", "min", "max", "std_defined"],
-                       [[name, s.n, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.max),
-                         int(s.std_defined)] for name, s in r.summary])
+            write_summary_table(tables / f"summary_{slug}.csv", r.summary)
         if r.exclusions:
-            _write_csv(tables / f"exclusions_{slug}.csv", ["row_id", "reason"],
-                       [[e.row_id, e.reason] for e in r.exclusions])
+            write_exclusions_table(tables / f"exclusions_{slug}.csv", r.exclusions)
         if r.importance is not None:
-            _write_csv(tables / f"importance_{slug}.csv",
-                       ["feature", "pct_inc_mse", "raw_delta", "stderr"],
-                       [[name, _fmt(r.importance.pct_inc_mse[i]),
-                         _fmt(r.importance.raw_delta[i]), _fmt(r.importance.stderr[i])]
-                        for i, name in enumerate(r.importance.feature_names)])
+            write_importance_table(tables / f"importance_{slug}.csv", r.importance)
         if r.chosen:
             lines.append("- selected: " + " ".join(f"{g}={n}" for g, n in r.chosen))
-            _write_csv(tables / f"selection_{slug}.csv", ["group", "proxy"], list(r.chosen))
+            write_selection_table(tables / f"selection_{slug}.csv", r.chosen)
 
         if r.status == "ok":
             lines.append(f"- rows: {r.n_rows} (excluded: {len(r.exclusions)})")

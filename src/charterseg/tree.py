@@ -79,10 +79,8 @@ class RegressionTree:
     params: TreeParams
     total_n: int
 
-    def predict(self, feature_row) -> float:
-        return predict(self, feature_row)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Leaf mean for each row of X (left when value < threshold)."""
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0])
         stack = [(self.root, np.arange(X.shape[0]))]
@@ -213,15 +211,6 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams(),
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
     root = _build(matrix.scores, matrix.response, np.arange(n), 0, params, pick_features)
     return RegressionTree(root, matrix.feature_names, params, n)
-
-
-def predict(tree: RegressionTree, feature_row) -> float:
-    """Route one feature row to its leaf mean (left if value < threshold)."""
-    row = np.asarray(feature_row, dtype=float)
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if row[node.split.feature] < node.split.threshold else node.right
-    return node.mean
 
 
 def _collapse_schedule(root: TreeNode) -> list[tuple[float, Internal, int]]:

@@ -206,6 +206,15 @@ def reference_collapses(tree, alpha=float("inf")):
     return RegressionTree(root, tree.feature_names, tree.params, tree.total_n), done
 
 
+def reference_predict(tree, feature_row) -> float:
+    """Route one feature row to its leaf mean (left if value < threshold)."""
+    row = np.asarray(feature_row, dtype=float)
+    node = tree.root
+    while isinstance(node, Internal):
+        node = node.left if row[node.split.feature] < node.split.threshold else node.right
+    return node.mean
+
+
 def reference_prune_at(tree, alpha):
     return reference_collapses(tree, alpha)[0]
 

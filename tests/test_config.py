@@ -143,6 +143,10 @@ def test_country_group_criteria():
      "min_leaf must be >= 1"),
     ({"selection": {"fixed": "Capt"}}, "selection.fixed must be a list"),
     ({"selection": {"fixed": ["Capt", 3]}}, "selection.fixed must be a list"),
+    ({"data": {"window": [2016, 2005]}}, "data.window start 2016 is after its end 2005"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": 2016,
+                                                 "end": 2005}}]},
+     "years criterion start 2016 is after its end 2005"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -9,11 +9,11 @@ from charterseg.errors import ConfigError, EmptyModelError
 from charterseg.forest import (
     ForestParams,
     grow_forest,
-    importance_to_csv,
     oob_predict,
     permutation_importance,
 )
 from charterseg.seeding import make_rng
+from charterseg.study import write_importance_table
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import TreeParams, export_json, grow
 
@@ -175,7 +175,7 @@ def test_importance_csv_round_trip(tmp_path):
     forest = grow_forest(mat, ForestParams(n_trees=10, min_leaf=5, seed=7))
     report = permutation_importance(forest, mat, seed=7)
     path = tmp_path / "importance.csv"
-    importance_to_csv(report, path)
+    write_importance_table(path, report)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "feature,pct_inc_mse,raw_delta,stderr"
     assert len(lines) == 1 + mat.n_features

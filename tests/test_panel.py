@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import logging
+import hashlib
 import math
 
 import numpy as np
@@ -22,15 +22,12 @@ from charterseg.panel import (
     Panel,
     SizeHalf,
     YearRange,
-    attach_betas,
-    compute_beta,
     compute_raw_proxies,
     filter_subsample,
     load_panel,
     summary_stats,
-    tobin_q,
-    write_exclusions_csv,
 )
+from charterseg.study import write_exclusions_table
 
 from helpers import panel_csv_text
 
@@ -143,77 +140,22 @@ def test_load_empty_file(tmp_path):
         load_panel(path)
 
 
-# ----------------------------------------------------------------- tobin_q
+def test_load_non_utf8_is_a_located_parse_error(tmp_path):
+    text = panel_csv_text([base_row(), base_row(bank_id="b2", country="PT")])
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.replace("PT", "P\u00c9").encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_panel(path)
+    assert err.value.line == 3
 
 
-@pytest.mark.parametrize("mve,bvl,nta,expect", [
-    (50.0, 950.0, 1000.0, 1.0),
-    (20.0, 85.0, 100.0, 1.05),
-    (0.0, 1000.0, 1000.0, 1.0),
-])
-def test_tobin_q_values(mve, bvl, nta, expect):
-    assert tobin_q(mve, bvl, nta) == pytest.approx(expect, rel=1e-12)
+def test_load_provenance_is_the_file_digest(tmp_path):
+    path = write_csv(tmp_path / "p.csv", [base_row()])
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_panel(path).provenance == f"sha256:{want}"
 
 
-def test_tobin_q_rejects_nonpositive_nta():
-    with pytest.raises(DegenerateInputError):
-        tobin_q(10.0, 10.0, 0.0)
-    with pytest.raises(DegenerateInputError):
-        tobin_q(10.0, 10.0, -5.0)
-
-
-def test_tobin_q_scale_free():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        mve, bvl, nta = rng.uniform(1.0, 100.0, size=3)
-        assert tobin_q(2.0 * mve, 2.0 * bvl, 2.0 * nta) == tobin_q(mve, bvl, nta)
-
-
-# ------------------------------------------------------------ compute_beta
-
-
-def test_beta_self_regression():
-    series = [0.01, -0.02, 0.005, 0.03, -0.01]
-    assert compute_beta(series, series) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_beta_constant_bank_series():
-    market = [0.01, -0.02, 0.005, 0.03, -0.01]
-    assert compute_beta([0.002] * 5, market) == 0.0
-
-
-def test_beta_doubled_market():
-    market = np.array([0.01, -0.02, 0.005, 0.03, -0.01])
-    assert compute_beta(2.0 * market + 0.001, market) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_beta_matches_polyfit():
-    rng = np.random.default_rng(9)
-    market = rng.normal(0.0, 0.02, size=250)
-    bank = 1.3 * market + rng.normal(0.0, 0.01, size=250)
-    want = np.polyfit(market, bank, 1)[0]
-    assert compute_beta(bank, market) == pytest.approx(want, rel=1e-10)
-
-
-def test_beta_shift_and_scale_of_bank_series():
-    rng = np.random.default_rng(10)
-    market = rng.normal(size=50)
-    bank = rng.normal(size=50)
-    b = compute_beta(bank, market)
-    assert compute_beta(bank + 0.5, market) == pytest.approx(b, rel=1e-9)
-    assert compute_beta(bank * 4.0, market) == pytest.approx(4.0 * b, rel=1e-9)
-
-
-def test_beta_degenerate_market():
-    with pytest.raises(DegenerateInputError):
-        compute_beta([0.1, 0.2, 0.3], [0.05, 0.05, 0.05])
-    with pytest.raises(DegenerateInputError):
-        compute_beta([0.1], [0.05])
-    with pytest.raises(DegenerateInputError):
-        compute_beta([0.1, 0.2], [0.05])
-
-
-# ------------------------------------------------------------ attach_betas
+# ------------------------------------------------------- panel builders
 
 
 def make_panel(rows):
@@ -230,21 +172,36 @@ def bank_year(**overrides):
     return BankYear(**base)
 
 
-def test_attach_betas_fills_missing(caplog):
-    panel = make_panel([bank_year(), bank_year(bank_id="b2", beta=1.5)])
-    with caplog.at_level(logging.WARNING, logger="charterseg.panel"):
-        out = attach_betas(panel, {("b1", 2008): 0.8, ("b2", 2008): 9.9})
-    assert out.rows[0].beta == 0.8
-    assert out.rows[1].beta == 1.5  # the column wins
-    assert any("1 computed value" in rec.getMessage() for rec in caplog.records)
+# ------------------------------------------------------------- Tobin's Q
 
 
-def test_attach_betas_no_warning_when_nothing_shadowed(caplog):
-    panel = make_panel([bank_year()])
-    with caplog.at_level(logging.WARNING, logger="charterseg.panel"):
-        out = attach_betas(panel, {("b1", 2008): 0.8})
-    assert out.rows[0].beta == 0.8
-    assert not caplog.records
+def frame_q(*rows):
+    return compute_raw_proxies(make_panel(rows)).q
+
+
+@pytest.mark.parametrize("mve,bvl,nta,expect", [
+    (50.0, 950.0, 1000.0, 1.0),
+    (20.0, 85.0, 100.0, 1.05),
+    (0.0, 1000.0, 1000.0, 1.0),
+])
+def test_tobin_q_values(mve, bvl, nta, expect):
+    assert frame_q(bank_year(mve=mve, bvl=bvl, nta=nta))[0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_tobin_q_rejects_nonpositive_nta():
+    frame = compute_raw_proxies(make_panel([
+        bank_year(), bank_year(bank_id="b2", nta=0.0), bank_year(bank_id="b3", nta=-5.0)]))
+    assert frame.row_ids == ("b1:2008",)
+    assert [(e.row_id, e.reason) for e in frame.exclusions] == [
+        ("b2:2008", "nta <= 0"), ("b3:2008", "nta <= 0")]
+
+
+def test_tobin_q_scale_free():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        mve, bvl, nta = rng.uniform(1.0, 100.0, size=3)
+        scaled = frame_q(bank_year(mve=2.0 * mve, bvl=2.0 * bvl, nta=2.0 * nta))
+        assert scaled[0] == frame_q(bank_year(mve=mve, bvl=bvl, nta=nta))[0]
 
 
 # ----------------------------------------------------- compute_raw_proxies
@@ -399,8 +356,8 @@ def test_write_exclusions_csv(tmp_path):
     from charterseg.panel import Exclusion
 
     path = tmp_path / "exclusions.csv"
-    write_exclusions_csv((Exclusion("b1:2008", "missing deposits"),
-                          Exclusion("b2:2009", "q <= 0")), path)
+    write_exclusions_table(path, (Exclusion("b1:2008", "missing deposits"),
+                                  Exclusion("b2:2009", "q <= 0")))
     with open(path, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["row_id", "reason"]

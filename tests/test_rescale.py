@@ -219,15 +219,6 @@ def test_scored_matrix_take_bool_and_index():
     assert sub2.row_ids == ("b2:2008", "b0:2008")
 
 
-def test_scored_matrix_select_and_rename():
-    m = scored([[1.0, 2.0], [3.0, 4.0]], names=("Capt", "Syst"))
-    out = m.select(["Syst"], rename={"Syst": "S"})
-    assert out.feature_names == ("S",)
-    assert np.array_equal(out.scores[:, 0], [2.0, 4.0])
-    with pytest.raises(SchemaError):
-        m.select(["Mang"])
-
-
 # ------------------------------------------------------ build_scored_matrix
 
 

@@ -15,9 +15,9 @@ from charterseg.select import (
     canonical_specs,
     default_catalog,
     select_proxies,
-    selection_to_csv,
     selection_to_spec_fragment,
 )
+from charterseg.study import write_selection_table
 
 # Reference importance values for a full bank panel (percent increase in
 # MSE when the proxy is permuted). Proxies without a reference value get
@@ -113,13 +113,13 @@ def test_canonical_specs_validation():
 def test_selection_outputs(tmp_path):
     result = select_proxies(report_from(REPORTED_IMPORTANCES), default_catalog())
     path = tmp_path / "selection.csv"
-    selection_to_csv(result, path)
+    write_selection_table(path, result.chosen)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "group,proxy,pct_inc_mse"
-    assert lines[1].startswith("C,Capt,")
+    assert lines[0] == "group,proxy"
+    assert lines[1] == "C,Capt"
     assert len(lines) == 7
 
-    fragment = json.loads(selection_to_spec_fragment(result))
+    fragment = json.loads(selection_to_spec_fragment(result.as_dict()))
     assert [f["name"] for f in fragment] == list(GROUPS)
     assert fragment[3] == {"name": "E", "group": "E", "raw_field": "roa",
                            "direction": "decreasing", "mode": "threshold",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,6 +20,8 @@ import pytest
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
+from charterseg.rescale import DEFAULT_PROXY_SPECS
+from charterseg.select import canonical_specs
 from charterseg.study import run_study, write_study
 
 HEADER = [
@@ -202,6 +207,17 @@ def test_study_fixed_selection_skips_forest(study_env):
                               "E": "Ergs_x", "L": "Liqt_x", "S": "Syst"}
 
 
+def test_per_group_selection_has_no_oob_mse(study_env):
+    doc = fast_config(study_env["csv"], study_env["base"] / "per_group_out",
+                      selection={"forest_scope": "per_group"})
+    doc["subsamples"] = doc["subsamples"][:1]
+    imp = run_study(parse_config(doc)).results[0].importance
+    # One forest per group: no single out-of-bag error describes them all.
+    assert math.isnan(imp.oob_mse)
+    assert len(imp.feature_names) == len(DEFAULT_PROXY_SPECS)
+    assert np.all(np.isfinite(imp.pct_inc_mse))
+
+
 def test_study_needs_a_data_path():
     from charterseg.errors import ConfigError
     with pytest.raises(ConfigError, match="data.path"):
@@ -264,6 +280,82 @@ def test_cli_select(study_env, no_env_config, capsys, tmp_path):
     # The fragment must load back as a config proxies section.
     cfg = parse_config({"proxies": fragment})
     assert len(cfg.proxies) == 6
+
+
+def write_config(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("extra", [
+    {"selection": {"mode": "rf", "forest_scope": "joint"}},
+    {"selection": {"mode": "rf", "forest_scope": "per_group"}},
+    {"selection": {"mode": "rf"}, "rescale_scope": "full"},
+    {"selection": {"mode": "fixed"}},
+], ids=["joint", "per_group", "joint_full_scope", "fixed"])
+def test_cli_select_agrees_with_grow(study_env, no_env_config, capsys, tmp_path, extra):
+    cfg = write_config(tmp_path / "run.json",
+                       fast_config(study_env["csv"], tmp_path / "unused", **extra))
+    sel_out, grow_out = tmp_path / "select_out", tmp_path / "grow_out"
+    assert main(["select", "--config", str(cfg), "--out", str(sel_out)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["grow", "--config", str(cfg), "--out", str(grow_out)]) == 0
+
+    grown = grow_out / "tables" / "selection_full.csv"
+    with open(grown, newline="", encoding="utf-8") as fh:
+        chosen = dict(list(csv.reader(fh))[1:])
+    fragment = json.loads((sel_out / "selected_proxies.json").read_text(encoding="utf-8"))
+    assert fragment == [dataclasses.asdict(s)
+                        for s in canonical_specs(chosen, DEFAULT_PROXY_SPECS)]
+    assert (sel_out / "selection.csv").read_bytes() == grown.read_bytes()
+    for group, name in chosen.items():
+        assert f"  {group}: {name}" in printed
+
+    fixed = extra["selection"]["mode"] == "fixed"
+    assert (sel_out / "importance.csv").exists() == (not fixed)
+    assert ("OOB MSE" in printed) == (extra["selection"].get("forest_scope") != "per_group"
+                                      and not fixed)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("extra, fragment", [
+    ({"forest": {"n_trees": 16, "mtry": 99}}, "mtry must be in [1, 18], got 99"),
+    ({"selection": {"mode": "fixed", "fixed": ["Capt", "Nope"]}},
+     "selection.fixed names unknown proxy 'Nope'"),
+], ids=["mtry", "fixed"])
+def test_cli_config_fault_inside_subsample_exits_2(study_env, no_env_config, capsys, tmp_path,
+                                                   extra, fragment, jobs):
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "fault.json", fast_config(study_env["csv"], out, **extra))
+    assert main(["study", "--config", str(cfg), "--jobs", str(jobs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()
+
+
+def test_cli_ingest_non_utf8_exits_2(no_env_config, capsys, tmp_path):
+    panel = tmp_path / "latin1.csv"
+    synth_panel_csv(panel, n_banks=2, years=range(2005, 2007))
+    panel.write_bytes(panel.read_bytes().replace(b"DE", b"D\xc9"))
+    cfg = write_config(tmp_path / "c.json", {"data": {"path": str(panel)},
+                                             "out": str(tmp_path / "o")})
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err and "line 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["charterseg", "charterseg.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", module, "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "usage: charterseg" in done.stdout
+    for cmd in ("ingest", "select", "grow", "study"):
+        assert cmd in done.stdout
 
 
 def test_cli_grow(study_env, no_env_config, capsys, tmp_path):

@@ -26,7 +26,6 @@ from charterseg.tree import (
     grow,
     import_json,
     node_sse,
-    predict,
     prune_at,
 )
 
@@ -42,6 +41,7 @@ from helpers import (
     random_matrix,
     reference_collapses,
     reference_cost_complexity_sequence,
+    reference_predict,
     reference_prune_at,
     same_topology,
 )
@@ -263,16 +263,14 @@ def test_grow_response_shift_scale_invariance():
 
 def test_predict_single_leaf():
     tree = build_tree(Leaf(10, 1.25, 0.5), ("f0",))
-    assert predict(tree, [3.0]) == 1.25
-    assert tree.predict([999.0]) == 1.25
+    assert list(tree.predict_batch([[3.0], [999.0]])) == [1.25, 1.25]
 
 
 def test_predict_routes_threshold_right():
     stump = consistent_internal(SplitRule(0, 2.5), Leaf(2, 0.0, 0.0), Leaf(2, 10.0, 0.0))
     tree = build_tree(stump, ("f0",))
-    assert predict(tree, [2.4999]) == 0.0
-    assert predict(tree, [2.5]) == 10.0  # value == threshold goes right
-    assert predict(tree, [2.5001]) == 10.0
+    got = tree.predict_batch([[2.4999], [2.5], [2.5001]])
+    assert list(got) == [0.0, 10.0, 10.0]  # value == threshold goes right
 
 
 def test_predict_batch_matches_scalar_predict():
@@ -280,7 +278,7 @@ def test_predict_batch_matches_scalar_predict():
     mat = random_matrix(rng, n=60, m=4)
     tree = grow(mat, TreeParams(min_leaf=5))
     batch = tree.predict_batch(mat.scores)
-    single = np.array([predict(tree, row) for row in mat.scores])
+    single = np.array([reference_predict(tree, row) for row in mat.scores])
     assert np.array_equal(batch, single)
 
 
