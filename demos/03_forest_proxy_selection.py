@@ -10,7 +10,7 @@ importance (%IncMSE) picks the strongest proxy inside every group.
 import numpy as np
 
 from charterseg.forest import ForestParams, grow_forest, permutation_importance
-from charterseg.panel import BankYear, Panel
+from charterseg.panel import BankYear, Panel, compute_raw_proxies
 from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
 from charterseg.select import default_catalog, select_proxies
 
@@ -46,7 +46,7 @@ for i in range(400):
 panel = Panel(tuple(rows), provenance="demo", window=(2005, 2016))
 
 # --------------------------------------------------------- score and forest
-matrix = build_scored_matrix(panel, DEFAULT_PROXY_SPECS)
+matrix = build_scored_matrix(compute_raw_proxies(panel), DEFAULT_PROXY_SPECS)
 print(f"scored matrix: {matrix.n_rows} rows x {len(matrix.feature_names)} proxies")
 
 forest = grow_forest(matrix, ForestParams(n_trees=300, min_leaf=10, seed=0))

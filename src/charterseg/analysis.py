@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .rescale import DECREASING, INCREASING, ScoredMatrix
 from .stats import ks_two_sample
-from .tree import Internal, Leaf, RegressionTree, extreme_leaf_indices, preorder
+from .tree import Internal, Leaf, RegressionTree, extreme_leaf_indices
 
 ALIGNED = "aligned"
 MISALIGNED = "misaligned"
@@ -135,8 +135,7 @@ def _collect_path_nodes(tree: RegressionTree, paths) -> list[Internal]:
     return out
 
 
-def alignment_verdicts(tree: RegressionTree, paths=None,
-                       scope: str = "paths") -> dict[str, AlignmentVerdict]:
+def alignment_verdicts(tree: RegressionTree, paths=None) -> dict[str, AlignmentVerdict]:
     """Judge each factor by the split nodes along the extreme-leaf paths.
 
     A node splitting on factor X separates a low-risk side (score below the
@@ -148,20 +147,13 @@ def alignment_verdicts(tree: RegressionTree, paths=None,
     Args:
         tree: pruned tree with per-node stats.
         paths: the (Q^Min, Q^Max) paths; computed from the tree if omitted.
-        scope: "paths" restricts evidence to nodes on those paths, "all"
-            admits every internal node.
 
     Returns:
         Verdict per feature name, every tree feature present.
     """
-    if scope not in ("paths", "all"):
-        raise DegenerateInputError(f"unknown verdict scope {scope!r}")
-    if scope == "all":
-        nodes = [node for node in preorder(tree.root) if isinstance(node, Internal)]
-    else:
-        if paths is None:
-            paths = extreme_leaves(tree)
-        nodes = _collect_path_nodes(tree, paths)
+    if paths is None:
+        paths = extreme_leaves(tree)
+    nodes = _collect_path_nodes(tree, paths)
 
     evidence: dict[str, list[Evidence]] = {name: [] for name in tree.feature_names}
     for node in nodes:

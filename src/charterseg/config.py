@@ -186,10 +186,10 @@ def _parse_criterion(obj) -> Criterion:
         return FullSample()
     if kind == "years":
         _expect_keys(obj, {"kind", "start", "end"}, "criterion")
-        try:
-            start, end = int(obj["start"]), int(obj["end"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"years criterion needs integer start and end: {obj!r}") from None
+        if "start" not in obj or "end" not in obj:
+            raise ConfigError(f"years criterion needs integer start and end: {obj!r}")
+        start = _number(int, obj["start"], "criterion.start")
+        end = _number(int, obj["end"], "criterion.end")
         if start > end:
             raise ConfigError(f"years criterion start {start} is after its end {end}")
         return YearRange(start, end)

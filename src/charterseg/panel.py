@@ -153,7 +153,9 @@ def load_panel(path, schema: dict[str, str] | None = None,
     if missing:
         raise SchemaError(f"{path}: missing required columns {missing}")
 
-    for line_no, record in enumerate(reader, start=2):
+    end = reader.line_num
+    for record in reader:
+        line_no, end = end + 1, reader.line_num  # the record's first physical line
         def cell(fname: str) -> str:
             col = colname[fname]
             i = index.get(col)

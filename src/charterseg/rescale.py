@@ -18,7 +18,7 @@ import numpy as np
 
 from . import panel as panel_mod
 from .errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
-from .panel import Exclusion, Panel, ProxyFrame, compute_raw_proxies
+from .panel import Exclusion, ProxyFrame
 
 INCREASING = "increasing"  # raw value up -> risk up
 DECREASING = "decreasing"  # raw value up -> risk down
@@ -78,20 +78,24 @@ DEFAULT_PROXY_SPECS: tuple[ProxySpec, ...] = (
 )
 
 
-def _check_values(values) -> np.ndarray:
+def _samples(values, reference) -> tuple[np.ndarray, np.ndarray]:
+    """The values to score, and the sample their knots come from."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
+    ref = v if reference is None else np.asarray(reference, dtype=float)
+    if v.size == 0 or ref.size == 0:
         raise DegenerateInputError("cannot rescale an empty column")
-    if not np.isfinite(v).all():
+    if not np.isfinite(v).all() or not np.isfinite(ref).all():
         raise DegenerateInputError("cannot rescale non-finite values")
-    return v
+    if ref is not v and (v.min() < ref.min() or v.max() > ref.max()):
+        raise DegenerateInputError("values fall outside the reference range")
+    return v, ref
 
 
-def _quantile_increasing(v: np.ndarray) -> np.ndarray:
-    # Knots min, Q1, median, Q3, max -> scores 1..5, linear inside each piece.
-    # A value sitting on a repeated knot takes the highest score touching it,
+def _quantile_increasing(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    # Knots min, Q1, median, Q3, max of ref -> scores 1..5, linear inside each
+    # piece. A value on a repeated knot takes the highest score touching it,
     # i.e. values inside a zero-width piece map to that piece's upper bound.
-    knots = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0])
+    knots = np.quantile(ref, [0.0, 0.25, 0.5, 0.75, 1.0])
     if knots[0] == knots[4]:
         return np.full(v.shape, 3.0)
     idx = np.searchsorted(knots, v, side="right") - 1
@@ -105,36 +109,39 @@ def _quantile_increasing(v: np.ndarray) -> np.ndarray:
     return scores
 
 
-def quantile_rescale(values, direction: str) -> np.ndarray:
-    """Score a raw column through its quartile knots onto [1, 5].
+def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
+    """Score a raw column through quartile knots onto [1, 5].
 
     Args:
-        values: finite raw values; the knots come from this same sample.
+        values: finite raw values to score.
         direction: "increasing" if risk grows with the raw value, else
             "decreasing" (orientation is reversed so high score = high risk).
+        reference: finite raw values the knots come from, spanning every
+            value; defaults to values itself.
 
     Returns:
-        Array of scores in [1, 5]; a constant column scores 3.0 everywhere.
+        Array of scores in [1, 5]; a constant reference scores 3.0 everywhere.
     """
-    v = _check_values(values)
+    v, ref = _samples(values, reference)
     if direction == INCREASING:
-        return _quantile_increasing(v)
+        return _quantile_increasing(v, ref)
     if direction == DECREASING:
-        return _quantile_increasing(-v)
+        return _quantile_increasing(-v, -ref)
     raise ConfigError(f"bad direction {direction!r}")
 
 
-def threshold_rescale(values, direction: str, u: float) -> np.ndarray:
+def threshold_rescale(values, direction: str, u: float, reference=None) -> np.ndarray:
     """Score a raw column against a regulatory benchmark u.
 
     The safe side of u maps linearly onto [1, 2] with the benchmark itself
     at exactly 2.0; the risky side maps onto (2, 5] with the worst observed
     value at 5. A zero-width safe piece (sample edge equal to u) sends its
-    values to 2.0; a constant column scores 3.0 everywhere.
+    values to 2.0; a constant column scores 3.0 everywhere. The extremes come
+    from reference when given, which must span every value.
     """
-    v = _check_values(values)
+    v, ref = _samples(values, reference)
     u = float(u)
-    lo, hi = float(v.min()), float(v.max())
+    lo, hi = float(ref.min()), float(ref.max())
     if lo == hi:
         return np.full(v.shape, 3.0)
     scores = np.empty(v.shape)
@@ -203,12 +210,32 @@ class ScoredMatrix:
         )
 
 
-def build_scored_matrix(panel: Panel, specs, frame: ProxyFrame | None = None) -> ScoredMatrix:
+def complete_rows(frame: ProxyFrame, specs, exclusions: list | None = None) -> np.ndarray:
+    """Indices of the frame rows with a finite Q and every active raw field finite.
+
+    When exclusions is given, each other row with a finite Q is logged there
+    under the first active field it misses.
+    """
+    keep = np.isfinite(frame.q)
+    for fname in dict.fromkeys(s.raw_field for s in specs):
+        if fname not in frame.columns:
+            raise SchemaError(f"raw field {fname!r} not in proxy frame")
+        bad = ~np.isfinite(frame.columns[fname]) & keep
+        if exclusions is not None:
+            exclusions.extend(Exclusion(frame.row_ids[i], f"missing {fname}")
+                              for i in np.flatnonzero(bad))
+        keep &= ~bad
+    return np.flatnonzero(keep)
+
+
+def build_scored_matrix(frame: ProxyFrame, specs,
+                        reference: ProxyFrame | None = None) -> ScoredMatrix:
     """Assemble the scored feature matrix for a set of proxy specs.
 
-    Rows missing any active raw field (or Q) are excluded and logged on the
-    returned matrix's frame; inactive proxies never cost a row. Rescaling is
-    computed within the rows that survive, i.e. within the panel given here.
+    Rows of frame missing any active raw field (or Q) are excluded and logged
+    on the returned matrix; inactive proxies never cost a row. Knots and
+    threshold extremes come from the complete rows of reference (default:
+    frame), whose values must span those of frame's complete rows.
     """
     specs = tuple(specs)
     if not specs:
@@ -216,35 +243,21 @@ def build_scored_matrix(panel: Panel, specs, frame: ProxyFrame | None = None) ->
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate proxy names in spec set: {names}")
-    if frame is None:
-        frame = compute_raw_proxies(panel)
 
-    active_fields = []
-    for s in specs:
-        if s.raw_field not in frame.columns:
-            raise SchemaError(f"{s.name}: raw field {s.raw_field!r} not in proxy frame")
-        if s.raw_field not in active_fields:
-            active_fields.append(s.raw_field)
-
-    keep = np.isfinite(frame.q)
     exclusions = list(frame.exclusions)
-    for fname in active_fields:
-        bad = ~np.isfinite(frame.columns[fname]) & keep
-        for i in np.flatnonzero(bad):
-            exclusions.append(Exclusion(frame.row_ids[i], f"missing {fname}"))
-        keep &= ~bad
-
-    idx = np.flatnonzero(keep)
+    idx = complete_rows(frame, specs, exclusions)
     if idx.size == 0:
         raise EmptySubsampleError("no rows left after per-proxy exclusions")
+    ref_idx = None if reference is None else complete_rows(reference, specs)
 
     cols = []
     for s in specs:
         raw = frame.columns[s.raw_field][idx]
+        ref = None if ref_idx is None else reference.columns[s.raw_field][ref_idx]
         if s.mode == QUANTILE:
-            cols.append(quantile_rescale(raw, s.direction))
+            cols.append(quantile_rescale(raw, s.direction, ref))
         else:
-            cols.append(threshold_rescale(raw, s.direction, s.threshold))
+            cols.append(threshold_rescale(raw, s.direction, s.threshold, ref))
 
     return ScoredMatrix(
         feature_names=tuple(names),

@@ -46,7 +46,7 @@ from .panel import (
     load_panel,
     summary_stats,
 )
-from .rescale import GROUPS, ScoredMatrix, build_scored_matrix
+from .rescale import GROUPS, ScoredMatrix, build_scored_matrix, complete_rows
 from .seeding import derive_seed
 from .select import canonical_specs, default_catalog, select_proxies
 from .stats import pearson
@@ -87,35 +87,8 @@ class StudyResult:
         return list(dict.fromkeys(name for r in self.results for name, _ in r.verdicts))
 
 
-class _MatrixCache:
-    """Full-panel matrices per spec set, for rescale_scope = "full"."""
-
-    def __init__(self, panel: Panel, frame: ProxyFrame):
-        self.panel = panel
-        self.frame = frame
-        self._cache: dict[tuple[str, ...], ScoredMatrix] = {}
-
-    def matrix(self, specs) -> ScoredMatrix:
-        key = tuple(s.name for s in specs)
-        if key not in self._cache:
-            self._cache[key] = build_scored_matrix(self.panel, specs, frame=self.frame)
-        return self._cache[key]
-
-
-def _scope_matrix(config: RunConfig, specs, sub_panel: Panel, sub_frame: ProxyFrame,
-                  full_cache: _MatrixCache) -> ScoredMatrix:
-    if config.rescale_scope == "subsample":
-        return build_scored_matrix(sub_panel, specs, frame=sub_frame)
-    full = full_cache.matrix(specs)
-    wanted = {r.row_id for r in sub_panel.rows}
-    idx = [i for i, rid in enumerate(full.row_ids) if rid in wanted]
-    if not idx:
-        raise EmptySubsampleError("no scored rows fall inside this subsample")
-    return full.take(np.array(idx))
-
-
-def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
-                   full_cache: _MatrixCache, seed: int):
+def _run_selection(config: RunConfig, frame: ProxyFrame, reference: Optional[ProxyFrame],
+                   seed: int):
     """Returns (group -> proxy in C, A, M, E, L, S order, ImportanceReport or None)."""
     specs = config.proxies
     by_name = {s.name: s for s in specs}
@@ -133,7 +106,7 @@ def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
     catalog = default_catalog(specs)
     fp = config.forest
     if config.selection.forest_scope == "joint":
-        matrix = _scope_matrix(config, specs, sub_panel, sub_frame, full_cache)
+        matrix = build_scored_matrix(frame, specs, reference)
         forest = grow_forest(matrix, ForestParams(fp.n_trees, fp.mtry, fp.min_leaf,
                                                   derive_seed(seed, 1)))
         importance = permutation_importance(forest, matrix, seed=derive_seed(seed, 2))
@@ -144,7 +117,7 @@ def _run_selection(config: RunConfig, sub_panel: Panel, sub_frame: ProxyFrame,
     names, pct, raw, err = [], [], [], []
     for gi, (group, members) in enumerate(catalog.groups):
         group_specs = [by_name[m] for m in members]
-        matrix = _scope_matrix(config, group_specs, sub_panel, sub_frame, full_cache)
+        matrix = build_scored_matrix(frame, group_specs, reference)
         forest = grow_forest(matrix, ForestParams(fp.n_trees, fp.mtry, fp.min_leaf,
                                                   derive_seed(seed, 1, gi)))
         rep = permutation_importance(forest, matrix, seed=derive_seed(seed, 2, gi))
@@ -163,9 +136,7 @@ def select_full_panel(config: RunConfig, panel: Panel):
     Uses the seed of subsample index 0, so it picks what grow picks, and what
     a study whose first subsample is the full sample picks.
     """
-    frame = compute_raw_proxies(panel)
-    return _run_selection(config, panel, frame, _MatrixCache(panel, frame),
-                          derive_seed(config.seed, 0))
+    return _run_selection(config, compute_raw_proxies(panel), None, derive_seed(config.seed, 0))
 
 
 def summary_table(frame: ProxyFrame) -> tuple:
@@ -197,8 +168,7 @@ def _comparison_table(matrix: ScoredMatrix, frame: ProxyFrame, specs,
     hi = path_rows(matrix, qmax)
     if not lo.any() or not hi.any():
         return None
-    frame_pos = {rid: i for i, rid in enumerate(frame.row_ids)}
-    idx = np.array([frame_pos[rid] for rid in matrix.row_ids])
+    idx = complete_rows(frame, specs)  # the frame rows behind the matrix rows
     lo_idx, hi_idx = idx[lo], idx[hi]
 
     min_vars = {"Q": frame.q[lo_idx]}
@@ -212,7 +182,7 @@ def _comparison_table(matrix: ScoredMatrix, frame: ProxyFrame, specs,
     return group_comparison(min_vars, max_vars, directions)
 
 
-def _study_subsample(config: RunConfig, panel: Panel, full_cache: _MatrixCache,
+def _study_subsample(config: RunConfig, panel: Panel, reference: Optional[ProxyFrame],
                      sub: SubsampleSpec, seed: int) -> SubsampleResult:
     min_leaf = sub.min_leaf if sub.min_leaf is not None else config.tree.min_leaf
     try:
@@ -223,9 +193,9 @@ def _study_subsample(config: RunConfig, panel: Panel, full_cache: _MatrixCache,
 
     summary = summary_table(sub_frame)
     try:
-        chosen, importance = _run_selection(config, sub_panel, sub_frame, full_cache, seed)
+        chosen, importance = _run_selection(config, sub_frame, reference, seed)
         six = canonical_specs(chosen, config.proxies)
-        matrix = _scope_matrix(config, six, sub_panel, sub_frame, full_cache)
+        matrix = build_scored_matrix(sub_frame, six, reference)
     except (EmptySubsampleError, EmptyModelError) as exc:
         return SubsampleResult(sub.name, "no_tree", reason=str(exc), summary=summary,
                                exclusions=sub_frame.exclusions)
@@ -247,8 +217,7 @@ def _study_subsample(config: RunConfig, panel: Panel, full_cache: _MatrixCache,
     verdict_pairs = tuple((name, verdicts[name].label) for name in fitted.feature_names)
     comparison = None
     if fitted.n_leaves > 1:
-        comparison = _comparison_table(matrix, sub_frame if config.rescale_scope == "subsample"
-                                       else full_cache.frame, six, qmin, qmax)
+        comparison = _comparison_table(matrix, sub_frame, six, qmin, qmax)
     return SubsampleResult(
         sub.name, "ok", n_rows=n, chosen=chosen_pairs, importance=importance,
         tree=fitted, trace=trace, qmin=qmin, qmax=qmax, verdicts=verdict_pairs,
@@ -272,22 +241,26 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
         subsample ended without a tree.
 
     Raises:
-        ConfigError: a config fault found inside a subsample (an mtry above
-            the feature count, a bad selection.fixed); it ends the run.
+        ConfigError: jobs below 1, or a config fault found inside a subsample
+            (an mtry above the feature count, a bad selection.fixed); it ends
+            the run.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if panel is None:
         if not config.data.path:
             raise ConfigError("config.data.path is required when no panel is supplied")
         panel = load_panel(config.data.path, schema=config.data.columns,
                            window=config.data.window)
-    full_cache = _MatrixCache(panel, compute_raw_proxies(panel))
+    full_frame = compute_raw_proxies(panel)  # under either scope: an empty panel ends here
+    reference = full_frame if config.rescale_scope == "full" else None
 
     tasks = [(sub, derive_seed(config.seed, i)) for i, sub in enumerate(config.subsamples)]
 
     def run_one(item):
         sub, seed = item
         try:
-            return _study_subsample(config, panel, full_cache, sub, seed)
+            return _study_subsample(config, panel, reference, sub, seed)
         except ConfigError:
             raise
         except ChartersegError as exc:

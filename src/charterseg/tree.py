@@ -198,8 +198,7 @@ def _build(X, y, idx, depth, params: TreeParams,
     return Internal(rule, left, right, int(n), mean, sse)
 
 
-def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams(),
-         pick_features: Optional[Callable[[], np.ndarray]] = None) -> RegressionTree:
+def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionTree:
     """Grow a CART tree on a scored matrix.
 
     Splits recursively while a node holds at least 2*min_leaf rows, some cut
@@ -209,7 +208,7 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams(),
     n = matrix.n_rows
     if n < params.min_leaf:
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
-    root = _build(matrix.scores, matrix.response, np.arange(n), 0, params, pick_features)
+    root = _build(matrix.scores, matrix.response, np.arange(n), 0, params)
     return RegressionTree(root, matrix.feature_names, params, n)
 
 

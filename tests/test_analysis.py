@@ -124,7 +124,7 @@ def test_verdict_conflicting_nodes_are_ambiguous():
 
 def test_verdict_scope_all_sees_off_path_nodes():
     # The A split separates two middling leaves, so neither extreme path
-    # passes through it; only scope="all" collects its evidence.
+    # passes through it and A gets no evidence.
     a_node = consistent_internal(SplitRule(1, 2.5), Leaf(10, 1.05, 0.0), Leaf(10, 0.95, 0.0))
     root = consistent_internal(
         SplitRule(0, 3.0),
@@ -134,14 +134,6 @@ def test_verdict_scope_all_sees_off_path_nodes():
     tree = build_tree(root, ["C", "A"], min_leaf=1)
     on_path = alignment_verdicts(tree)
     assert on_path["A"].verdict == NO_EVIDENCE
-    everywhere = alignment_verdicts(tree, scope="all")
-    assert everywhere["A"].verdict == ALIGNED
-    assert everywhere["C"].verdict == on_path["C"].verdict
-
-
-def test_verdict_rejects_bad_scope(reference_tree):
-    with pytest.raises(DegenerateInputError, match="scope"):
-        alignment_verdicts(reference_tree, scope="everything")
 
 
 def test_reference_tree_verdicts(reference_tree):

@@ -147,6 +147,12 @@ def test_country_group_criteria():
     ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": 2016,
                                                  "end": 2005}}]},
      "years criterion start 2016 is after its end 2005"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": 2008.5,
+                                                 "end": 2009}}]},
+     "criterion.start must be an integer, got 2008.5"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": True,
+                                                 "end": 2009}}]},
+     "criterion.start must be an integer, got True"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -108,6 +108,23 @@ def test_load_non_numeric_cell_location(tmp_path):
     assert err.value.column == "loans"
 
 
+def test_load_error_names_the_physical_line(tmp_path):
+    # The quoted bank_id spans lines 2-3, so the bad cell sits on line 4.
+    rows = [base_row(bank_id='"b\n1"'), base_row(bank_id="b2", loans="plenty")]
+    path = write_csv(tmp_path / "p.csv", rows)
+    with pytest.raises(ParseError) as err:
+        load_panel(path)
+    assert err.value.line == 4
+    assert err.value.column == "loans"
+
+
+def test_load_exclusion_ids_name_the_physical_line(tmp_path):
+    rows = [base_row(bank_id='"b\n1"'), base_row(bank_id="", year=2009)]
+    panel = load_panel(write_csv(tmp_path / "p.csv", rows))
+    assert len(panel) == 1
+    assert [e.row_id for e in panel.exclusions] == ["line:4"]
+
+
 def test_load_schema_renames_columns(tmp_path):
     header = ["id", "iso", "yr"] + FULL_HEADER[3:10]
     rows = [dict(base_row(), id="b9", iso="FR", yr=2012)]

@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from charterseg.config import default_subsamples
 from charterseg.errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
-from charterseg.panel import Panel
+from charterseg.panel import (
+    PIGS_COUNTRIES,
+    BankYear,
+    Panel,
+    compute_raw_proxies,
+    filter_subsample,
+)
 from charterseg.rescale import (
     DEFAULT_PROXY_SPECS,
     GROUPS,
@@ -92,6 +99,24 @@ def test_quantile_rejects_bad_input():
         quantile_rescale([1.0, 2.0], "sideways")
 
 
+def test_quantile_knots_from_reference():
+    got = quantile_rescale([1.0, 3.0], "increasing", reference=[0.0, 1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(got, [2.0, 4.0])
+    got = quantile_rescale([1.0, 3.0], "decreasing", reference=[0.0, 1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(got, [4.0, 2.0])
+
+
+def test_rescalers_check_the_reference():
+    with pytest.raises(DegenerateInputError, match="reference range"):
+        quantile_rescale([5.0], "increasing", reference=[0.0, 4.0])
+    with pytest.raises(DegenerateInputError, match="reference range"):
+        threshold_rescale([-1.0], "increasing", 2.0, reference=[0.0, 4.0])
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        quantile_rescale([1.0], "increasing", reference=[0.0, float("nan")])
+    with pytest.raises(DegenerateInputError, match="empty"):
+        threshold_rescale([1.0], "decreasing", 2.0, reference=[])
+
+
 # ------------------------------------------------------- threshold_rescale
 
 
@@ -156,6 +181,11 @@ def test_threshold_risky_side_above_two():
     s = threshold_rescale(v, "increasing", u)
     assert np.all(s[v > u] > 2.0)
     assert np.all(s[v <= u] <= 2.0)
+
+
+def test_threshold_extremes_from_reference():
+    got = threshold_rescale([0.06, 0.08], "decreasing", 0.06, reference=[0.02, 0.06, 0.10])
+    assert got == pytest.approx([2.0, 1.5], abs=1e-12)
 
 
 # --------------------------------------------------------------- ProxySpec
@@ -241,10 +271,9 @@ def ratio_panel(n=8):
 def test_build_single_spec_composition():
     panel = ratio_panel()
     spec = ProxySpec("Capt", "C", "capital_ratio", "decreasing", "quantile")
-    m = build_scored_matrix(panel, [spec])
+    m = build_scored_matrix(compute_raw_proxies(panel), [spec])
     assert m.feature_names == ("Capt",)
     assert m.n_rows == 8
-    from charterseg.panel import compute_raw_proxies
 
     raw = compute_raw_proxies(panel).columns["capital_ratio"]
     assert np.array_equal(m.scores[:, 0], quantile_rescale(raw, "decreasing"))
@@ -258,7 +287,7 @@ def test_build_canonical_six_columns():
     assert tuple(s.name for s in specs) == GROUPS
     # A and M raw fields are absent from the fixture; restrict to the rest
     usable = [s for s in specs if s.name in ("C", "E", "L", "S")]
-    m = build_scored_matrix(panel, usable)
+    m = build_scored_matrix(compute_raw_proxies(panel), usable)
     assert m.feature_names == ("C", "E", "L", "S")
     assert m.n_rows == 8
 
@@ -268,7 +297,7 @@ def test_build_excludes_rows_missing_active_fields():
     rows[3] = bank_year(bank_id="b3")  # beta left NaN
     panel = make_panel(rows)
     spec = ProxySpec("Syst", "S", "beta", "increasing", "quantile")
-    m = build_scored_matrix(panel, [spec])
+    m = build_scored_matrix(compute_raw_proxies(panel), [spec])
     assert m.n_rows == 5
     assert "b3:2008" not in m.row_ids
     assert any(e.row_id == "b3:2008" and "beta" in e.reason for e in m.exclusions)
@@ -278,30 +307,94 @@ def test_build_inactive_nan_fields_cost_nothing():
     # all rows miss roa, but only capital is active
     panel = make_panel([bank_year(bank_id=f"b{i}", equity=40.0 + i) for i in range(5)])
     spec = ProxySpec("Capt", "C", "capital_ratio", "decreasing", "quantile")
-    assert build_scored_matrix(panel, [spec]).n_rows == 5
+    assert build_scored_matrix(compute_raw_proxies(panel), [spec]).n_rows == 5
 
 
 def test_build_empty_inputs():
     with pytest.raises(EmptySubsampleError):
-        build_scored_matrix(Panel(()), [DEFAULT_PROXY_SPECS[0]])
+        build_scored_matrix(compute_raw_proxies(Panel(())), [DEFAULT_PROXY_SPECS[0]])
     panel = make_panel([bank_year()])
     spec = ProxySpec("Syst", "S", "beta", "increasing", "quantile")
     with pytest.raises(EmptySubsampleError):
-        build_scored_matrix(panel, [spec])  # every row misses beta
+        build_scored_matrix(compute_raw_proxies(panel), [spec])  # every row misses beta
 
 
 def test_build_rejects_bad_spec_sets():
-    panel = ratio_panel()
+    frame = compute_raw_proxies(ratio_panel())
     with pytest.raises(ConfigError):
-        build_scored_matrix(panel, [])
+        build_scored_matrix(frame, [])
     dup = [ProxySpec("Capt", "C", "capital_ratio", "decreasing", "quantile"),
            ProxySpec("Capt", "C", "capital_ratio", "decreasing", "quantile")]
     with pytest.raises(ConfigError):
-        build_scored_matrix(panel, dup)
+        build_scored_matrix(frame, dup)
 
 
 def test_build_scores_always_in_range():
-    panel = ratio_panel()
-    m = build_scored_matrix(panel, DEFAULT_PROXY_SPECS[:2] + DEFAULT_PROXY_SPECS[14:16])
+    frame = compute_raw_proxies(ratio_panel())
+    m = build_scored_matrix(frame, DEFAULT_PROXY_SPECS[:2] + DEFAULT_PROXY_SPECS[14:16])
     assert m.scores.min() >= 1.0
     assert m.scores.max() <= 5.0
+
+
+def gappy_panel(seed: int, n: int = 300) -> Panel:
+    """Bank-years over 2005-2016 in PIGS and other countries, with gaps.
+
+    About one optional cell in twenty is blank, and a few rows carry zero
+    deposits, so both ratio checks and per-proxy exclusions drop rows.
+    """
+    rng = np.random.default_rng(seed)
+    countries = PIGS_COUNTRIES + ("DE", "FR", "IT", "NL")
+    rows = []
+    for i in range(n):
+        ta = float(rng.uniform(200.0, 5000.0))
+        loans = float(rng.uniform(0.3, 0.7)) * ta
+        optional = {
+            "loan_loss_allowances": float(rng.uniform(0.005, 0.03)) * loans,
+            "loan_loss_provisions": float(rng.uniform(0.001, 0.02)) * loans,
+            "non_interest_expense": float(rng.uniform(0.01, 0.03)) * ta,
+            "income": float(rng.uniform(0.02, 0.05)) * ta,
+            "liquid_assets": float(rng.uniform(0.1, 0.3)) * ta,
+            "roa": float(rng.normal(0.008, 0.006)),
+            "roe": float(rng.normal(0.10, 0.06)),
+            "loan_growth": float(rng.normal(0.04, 0.05)),
+            "gdp_growth": float(rng.normal(0.01, 0.02)),
+            "beta": float(rng.uniform(0.4, 1.6)),
+        }
+        optional = {k: (float("nan") if rng.random() < 0.05 else v)
+                    for k, v in optional.items()}
+        rows.append(BankYear(
+            bank_id=f"b{i // 12:03d}", country=countries[(i // 12) % len(countries)],
+            year=2005 + i % 12, mve=float(rng.uniform(0.0, 0.3)) * ta, bvl=0.9 * ta,
+            nta=ta, equity=float(rng.uniform(0.03, 0.12)) * ta, total_assets=ta,
+            loans=loans, deposits=0.0 if i % 97 == 5 else float(rng.uniform(0.5, 0.8)) * ta,
+            **optional))
+    return Panel(tuple(rows), provenance="test", window=(2005, 2016))
+
+
+SIX_SPECS = canonical_specs({"C": "Capt", "A": "Asts_px", "M": "Mang_p", "E": "Ergs_x",
+                             "L": "Liqt", "S": "Syst"})
+
+
+@pytest.mark.parametrize("specs", [DEFAULT_PROXY_SPECS, SIX_SPECS], ids=["catalog", "six"])
+def test_reference_knots_match_full_panel_matrix(specs):
+    # Scoring a subsample against the full panel's knots gives the rows of
+    # the full-panel matrix that fall inside the subsample, bit for bit.
+    panel = gappy_panel(seed=5)
+    full_frame = compute_raw_proxies(panel)
+    full = build_scored_matrix(full_frame, specs)
+    knots_moved = False
+    for sub in default_subsamples():
+        sub_panel = filter_subsample(panel, sub.criterion)
+        sub_frame = compute_raw_proxies(sub_panel)
+        got = build_scored_matrix(sub_frame, specs, full_frame)
+        wanted = set(sub_frame.row_ids)
+        old = full.take([i for i, rid in enumerate(full.row_ids) if rid in wanted])
+        assert got.row_ids == old.row_ids, sub.name
+        assert np.array_equal(got.scores, old.scores), sub.name
+        assert np.array_equal(got.response, old.response), sub.name
+        own = build_scored_matrix(sub_frame, specs)
+        assert got.exclusions == own.exclusions, sub.name
+        assert {e.row_id for e in got.exclusions} <= {r.row_id for r in sub_panel.rows}
+        knots_moved |= not np.array_equal(got.scores, own.scores)
+    assert knots_moved
+    assert len(full.exclusions) > 0

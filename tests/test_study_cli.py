@@ -20,8 +20,10 @@ import pytest
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
-from charterseg.rescale import DEFAULT_PROXY_SPECS
+from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel
+from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
 from charterseg.select import canonical_specs
+from charterseg.stats import pearson
 from charterseg.study import run_study, write_study
 
 HEADER = [
@@ -218,6 +220,26 @@ def test_per_group_selection_has_no_oob_mse(study_env):
     assert np.all(np.isfinite(imp.pct_inc_mse))
 
 
+def test_full_scope_trees_use_each_subsample_own_proxies(study_env):
+    # "all" and "early" pick different A and M proxies. Each tree must see
+    # its own picks, scored with the full panel's knots: the rows of the
+    # full-panel matrix of those picks that fall inside the subsample.
+    doc = fast_config(study_env["csv"], study_env["base"] / "full_scope_out",
+                      rescale_scope="full")
+    config = parse_config(doc)
+    panel = load_panel(study_env["csv"])
+    result = run_study(config, panel)
+    assert result.results[0].chosen != result.results[1].chosen
+    full_frame = compute_raw_proxies(panel)
+    for r, sub in zip(result.results, config.subsamples):
+        full = build_scored_matrix(full_frame, canonical_specs(dict(r.chosen), config.proxies))
+        wanted = {row.row_id for row in filter_subsample(panel, sub.criterion).rows}
+        m = full.take([i for i, rid in enumerate(full.row_ids) if rid in wanted])
+        assert r.status == "ok" and r.n_rows == m.n_rows
+        assert r.correlations == tuple((name, *pearson(m.scores[:, j], m.response))
+                                       for j, name in enumerate(m.feature_names))
+
+
 def test_study_needs_a_data_path():
     from charterseg.errors import ConfigError
     with pytest.raises(ConfigError, match="data.path"):
@@ -394,6 +416,49 @@ def test_cli_study_rejects_zero_at_parse_time(study_env, no_env_config, capsys, 
     assert main(["study", "--config", str(cfg)]) == 2
     assert f"{section}.{key} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cli_study_rejects_jobs_below_one(study_env, no_env_config, capsys, tmp_path, jobs):
+    out = tmp_path / "never"
+    assert main(["study", "--config", str(study_env["config"]), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"jobs must be at least 1, got {jobs}" in err
+    assert not out.exists()
+
+
+def test_full_scope_exclusions_are_the_subsample_own(no_env_config, capsys, tmp_path):
+    # Rows dropped in 2012-2013 lie outside the "early" subsample, so its
+    # exclusions must not list them under either rescale scope.
+    csv_path = synth_panel_csv(tmp_path / "gappy.csv")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    gaps = {("b000", "2006"): ("beta", ""), ("b001", "2012"): ("beta", ""),
+            ("b002", "2013"): ("deposits", "0"), ("b003", "2007"): ("roa", "")}
+    for row in rows:
+        if (row["bank_id"], row["year"]) in gaps:
+            column, value = gaps[(row["bank_id"], row["year"])]
+            row[column] = value
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
+
+    tables, counts = {}, {}
+    for scope in ("subsample", "full"):
+        out = tmp_path / scope
+        cfg = write_config(tmp_path / f"{scope}.json", fast_config(
+            csv_path, out, selection={"mode": "fixed"}, rescale_scope=scope))
+        assert main(["study", "--config", str(cfg)]) == 0
+        tables[scope] = {p.name: p.read_bytes()
+                         for p in sorted((out / "tables").glob("exclusions_*.csv"))}
+        counts[scope] = [line for line in (out / "report.md").read_text(
+            encoding="utf-8").splitlines() if line.startswith("- rows:")]
+    assert sorted(tables["full"]) == ["exclusions_all.csv", "exclusions_early.csv"]
+    assert tables["full"] == tables["subsample"]
+    assert counts["full"] == counts["subsample"] == ["- rows: 236 (excluded: 4)",
+                                                     "- rows: 118 (excluded: 2)"]
 
 
 @pytest.mark.parametrize("doc, fragment", [
