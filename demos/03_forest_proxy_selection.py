@@ -12,7 +12,7 @@ import numpy as np
 from charterseg.forest import ForestParams, grow_forest, permutation_importance
 from charterseg.panel import BankYear, Panel, compute_raw_proxies
 from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
-from charterseg.select import default_catalog, select_proxies
+from charterseg.select import select_proxies
 
 # ----------------------------------------------------------------- the data
 # A synthetic panel where charter value really is driven by capitalisation:
@@ -49,7 +49,7 @@ panel = Panel(tuple(rows), provenance="demo", window=(2005, 2016))
 matrix = build_scored_matrix(compute_raw_proxies(panel), DEFAULT_PROXY_SPECS)
 print(f"scored matrix: {matrix.n_rows} rows x {len(matrix.feature_names)} proxies")
 
-forest = grow_forest(matrix, ForestParams(n_trees=300, min_leaf=10, seed=0))
+forest = grow_forest(matrix, ForestParams(n_trees=300, min_leaf=10), seed=0)
 report = permutation_importance(forest, matrix, seed=1)
 print(f"forest OOB MSE: {report.oob_mse:.5f}")
 
@@ -67,7 +67,7 @@ for j in order:
 # One winner per group, ties broken by catalog order. The capital proxies
 # should dominate because only capitalisation moves Q here.
 
-selection = select_proxies(report, default_catalog())
+chosen = select_proxies(report, DEFAULT_PROXY_SPECS)
 print("\nchosen proxy per group:")
-for group, name in selection.chosen:
+for group, name in chosen.items():
     print(f"  {group}: {name}")

@@ -57,13 +57,7 @@ from .rescale import (
     quantile_rescale,
     threshold_rescale,
 )
-from .select import (
-    GroupCatalog,
-    SelectionResult,
-    canonical_specs,
-    default_catalog,
-    select_proxies,
-)
+from .select import canonical_specs, select_proxies
 from .stats import ks_two_sample, pearson
 from .study import StudyResult, SubsampleResult, run_study, write_study
 from .synthetic import PlantedLeaf, PlantedSplit, PlantedTreeSpec, generate_synthetic_panel, planted_matrix

@@ -26,16 +26,23 @@ Criterion kinds: {"kind": "all"}, {"kind": "years", "start": Y, "end": Y},
 {"kind": "countries", "group": "pigs" | "non_pigs"} or {"kind": "countries",
 "codes": ["DE", ...]}, {"kind": "size", "half": "small" | "large"}.
 
+Every value must have its JSON type: "3" is not a number and 3 is not a
+string. RunConfig checks the finished config, so faults in proxy selection
+(duplicate proxy names, a bad selection.fixed, an mtry wider than a forest)
+are found before the panel is read.
+
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
+from .forest import ForestParams
 from .panel import Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
 
@@ -81,21 +88,6 @@ class TreeConfig:
 
 
 @dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 2000
-    mtry: Optional[int] = None
-    min_leaf: int = 5
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ConfigError(f"forest.mtry must be >= 1, got {self.mtry}")
-        if self.min_leaf < 1:
-            raise ConfigError(f"forest.min_leaf must be >= 1, got {self.min_leaf}")
-
-
-@dataclass(frozen=True)
 class SelectionConfig:
     mode: str = "rf"  # "rf" | "fixed"
     fixed: tuple[str, ...] = ("Capt", "Asts", "Mang", "Ergs_x", "Liqt_x", "Syst")
@@ -130,7 +122,7 @@ class RunConfig:
     rescale_scope: str = "subsample"  # "subsample" | "full"
     subsamples: tuple[SubsampleSpec, ...] = field(default_factory=default_subsamples)
     tree: TreeConfig = field(default_factory=TreeConfig)
-    forest: ForestConfig = field(default_factory=ForestConfig)
+    forest: ForestParams = field(default_factory=ForestParams)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     seed: int = 0
     out: str = "study_out"
@@ -141,60 +133,118 @@ class RunConfig:
                 f"rescale_scope must be subsample or full, got {self.rescale_scope!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        if not self.proxies:
+            raise ConfigError("proxies must be a non-empty list")
+        if not self.subsamples:
+            raise ConfigError("subsamples must be a non-empty list")
         names = [s.name for s in self.subsamples]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate subsample names: {names}")
+        proxy_names = [p.name for p in self.proxies]
+        dupes = sorted({n for n in proxy_names if proxy_names.count(n) > 1})
+        if dupes:
+            raise ConfigError(f"duplicate proxy names: {dupes}")
+        group = {p.name: p.group for p in self.proxies}
+        if self.selection.mode == "fixed":
+            if not self.selection.fixed:
+                raise ConfigError("selection.fixed must name at least one proxy")
+            seen = set()
+            for name in self.selection.fixed:
+                if name not in group:
+                    raise ConfigError(f"selection.fixed names unknown proxy {name!r}")
+                if group[name] in seen:
+                    raise ConfigError(f"selection.fixed has two proxies for group {group[name]!r}")
+                seen.add(group[name])
+        elif self.forest.mtry is not None:
+            # A joint forest sees every proxy; per group, the smallest group bounds mtry.
+            joint = self.selection.forest_scope == "joint"
+            self.forest.resolve_mtry(len(group) if joint else min(Counter(group.values()).values()))
 
 
-def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _expect_keys(obj: dict, allowed, where: str) -> None:
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _section(doc: dict, key: str) -> dict:
-    if not isinstance(doc[key], dict):
-        raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
-    return doc[key]
+def _object(obj, fields: dict, where: str) -> dict:
+    """A config object as keyword arguments: each entry through its field's
+    converter, which is called as converter(value, dotted key)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    _expect_keys(obj, fields, where)
+    prefix = "" if where == "config" else f"{where}."
+    return {k: fields[k](v, prefix + k) for k, v in obj.items()}
 
 
 def _number(kind, value, key: str):
-    """int(value) or float(value); a failed or lossy conversion names the key."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or isinstance(value, bool) or (isinstance(value, float) and out != value):
+    """A JSON number as int or float; anything else, or a lossy conversion, names the key."""
+    out = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):
+            pass
+    if out is None or out != value:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return out
 
 
-def _optional_int(obj: dict, key: str, default: Optional[int], where: str) -> Optional[int]:
-    """obj[key] as an int, None when it is null, default when it is absent."""
-    if key not in obj:
-        return default
-    return None if obj[key] is None else _number(int, obj[key], f"{where}.{key}")
+def _integer(value, key: str) -> int:
+    return _number(int, value, key)
 
 
-def _parse_criterion(obj) -> Criterion:
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _optional(convert):
+    """Converter that passes null through as None."""
+    return lambda value, key: None if value is None else convert(value, key)
+
+
+def _names(value, key: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ConfigError(f"{key} must be a list of proxy names, got {value!r}")
+    return tuple(value)
+
+
+def _columns(value, key: str) -> dict[str, str]:
+    if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
+        raise ConfigError(f"{key} must map field names to column names, got {value!r}")
+    return value
+
+
+def _window(value, key: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key} must be [start, end], got {value!r}")
+    start, end = _integer(value[0], key), _integer(value[1], key)
+    if start > end:
+        raise ConfigError(f"{key} start {start} is after its end {end}")
+    return start, end
+
+
+def _criterion(obj, key: str) -> Criterion:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"criterion must be an object with a 'kind', got {obj!r}")
+        raise ConfigError(f"{key} must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
     if kind == "all":
-        _expect_keys(obj, {"kind"}, "criterion")
+        _expect_keys(obj, {"kind"}, key)
         return FullSample()
     if kind == "years":
-        _expect_keys(obj, {"kind", "start", "end"}, "criterion")
+        _expect_keys(obj, {"kind", "start", "end"}, key)
         if "start" not in obj or "end" not in obj:
             raise ConfigError(f"years criterion needs integer start and end: {obj!r}")
-        start = _number(int, obj["start"], "criterion.start")
-        end = _number(int, obj["end"], "criterion.end")
+        start = _integer(obj["start"], f"{key}.start")
+        end = _integer(obj["end"], f"{key}.end")
         if start > end:
             raise ConfigError(f"years criterion start {start} is after its end {end}")
         return YearRange(start, end)
     if kind == "countries":
-        _expect_keys(obj, {"kind", "group", "codes"}, "criterion")
+        _expect_keys(obj, {"kind", "group", "codes"}, key)
         if "group" in obj:
             if obj["group"] == "pigs":
                 return Countries.pigs()
@@ -204,9 +254,9 @@ def _parse_criterion(obj) -> Criterion:
         codes = obj.get("codes")
         if not codes or not isinstance(codes, list):
             raise ConfigError("countries criterion needs 'group' or a 'codes' list")
-        return Countries(tuple(str(c) for c in codes))
+        return Countries(tuple(_string(c, f"{key}.codes") for c in codes))
     if kind == "size":
-        _expect_keys(obj, {"kind", "half"}, "criterion")
+        _expect_keys(obj, {"kind", "half"}, key)
         half = obj.get("half")
         if half not in ("small", "large"):
             raise ConfigError(f"size criterion needs half small or large, got {half!r}")
@@ -214,109 +264,64 @@ def _parse_criterion(obj) -> Criterion:
     raise ConfigError(f"unknown criterion kind {kind!r}")
 
 
-def _parse_proxy(obj) -> ProxySpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"proxy spec must be an object, got {obj!r}")
-    _expect_keys(obj, {"name", "group", "raw_field", "direction", "mode", "threshold"},
-                 "proxy spec")
-    try:
-        return ProxySpec(
-            name=str(obj["name"]),
-            group=str(obj["group"]),
-            raw_field=str(obj["raw_field"]),
-            direction=str(obj["direction"]),
-            mode=str(obj["mode"]),
-            threshold=(None if obj.get("threshold") is None
-                       else _number(float, obj["threshold"], "proxy spec threshold")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"proxy spec missing key {exc}") from None
+_PROXY_FIELDS = {"name": _string, "group": _string, "raw_field": _string, "direction": _string,
+                 "mode": _string,
+                 "threshold": _optional(lambda value, key: _number(float, value, key))}
 
 
-def parse_config(doc: dict, base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document; unknown keys are errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _expect_keys(doc, {"data", "proxies", "rescale_scope", "subsamples", "tree",
-                       "forest", "selection", "seed", "out"}, "config")
-    cfg = base or RunConfig()
+def _proxy(obj, key: str) -> ProxySpec:
+    kw = _object(obj, _PROXY_FIELDS, key)
+    missing = [k for k in _PROXY_FIELDS if k != "threshold" and k not in kw]
+    if missing:
+        raise ConfigError(f"{key} missing key {missing[0]!r}")
+    return ProxySpec(**kw)
 
-    if "data" in doc:
-        d = _section(doc, "data")
-        _expect_keys(d, {"path", "columns", "window"}, "data")
-        window = d.get("window")
-        if window is not None:
-            if not (isinstance(window, list) and len(window) == 2):
-                raise ConfigError(f"window must be [start, end], got {window!r}")
-            window = (_number(int, window[0], "data.window"),
-                      _number(int, window[1], "data.window"))
-            if window[0] > window[1]:
-                raise ConfigError(f"data.window start {window[0]} is after its end {window[1]}")
-        columns = d.get("columns")
-        if columns is not None and not isinstance(columns, dict):
-            raise ConfigError("data.columns must be an object")
-        cfg = replace(cfg, data=DataConfig(d.get("path"), columns, window))
 
-    if "proxies" in doc:
-        if not isinstance(doc["proxies"], list) or not doc["proxies"]:
-            raise ConfigError("proxies must be a non-empty list")
-        cfg = replace(cfg, proxies=tuple(_parse_proxy(p) for p in doc["proxies"]))
+def _subsample(obj, key: str) -> SubsampleSpec:
+    if not isinstance(obj, dict) or "name" not in obj or "criterion" not in obj:
+        raise ConfigError(f"subsample needs name and criterion: {obj!r}")
+    return SubsampleSpec(**_object(obj, {"name": _string, "criterion": _criterion,
+                                         "min_leaf": _optional(_integer)}, key))
 
-    if "rescale_scope" in doc:
-        cfg = replace(cfg, rescale_scope=str(doc["rescale_scope"]))
 
-    if "subsamples" in doc:
-        subs = []
-        if not isinstance(doc["subsamples"], list) or not doc["subsamples"]:
-            raise ConfigError("subsamples must be a non-empty list")
-        for s in doc["subsamples"]:
-            if not isinstance(s, dict) or "name" not in s or "criterion" not in s:
-                raise ConfigError(f"subsample needs name and criterion: {s!r}")
-            _expect_keys(s, {"name", "criterion", "min_leaf"}, "subsample")
-            subs.append(SubsampleSpec(str(s["name"]), _parse_criterion(s["criterion"]),
-                                      _optional_int(s, "min_leaf", None, "subsample")))
-        cfg = replace(cfg, subsamples=tuple(subs))
+def _section(cls, fields: dict):
+    """Converter for a config object that builds cls from its fields."""
+    return lambda obj, key: cls(**_object(obj, fields, key))
 
-    if "tree" in doc:
-        t = _section(doc, "tree")
-        _expect_keys(t, {"min_leaf", "max_depth", "cv_folds", "prune_rule"}, "tree")
-        base_t = cfg.tree
-        cfg = replace(cfg, tree=TreeConfig(
-            min_leaf=_number(int, t.get("min_leaf", base_t.min_leaf), "tree.min_leaf"),
-            max_depth=_optional_int(t, "max_depth", base_t.max_depth, "tree"),
-            cv_folds=_number(int, t.get("cv_folds", base_t.cv_folds), "tree.cv_folds"),
-            prune_rule=str(t.get("prune_rule", base_t.prune_rule)),
-        ))
 
-    if "forest" in doc:
-        f = _section(doc, "forest")
-        _expect_keys(f, {"n_trees", "mtry", "min_leaf"}, "forest")
-        base_f = cfg.forest
-        cfg = replace(cfg, forest=ForestConfig(
-            n_trees=_number(int, f.get("n_trees", base_f.n_trees), "forest.n_trees"),
-            mtry=_optional_int(f, "mtry", base_f.mtry, "forest"),
-            min_leaf=_number(int, f.get("min_leaf", base_f.min_leaf), "forest.min_leaf"),
-        ))
+def _items(convert):
+    """Converter for a list whose entries each go through convert."""
+    def items(value, key):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        return tuple(convert(x, f"{key}[{i}]") for i, x in enumerate(value))
+    return items
 
-    if "selection" in doc:
-        s = _section(doc, "selection")
-        _expect_keys(s, {"mode", "fixed", "forest_scope"}, "selection")
-        base_s = cfg.selection
-        fixed = s.get("fixed")
-        if fixed is not None and not (isinstance(fixed, list)
-                                      and all(isinstance(x, str) for x in fixed)):
-            raise ConfigError(f"selection.fixed must be a list of proxy names, got {fixed!r}")
-        cfg = replace(cfg, selection=SelectionConfig(
-            mode=str(s.get("mode", base_s.mode)),
-            fixed=tuple(fixed) if fixed is not None else base_s.fixed,
-            forest_scope=str(s.get("forest_scope", base_s.forest_scope)),
-        ))
 
-    if "seed" in doc:
-        cfg = replace(cfg, seed=_number(int, doc["seed"], "seed"))
-    if "out" in doc:
-        cfg = replace(cfg, out=str(doc["out"]))
-    return cfg
+_CONFIG_FIELDS = {
+    "data": _section(DataConfig, {"path": _optional(_string), "columns": _optional(_columns),
+                                  "window": _optional(_window)}),
+    "proxies": _items(_proxy),
+    "rescale_scope": _string,
+    "subsamples": _items(_subsample),
+    "tree": _section(TreeConfig, {"min_leaf": _integer, "max_depth": _optional(_integer),
+                                  "cv_folds": _integer, "prune_rule": _string}),
+    "forest": _section(ForestParams, {"n_trees": _integer, "mtry": _optional(_integer),
+                                      "min_leaf": _integer}),
+    "selection": _section(SelectionConfig, {"mode": _string, "fixed": _names,
+                                            "forest_scope": _string}),
+    "seed": _integer,
+    "out": _string,
+}
+
+
+def parse_config(doc) -> RunConfig:
+    """Build a RunConfig from a parsed JSON document.
+
+    Unknown keys, values of the wrong JSON type and every check RunConfig
+    makes end in a ConfigError that names the key.
+    """
+    return RunConfig(**_object(doc, _CONFIG_FIELDS, "config"))
 
 
 def load_config(path) -> RunConfig:

@@ -24,18 +24,19 @@ class ForestParams:
     n_trees: int = 2000
     mtry: Optional[int] = None  # default max(m // 3, 1)
     min_leaf: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
+            raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
+        if self.mtry is not None and self.mtry < 1:
+            raise ConfigError(f"forest.mtry must be >= 1, got {self.mtry}")
         if self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
+            raise ConfigError(f"forest.min_leaf must be >= 1, got {self.min_leaf}")
 
     def resolve_mtry(self, m: int) -> int:
         mtry = self.mtry if self.mtry is not None else max(m // 3, 1)
         if not 1 <= mtry <= m:
-            raise ConfigError(f"mtry must be in [1, {m}], got {mtry}")
+            raise ConfigError(f"forest.mtry must be in [1, {m}], got {mtry}")
         return mtry
 
 
@@ -64,13 +65,14 @@ def _grow_one(X, y, feature_names, tree_params: TreeParams, mtry: int, seed: int
     return RegressionTree(root, feature_names, tree_params, n), boot
 
 
-def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(),
+def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), seed: int = 0,
                 bootstrap=None) -> Forest:
     """Grow a seeded forest on a scored matrix.
 
     Args:
         matrix: scored rows; needs at least min_leaf of them.
-        params: forest size, mtry, leaf floor, and master seed.
+        params: forest size, mtry, and leaf floor.
+        seed: master seed; tree t draws from derive_seed(seed, t).
         bootstrap: test hook replacing the with-replacement resample; called
             as bootstrap(rng, n) and must return n row indices.
 
@@ -86,7 +88,7 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(),
     trees, boots = [], []
     for t in range(params.n_trees):
         tree, boot = _grow_one(X, y, matrix.feature_names, tree_params, mtry,
-                               derive_seed(params.seed, t), bootstrap)
+                               derive_seed(seed, t), bootstrap)
         trees.append(tree)
         boots.append(boot)
     return Forest(tuple(trees), tuple(boots), matrix.feature_names, params, n)

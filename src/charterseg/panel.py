@@ -156,6 +156,8 @@ def load_panel(path, schema: dict[str, str] | None = None,
     end = reader.line_num
     for record in reader:
         line_no, end = end + 1, reader.line_num  # the record's first physical line
+        if not record:  # a blank line holds no record
+            continue
         def cell(fname: str) -> str:
             col = colname[fname]
             i = index.get(col)

@@ -130,6 +130,21 @@ def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
     raise ConfigError(f"bad direction {direction!r}")
 
 
+def _threshold_increasing(v: np.ndarray, u: float, ref: np.ndarray) -> np.ndarray:
+    # Safe side [min(ref), u] -> [1, 2], risky side (u, max(ref)] -> (2, 5].
+    lo, hi = float(ref.min()), float(ref.max())
+    if lo == hi:
+        return np.full(v.shape, 3.0)
+    scores = np.empty(v.shape)
+    safe = v <= u
+    w_safe = u - lo
+    scores[safe] = 1.0 + (v[safe] - lo) / w_safe if w_safe > 0 else 2.0
+    risky = ~safe
+    if risky.any():
+        scores[risky] = 2.0 + 3.0 * (v[risky] - u) / (hi - u)
+    return scores
+
+
 def threshold_rescale(values, direction: str, u: float, reference=None) -> np.ndarray:
     """Score a raw column against a regulatory benchmark u.
 
@@ -140,34 +155,11 @@ def threshold_rescale(values, direction: str, u: float, reference=None) -> np.nd
     from reference when given, which must span every value.
     """
     v, ref = _samples(values, reference)
-    u = float(u)
-    lo, hi = float(ref.min()), float(ref.max())
-    if lo == hi:
-        return np.full(v.shape, 3.0)
-    scores = np.empty(v.shape)
     if direction == INCREASING:
-        safe = v <= u
-        w_safe = u - lo
-        if w_safe > 0:
-            scores[safe] = 1.0 + (v[safe] - lo) / w_safe
-        else:
-            scores[safe] = 2.0
-        risky = ~safe
-        if risky.any():
-            scores[risky] = 2.0 + 3.0 * (v[risky] - u) / (hi - u)
-    elif direction == DECREASING:
-        safe = v >= u
-        w_safe = hi - u
-        if w_safe > 0:
-            scores[safe] = 1.0 + (hi - v[safe]) / w_safe
-        else:
-            scores[safe] = 2.0
-        risky = ~safe
-        if risky.any():
-            scores[risky] = 2.0 + 3.0 * (u - v[risky]) / (u - lo)
-    else:
-        raise ConfigError(f"bad direction {direction!r}")
-    return scores
+        return _threshold_increasing(v, float(u), ref)
+    if direction == DECREASING:
+        return _threshold_increasing(-v, -float(u), -ref)
+    raise ConfigError(f"bad direction {direction!r}")
 
 
 @dataclass(frozen=True)

@@ -1,76 +1,37 @@
 """Per-group proxy selection from forest importances.
 
 Each CAMELS group contributes exactly one proxy to the final tree: the
-group's candidate with the highest %IncMSE, ties resolved by catalog order.
+group's candidate with the highest %IncMSE, ties resolved by spec order.
 Groups with a single candidate pass it through unconditionally.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 from .errors import ConfigError
 from .forest import ImportanceReport
 from .rescale import DEFAULT_PROXY_SPECS, GROUPS, ProxySpec
 
 
-@dataclass(frozen=True)
-class GroupCatalog:
-    """Ordered mapping of group letter to its candidate proxy names."""
-
-    groups: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        letters = [g for g, _ in self.groups]
-        if len(set(letters)) != len(letters):
-            raise ConfigError(f"duplicate groups in catalog: {letters}")
-        for g, names in self.groups:
-            if not names:
-                raise ConfigError(f"group {g!r} has no candidates")
-
-    def names(self) -> list[str]:
-        return [name for _, members in self.groups for name in members]
-
-
-def default_catalog(specs=DEFAULT_PROXY_SPECS) -> GroupCatalog:
-    """Catalog derived from a proxy-spec table, preserving its order."""
-    by_group: dict[str, list[str]] = {}
-    for s in specs:
-        by_group.setdefault(s.group, []).append(s.name)
-    ordered = tuple((g, tuple(by_group[g])) for g in GROUPS if g in by_group)
-    return GroupCatalog(ordered)
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Chosen proxy per group and the importance report it was read from."""
-
-    chosen: tuple[tuple[str, str], ...]  # (group, proxy name) in catalog order
-    importance: ImportanceReport
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.chosen)
-
-
-def select_proxies(importance: ImportanceReport, catalog: GroupCatalog) -> SelectionResult:
+def select_proxies(importance: ImportanceReport,
+                   specs=DEFAULT_PROXY_SPECS) -> dict[str, str]:
     """Pick each group's highest-importance candidate.
 
-    Raises ConfigError when a catalog proxy is missing from the importance
-    table.
+    Returns group letter -> proxy name in C, A, M, E, L, S order. Ties go
+    to the spec listed first. Raises ConfigError when a spec is missing from
+    the importance table.
     """
     scores = importance.by_name()
-    chosen = []
-    for group, members in catalog.groups:
-        missing = [m for m in members if m not in scores]
-        if missing:
-            raise ConfigError(f"group {group!r}: no importance for {missing}")
-        best = members[0]
-        for name in members[1:]:
-            if scores[name] > scores[best]:
-                best = name
-        chosen.append((group, best))
-    return SelectionResult(tuple(chosen), importance)
+    missing = [s.name for s in specs if s.name not in scores]
+    if missing:
+        raise ConfigError(f"no importance for {missing}")
+    best: dict[str, str] = {}
+    for s in specs:
+        if s.group not in best or scores[s.name] > scores[best[s.group]]:
+            best[s.group] = s.name
+    return {g: best[g] for g in GROUPS if g in best}
 
 
 def canonical_specs(chosen: dict[str, str], specs=DEFAULT_PROXY_SPECS) -> tuple[ProxySpec, ...]:

@@ -36,7 +36,7 @@ from .errors import (
     EmptyModelError,
     EmptySubsampleError,
 )
-from .forest import ForestParams, ImportanceReport, grow_forest, permutation_importance
+from .forest import ImportanceReport, grow_forest, permutation_importance
 from .panel import (
     PROXY_FIELDS,
     Panel,
@@ -48,7 +48,7 @@ from .panel import (
 )
 from .rescale import GROUPS, ScoredMatrix, build_scored_matrix, complete_rows
 from .seeding import derive_seed
-from .select import canonical_specs, default_catalog, select_proxies
+from .select import canonical_specs, select_proxies
 from .stats import pearson
 from .tree import RegressionTree, TreeParams, cv_prune, export_dot, export_json
 
@@ -89,45 +89,39 @@ class StudyResult:
 
 def _run_selection(config: RunConfig, frame: ProxyFrame, reference: Optional[ProxyFrame],
                    seed: int):
-    """Returns (group -> proxy in C, A, M, E, L, S order, ImportanceReport or None)."""
+    """Returns (group -> proxy in C, A, M, E, L, S order, ImportanceReport or None).
+
+    RunConfig has already checked the proxy names and the fixed list.
+    """
     specs = config.proxies
-    by_name = {s.name: s for s in specs}
     if config.selection.mode == "fixed":
-        chosen = {}
-        for name in config.selection.fixed:
-            if name not in by_name:
-                raise ConfigError(f"selection.fixed names unknown proxy {name!r}")
-            group = by_name[name].group
-            if group in chosen:
-                raise ConfigError(f"selection.fixed has two proxies for group {group!r}")
-            chosen[group] = name
+        group = {s.name: s.group for s in specs}
+        chosen = {group[name]: name for name in config.selection.fixed}
         return {g: chosen[g] for g in GROUPS if g in chosen}, None
 
-    catalog = default_catalog(specs)
-    fp = config.forest
-    if config.selection.forest_scope == "joint":
-        matrix = build_scored_matrix(frame, specs, reference)
-        forest = grow_forest(matrix, ForestParams(fp.n_trees, fp.mtry, fp.min_leaf,
-                                                  derive_seed(seed, 1)))
-        importance = permutation_importance(forest, matrix, seed=derive_seed(seed, 2))
-        return select_proxies(importance, catalog).as_dict(), importance
-
-    # Independent forest per group, each over that group's candidates only.
-    # There is no single forest, so the report carries no OOB MSE (NaN).
-    names, pct, raw, err = [], [], [], []
-    for gi, (group, members) in enumerate(catalog.groups):
-        group_specs = [by_name[m] for m in members]
-        matrix = build_scored_matrix(frame, group_specs, reference)
-        forest = grow_forest(matrix, ForestParams(fp.n_trees, fp.mtry, fp.min_leaf,
-                                                  derive_seed(seed, 1, gi)))
-        rep = permutation_importance(forest, matrix, seed=derive_seed(seed, 2, gi))
-        names.extend(rep.feature_names)
-        pct.extend(rep.pct_inc_mse)
-        raw.extend(rep.raw_delta)
-        err.extend(rep.stderr)
-    importance = ImportanceReport(tuple(names), np.array(pct), np.array(raw),
-                                  np.array(err), float("nan"))
-    return select_proxies(importance, catalog).as_dict(), importance
+    # One joint forest over every candidate, or one forest per group over
+    # that group's candidates only, each keyed by its group index.
+    joint = config.selection.forest_scope == "joint"
+    if joint:
+        blocks = [((), specs)]
+    else:
+        present = [g for g in GROUPS if any(s.group == g for s in specs)]
+        blocks = [((gi,), [s for s in specs if s.group == g]) for gi, g in enumerate(present)]
+    reports = []
+    for key, block in blocks:
+        matrix = build_scored_matrix(frame, block, reference)
+        forest = grow_forest(matrix, config.forest, seed=derive_seed(seed, 1, *key))
+        reports.append(permutation_importance(forest, matrix, seed=derive_seed(seed, 2, *key)))
+    if joint:
+        importance = reports[0]
+    else:
+        # There is no single forest, so the report carries no OOB MSE (NaN).
+        importance = ImportanceReport(
+            tuple(n for r in reports for n in r.feature_names),
+            np.concatenate([r.pct_inc_mse for r in reports]),
+            np.concatenate([r.raw_delta for r in reports]),
+            np.concatenate([r.stderr for r in reports]), float("nan"))
+    return select_proxies(importance, specs), importance
 
 
 def select_full_panel(config: RunConfig, panel: Panel):
@@ -241,9 +235,9 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
         subsample ended without a tree.
 
     Raises:
-        ConfigError: jobs below 1, or a config fault found inside a subsample
-            (an mtry above the feature count, a bad selection.fixed); it ends
-            the run.
+        ConfigError: jobs below 1, or a config fault found inside a
+            subsample; it ends the run. Selection faults (mtry, proxy names,
+            selection.fixed) are already raised when the RunConfig is built.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")

@@ -265,6 +265,38 @@ def dot_structure(tree: RegressionTree):
     return nodes, children
 
 
+def reference_threshold_rescale(values, direction, u, reference=None):
+    """threshold_rescale with a separate formula per direction; the oracle."""
+    v = np.asarray(values, dtype=float)
+    ref = v if reference is None else np.asarray(reference, dtype=float)
+    u = float(u)
+    lo, hi = float(ref.min()), float(ref.max())
+    if lo == hi:
+        return np.full(v.shape, 3.0)
+    scores = np.empty(v.shape)
+    if direction == "increasing":
+        safe = v <= u
+        w_safe = u - lo
+        if w_safe > 0:
+            scores[safe] = 1.0 + (v[safe] - lo) / w_safe
+        else:
+            scores[safe] = 2.0
+        risky = ~safe
+        if risky.any():
+            scores[risky] = 2.0 + 3.0 * (v[risky] - u) / (hi - u)
+    else:
+        safe = v >= u
+        w_safe = hi - u
+        if w_safe > 0:
+            scores[safe] = 1.0 + (hi - v[safe]) / w_safe
+        else:
+            scores[safe] = 2.0
+        risky = ~safe
+        if risky.any():
+            scores[risky] = 2.0 + 3.0 * (u - v[risky]) / (u - lo)
+    return scores
+
+
 def panel_csv_text(rows, header=None):
     """Render bank-year rows (list of dicts) as CSV text."""
     if header is None:

@@ -20,7 +20,7 @@ from charterseg.cli import main
 from charterseg.forest import ForestParams, ImportanceReport, grow_forest, permutation_importance
 from charterseg.rescale import ScoredMatrix, quantile_rescale, threshold_rescale
 from charterseg.seeding import derive_seed
-from charterseg.select import default_catalog, select_proxies
+from charterseg.select import select_proxies
 from charterseg.stats import _kolmogorov_sf, ks_two_sample
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import Internal, Leaf, TreeParams, best_split, cv_prune, grow
@@ -185,7 +185,7 @@ def test_criterion_05_forest_importance_sanity():
             X = np.column_stack([signal] + [rng.uniform(1.0, 5.0, size=n)
                                             for _ in range(3)])
             matrix = plain_matrix(X, y, ("signal", "noise0", "noise1", "noise2"))
-            forest = grow_forest(matrix, ForestParams(500, 2, 60, derive_seed(seed, 5)))
+            forest = grow_forest(matrix, ForestParams(500, 2, 60), seed=derive_seed(seed, 5))
             report = permutation_importance(forest, matrix, seed=derive_seed(seed, 6))
             tops += int(np.argmax(report.pct_inc_mse)) == 0
             worst_noise = max(worst_noise, float(np.max(np.abs(report.pct_inc_mse[1:]))))
@@ -209,7 +209,7 @@ def test_criterion_06_reference_importance_selection():
         names = tuple(reference)
         pct = np.array([reference[k] for k in names])
         report = ImportanceReport(names, pct, pct / 100.0, np.zeros(len(names)), 1.0)
-        chosen = select_proxies(report, default_catalog()).as_dict()
+        chosen = select_proxies(report)
         assert chosen == {"C": "Capt", "A": "Asts", "M": "Mang",
                           "E": "Ergs_x", "L": "Liqt_x", "S": "Syst"}
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import itertools
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from charterseg.config import (
     CONFIG_ENV_VAR,
@@ -13,7 +19,7 @@ from charterseg.config import (
     load_config,
     parse_config,
 )
-from charterseg.errors import ConfigError
+from charterseg.errors import ChartersegError, ConfigError
 from charterseg.panel import Countries, FullSample, SizeHalf, YearRange
 from charterseg.rescale import DEFAULT_PROXY_SPECS
 
@@ -153,10 +159,67 @@ def test_country_group_criteria():
     ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": True,
                                                  "end": 2009}}]},
      "criterion.start must be an integer, got True"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"tree": {"min_leaf": " 12 "}}, "tree.min_leaf must be an integer, got ' 12 '"),
+    ({"forest": {"n_trees": "16"}}, "forest.n_trees must be an integer"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": "2008",
+                                                 "end": 2009}}]},
+     "subsamples[0].criterion.start must be an integer, got '2008'"),
+    ({"data": {"path": 2}}, "data.path must be a string, got 2"),
+    ({"data": {"columns": {"mve": 3}}}, "data.columns must map field names"),
+    ({"out": ["dir"]}, "out must be a string"),
+    ({"rescale_scope": 1}, "rescale_scope must be a string"),
+    ({"subsamples": [{"name": 7, "criterion": {"kind": "all"}}]},
+     "subsamples[0].name must be a string, got 7"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "countries",
+                                                 "codes": ["DE", 49]}}]},
+     "subsamples[0].criterion.codes must be a string, got 49"),
+    ({"proxies": [{"name": "X", "group": "C", "raw_field": "capital_ratio",
+                   "direction": "decreasing", "mode": None}]},
+     "proxies[0].mode must be a string, got None"),
+    ({"tree": {"prune_rule": 1}}, "tree.prune_rule must be a string"),
+    ({"selection": {"mode": True}}, "selection.mode must be a string"),
+    ({"selection": {"forest_scope": 0}}, "selection.forest_scope must be a string"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(doc)
+
+
+def test_duplicate_proxy_names_are_config_errors():
+    # A second "Capt" in group E on roa used to be scored on roa under the
+    # name Capt inside group C's per-group forest.
+    proxies = [dataclasses.asdict(s) for s in DEFAULT_PROXY_SPECS]
+    proxies.append(dict(proxies[10], name="Capt"))
+    for scope in ("joint", "per_group"):
+        with pytest.raises(ConfigError, match=re.escape("duplicate proxy names: ['Capt']")):
+            parse_config({"proxies": proxies, "selection": {"forest_scope": scope}})
+
+
+@pytest.mark.parametrize("selection, fragment", [
+    ({"mode": "fixed", "fixed": []}, "selection.fixed must name at least one proxy"),
+    ({"mode": "fixed", "fixed": ["Capt", "Nope"]}, "selection.fixed names unknown proxy 'Nope'"),
+    ({"mode": "fixed", "fixed": ["Capt", "Capt_x"]},
+     "selection.fixed has two proxies for group 'C'"),
+])
+def test_fixed_selection_is_checked_when_parsed(selection, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        parse_config({"selection": selection})
+
+
+def test_mtry_is_checked_against_the_forest_width():
+    # Joint: one forest over all 18 proxies. Per group: the smallest group
+    # (S, one proxy) bounds mtry.
+    assert parse_config({"forest": {"mtry": 18}}).forest.mtry == 18
+    with pytest.raises(ConfigError, match=re.escape("forest.mtry must be in [1, 18], got 19")):
+        parse_config({"forest": {"mtry": 19}})
+    assert parse_config({"forest": {"mtry": 1},
+                         "selection": {"forest_scope": "per_group"}}).forest.mtry == 1
+    with pytest.raises(ConfigError, match=re.escape("forest.mtry must be in [1, 1], got 2")):
+        parse_config({"forest": {"mtry": 2}, "selection": {"forest_scope": "per_group"}})
+    # Fixed selection grows no forest, so mtry is not bounded by the proxies.
+    cfg = parse_config({"forest": {"mtry": 99}, "selection": {"mode": "fixed"}})
+    assert cfg.forest.mtry == 99
 
 
 def test_non_object_root_rejected():
@@ -181,3 +244,91 @@ def test_load_config(tmp_path):
 
 def test_env_var_name_is_stable():
     assert CONFIG_ENV_VAR == "CHARTERSEG_CONFIG"
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_CONFIG_KEYS = {"data", "proxies", "rescale_scope", "subsamples", "tree", "forest",
+                "selection", "seed", "out"}
+_KEYS = ["data", "path", "columns", "window", "proxies", "name", "group", "raw_field",
+         "direction", "mode", "threshold", "rescale_scope", "subsamples", "criterion",
+         "kind", "start", "end", "codes", "half", "min_leaf", "tree", "max_depth",
+         "cv_folds", "prune_rule", "forest", "n_trees", "mtry", "selection", "fixed",
+         "forest_scope", "seed", "out"]
+_WORDS = _KEYS + ["all", "years", "countries", "size", "pigs", "non_pigs", "small",
+                  "large", "subsample", "full", "rf", "joint", "per_group", "min_cv",
+                  "one_se", "increasing", "decreasing", "quantile", "Capt", "Capt_x",
+                  "Syst", "C", "E", "capital_ratio", "roa", "mve", "DE"]
+
+_BASE = {"data": {"path": "p.csv", "columns": {"mve": "MarketCap"}, "window": [2005, 2016]},
+     "proxies": [dataclasses.asdict(s) for s in DEFAULT_PROXY_SPECS[:4]],
+     "rescale_scope": "full",
+     "subsamples": [{"name": "crisis", "criterion": {"kind": "years", "start": 2008,
+                                                     "end": 2009}, "min_leaf": 15},
+                    {"name": "south", "criterion": {"kind": "countries", "codes": ["ES"]}},
+                    {"name": "big", "criterion": {"kind": "size", "half": "large"}},
+                    {"name": "pigs", "criterion": {"kind": "countries", "group": "pigs"}}],
+     "tree": {"min_leaf": 25, "max_depth": 6, "cv_folds": 5, "prune_rule": "one_se"},
+     "forest": {"n_trees": 50, "mtry": 1, "min_leaf": 10},
+     "selection": {"mode": "rf", "fixed": ["Capt", "Asts"], "forest_scope": "per_group"},
+     "seed": 99, "out": "run1"}
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(path, value):
+    """_BASE with the value at path replaced."""
+    doc = copy.deepcopy(_BASE)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_EDGES = [None, True, 0, -1, 2.5, 1e308, float("inf"), float("-inf"), float("nan"), 2 ** 64,
+          "3", " 12 ", "", [], {}, ["x"], {"kind": "all"}]
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 2 ** 65) | st.floats()
+            | st.sampled_from(_EDGES) | st.sampled_from(_WORDS) | st.text(max_size=4))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner,
+                                     max_size=5)),
+    max_leaves=12)
+_PLACES = list(_paths(_BASE))
+_DOCUMENTS = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), _VALUES, max_size=6),
+    # One value of a valid document replaced, by an edge case or by any value.
+    st.builds(_replaced, st.sampled_from(_PLACES), st.sampled_from(_EDGES)),
+    st.builds(_replaced, st.sampled_from(_PLACES), _VALUES),
+)
+
+
+def _parses_or_raises_config_fault(doc):
+    try:
+        cfg = parse_config(doc)
+    except ChartersegError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@seed(20240611)
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_DOCUMENTS)
+def test_parse_config_fuzz_raises_only_charterseg_errors(doc):
+    _parses_or_raises_config_fault(doc)
+
+
+def test_every_value_swapped_for_an_edge_case_raises_only_charterseg_errors():
+    for path, value in itertools.product(_PLACES, _EDGES):
+        _parses_or_raises_config_fault(_replaced(path, value))

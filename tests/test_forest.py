@@ -40,8 +40,8 @@ def signal_matrix(seed=0, n=300, noise_features=3, sigma=0.05):
 def test_degenerate_forest_equals_single_tree():
     rng = make_rng(50)
     mat = random_matrix(rng, n=80, m=3)
-    params = ForestParams(n_trees=1, mtry=3, min_leaf=5, seed=9)
-    forest = grow_forest(mat, params, bootstrap=identity_bootstrap)
+    params = ForestParams(n_trees=1, mtry=3, min_leaf=5)
+    forest = grow_forest(mat, params, seed=9, bootstrap=identity_bootstrap)
     single = grow(mat, TreeParams(min_leaf=5))
     assert export_json(forest.trees[0]) == export_json(single)
     probe = rng.uniform(1.0, 5.0, size=(40, 3))
@@ -51,13 +51,13 @@ def test_degenerate_forest_equals_single_tree():
 
 def test_forest_determinism():
     mat = signal_matrix()
-    params = ForestParams(n_trees=12, min_leaf=5, seed=123)
-    a = grow_forest(mat, params)
-    b = grow_forest(mat, params)
+    params = ForestParams(n_trees=12, min_leaf=5)
+    a = grow_forest(mat, params, seed=123)
+    b = grow_forest(mat, params, seed=123)
     assert all(export_json(x) == export_json(y) for x, y in zip(a.trees, b.trees))
     assert all(np.array_equal(x, y)
                for x, y in zip(a.bootstrap_indices, b.bootstrap_indices))
-    c = grow_forest(mat, ForestParams(n_trees=12, min_leaf=5, seed=124))
+    c = grow_forest(mat, ForestParams(n_trees=12, min_leaf=5), seed=124)
     assert any(export_json(x) != export_json(y) for x, y in zip(a.trees, c.trees))
 
 
@@ -69,11 +69,13 @@ def test_forest_default_mtry():
         ForestParams(mtry=7).resolve_mtry(6)
     with pytest.raises(ConfigError):
         ForestParams(n_trees=0)
+    with pytest.raises(ConfigError, match="forest.mtry must be >= 1"):
+        ForestParams(mtry=0)
 
 
 def test_forest_bootstrap_shape_and_range():
     mat = signal_matrix(n=100)
-    forest = grow_forest(mat, ForestParams(n_trees=5, min_leaf=5, seed=3))
+    forest = grow_forest(mat, ForestParams(n_trees=5, min_leaf=5), seed=3)
     for boot in forest.bootstrap_indices:
         assert boot.shape == (100,)
         assert boot.min() >= 0 and boot.max() < 100
@@ -81,7 +83,7 @@ def test_forest_bootstrap_shape_and_range():
 
 def test_forest_oob_fraction_near_one_over_e():
     mat = signal_matrix(n=1000)
-    forest = grow_forest(mat, ForestParams(n_trees=30, min_leaf=5, seed=1))
+    forest = grow_forest(mat, ForestParams(n_trees=30, min_leaf=5), seed=1)
     fractions = [1.0 - np.unique(b).size / 1000.0 for b in forest.bootstrap_indices]
     assert abs(np.mean(fractions) - np.exp(-1.0)) < 0.03
 
@@ -91,7 +93,7 @@ def test_forest_oob_fraction_near_one_over_e():
 
 def test_oob_single_tree_predictions():
     mat = signal_matrix(n=120)
-    forest = grow_forest(mat, ForestParams(n_trees=1, min_leaf=5, seed=7))
+    forest = grow_forest(mat, ForestParams(n_trees=1, min_leaf=5), seed=7)
     result = oob_predict(forest, mat)
     boot = forest.bootstrap_indices[0]
     oob_rows = np.setdiff1d(np.arange(120), boot)
@@ -103,7 +105,7 @@ def test_oob_single_tree_predictions():
 
 def test_oob_counts_match_bootstrap_misses():
     mat = signal_matrix(n=90)
-    forest = grow_forest(mat, ForestParams(n_trees=15, min_leaf=5, seed=2))
+    forest = grow_forest(mat, ForestParams(n_trees=15, min_leaf=5), seed=2)
     result = oob_predict(forest, mat)
     want = np.zeros(90, dtype=int)
     for boot in forest.bootstrap_indices:
@@ -116,7 +118,7 @@ def test_oob_counts_match_bootstrap_misses():
 def test_oob_beats_single_leaf_on_planted_data(three_split_spec):
     panel = generate_synthetic_panel(three_split_spec, n=300, noise_sigma=0.02, seed=6)
     mat = planted_matrix(panel, three_split_spec)
-    forest = grow_forest(mat, ForestParams(n_trees=200, min_leaf=5, seed=6))
+    forest = grow_forest(mat, ForestParams(n_trees=200, min_leaf=5), seed=6)
     result = oob_predict(forest, mat)
     single_leaf_mse = float(np.var(mat.response))
     assert result.oob_mse < single_leaf_mse
@@ -124,14 +126,14 @@ def test_oob_beats_single_leaf_on_planted_data(three_split_spec):
 
 def test_oob_row_count_mismatch():
     mat = signal_matrix(n=80)
-    forest = grow_forest(mat, ForestParams(n_trees=2, min_leaf=5, seed=1))
+    forest = grow_forest(mat, ForestParams(n_trees=2, min_leaf=5), seed=1)
     with pytest.raises(ConfigError):
         oob_predict(forest, mat.take(np.arange(40)))
 
 
 def test_oob_identity_bootstrap_has_no_oob_rows():
     mat = signal_matrix(n=80)
-    forest = grow_forest(mat, ForestParams(n_trees=2, min_leaf=5, seed=1),
+    forest = grow_forest(mat, ForestParams(n_trees=2, min_leaf=5), seed=1,
                          bootstrap=identity_bootstrap)
     with pytest.raises(EmptyModelError):
         oob_predict(forest, mat)
@@ -142,7 +144,7 @@ def test_oob_identity_bootstrap_has_no_oob_rows():
 
 def test_importance_signal_tops_noise():
     mat = signal_matrix(seed=4)
-    forest = grow_forest(mat, ForestParams(n_trees=60, min_leaf=5, seed=4))
+    forest = grow_forest(mat, ForestParams(n_trees=60, min_leaf=5), seed=4)
     report = permutation_importance(forest, mat, seed=4)
     scores = report.by_name()
     assert max(scores, key=scores.get) == "signal"
@@ -151,7 +153,7 @@ def test_importance_signal_tops_noise():
 
 def test_importance_determinism():
     mat = signal_matrix(seed=5)
-    forest = grow_forest(mat, ForestParams(n_trees=20, min_leaf=5, seed=5))
+    forest = grow_forest(mat, ForestParams(n_trees=20, min_leaf=5), seed=5)
     a = permutation_importance(forest, mat, seed=11)
     b = permutation_importance(forest, mat, seed=11)
     assert np.array_equal(a.pct_inc_mse, b.pct_inc_mse)
@@ -162,7 +164,7 @@ def test_importance_determinism():
 
 def test_importance_normalisation_consistency():
     mat = signal_matrix(seed=6)
-    forest = grow_forest(mat, ForestParams(n_trees=25, min_leaf=5, seed=6))
+    forest = grow_forest(mat, ForestParams(n_trees=25, min_leaf=5), seed=6)
     report = permutation_importance(forest, mat, seed=6)
     assert np.allclose(report.pct_inc_mse,
                        100.0 * report.raw_delta / report.oob_mse, rtol=1e-12)
@@ -172,7 +174,7 @@ def test_importance_normalisation_consistency():
 
 def test_importance_csv_round_trip(tmp_path):
     mat = signal_matrix(seed=7)
-    forest = grow_forest(mat, ForestParams(n_trees=10, min_leaf=5, seed=7))
+    forest = grow_forest(mat, ForestParams(n_trees=10, min_leaf=5), seed=7)
     report = permutation_importance(forest, mat, seed=7)
     path = tmp_path / "importance.csv"
     write_importance_table(path, report)

@@ -125,6 +125,24 @@ def test_load_exclusion_ids_name_the_physical_line(tmp_path):
     assert [e.row_id for e in panel.exclusions] == ["line:4"]
 
 
+def test_load_skips_blank_lines(tmp_path):
+    # A blank line between two rows and one at the end hold no record; a
+    # line of bare commas is a record without its keys.
+    text = panel_csv_text([base_row(), base_row(bank_id="b2")])
+    header, first, second = text.splitlines()
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header, first, "", second, "", ""]), encoding="utf-8")
+    panel = load_panel(path)
+    assert [r.bank_id for r in panel.rows] == ["b1", "b2"]
+    assert panel.exclusions == ()
+
+    path.write_text("\n".join([header, first, ",,,", second]) + "\n", encoding="utf-8")
+    panel = load_panel(path)
+    assert len(panel) == 2
+    assert [(e.row_id, e.reason) for e in panel.exclusions] == [
+        ("line:3", "missing bank_id, country, or year")]
+
+
 def test_load_schema_renames_columns(tmp_path):
     header = ["id", "iso", "yr"] + FULL_HEADER[3:10]
     rows = [dict(base_row(), id="b9", iso="FR", yr=2012)]

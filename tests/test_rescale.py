@@ -25,6 +25,7 @@ from charterseg.rescale import (
 )
 from charterseg.select import canonical_specs
 
+from helpers import reference_threshold_rescale
 from test_panel import bank_year, make_panel
 
 
@@ -186,6 +187,27 @@ def test_threshold_risky_side_above_two():
 def test_threshold_extremes_from_reference():
     got = threshold_rescale([0.06, 0.08], "decreasing", 0.06, reference=[0.02, 0.06, 0.10])
     assert got == pytest.approx([2.0, 1.5], abs=1e-12)
+
+
+def test_threshold_matches_per_direction_reference():
+    # Decreasing scores are the increasing scores of the negated inputs; the
+    # oracle keeps the old separate formula for each direction.
+    rng = np.random.default_rng(46)
+    for case in range(400):
+        n = int(rng.integers(1, 40))
+        if case % 4 == 0:
+            v = rng.integers(-3, 4, size=n).astype(float)  # ties and values on u
+            u = float(rng.integers(-3, 4))
+        else:
+            v = rng.normal(size=n)
+            u = float(rng.normal()) if case % 4 != 1 else float(v[0])
+        reference = None
+        if case % 2:
+            reference = np.concatenate([v, rng.normal(scale=3.0, size=int(rng.integers(0, 5)))])
+        for direction in ("increasing", "decreasing"):
+            got = threshold_rescale(v, direction, u, reference=reference)
+            want = reference_threshold_rescale(v, direction, u, reference=reference)
+            assert np.array_equal(got, want), (case, direction)
 
 
 # --------------------------------------------------------------- ProxySpec

@@ -355,6 +355,27 @@ def test_cli_config_fault_inside_subsample_exits_2(study_env, no_env_config, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, fragment", [
+    ({"forest": {"n_trees": 16, "mtry": 99}}, "forest.mtry must be in [1, 18], got 99"),
+    ({"selection": {"mode": "fixed", "fixed": ["Capt", "Nope"]}},
+     "selection.fixed names unknown proxy 'Nope'"),
+    ({"selection": {"mode": "fixed", "fixed": ["Capt", "Capt_x"]}},
+     "selection.fixed has two proxies for group 'C'"),
+], ids=["mtry", "unknown", "two_of_a_group"])
+def test_cli_selection_fault_exits_2_before_reading_the_panel(no_env_config, capsys, tmp_path,
+                                                              extra, fragment):
+    # The panel path does not exist, so an error naming the config key shows
+    # that the fault was found before the panel was read.
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "fault.json",
+                       fast_config(tmp_path / "no_such_panel.csv", out, **extra))
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "no_such_panel" not in err
+    assert not out.exists()
+
+
 def test_cli_ingest_non_utf8_exits_2(no_env_config, capsys, tmp_path):
     panel = tmp_path / "latin1.csv"
     synth_panel_csv(panel, n_banks=2, years=range(2005, 2007))
