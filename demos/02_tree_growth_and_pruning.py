@@ -52,9 +52,9 @@ print("alpha ladder (leaves -> alpha):")
 for size, alpha in zip(trace.subtree_sizes, trace.alphas):
     print(f"  {size:3d} leaves  alpha {alpha:.6f}")
 
-root = pruned.root
-print(f"root split: {pruned.feature_names[root.split.feature]} "
-      f"< {root.split.threshold} (planted: capital_ratio < 2.875)")
+# Node 0 is the root; a fitted tree is a set of preorder node arrays.
+print(f"root split: {pruned.feature_names[pruned.feature[0]]} "
+      f"< {pruned.threshold[0]} (planted: capital_ratio < 2.875)")
 
 # ------------------------------------------------------------------- export
 # The DOT file renders with any Graphviz install: dot -Tpng tree.dot

@@ -82,8 +82,8 @@ for r in result.results:
         continue
     print(f"  selected: {' '.join(f'{g}={n}' for g, n in r.chosen)}")
     print(f"  tree: {r.tree.n_leaves} leaves")
-    print(f"  Q^Min {r.qmin.leaf.mean:.3f} via {r.qmin.describe()}")
-    print(f"  Q^Max {r.qmax.leaf.mean:.3f} via {r.qmax.describe()}")
+    print(f"  Q^Min {r.qmin.mean:.3f} via {r.qmin.describe()}")
+    print(f"  Q^Max {r.qmax.mean:.3f} via {r.qmax.describe()}")
     print("  verdicts: " + " | ".join(f"{f}:{v}" for f, v in r.verdicts))
 
 print(f"\nbundle in {OUT_DIR}: report.md, tables/, trees/")

@@ -62,8 +62,6 @@ from .stats import ks_two_sample, pearson
 from .study import StudyResult, SubsampleResult, run_study, write_study
 from .synthetic import PlantedLeaf, PlantedSplit, PlantedTreeSpec, generate_synthetic_panel, planted_matrix
 from .tree import (
-    Internal,
-    Leaf,
     PruneTrace,
     RegressionTree,
     SplitRule,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .rescale import DECREASING, INCREASING, ScoredMatrix
 from .stats import ks_two_sample
-from .tree import Internal, Leaf, RegressionTree, extreme_leaf_indices
+from .tree import RegressionTree, extreme_leaf_indices
 
 ALIGNED = "aligned"
 MISALIGNED = "misaligned"
@@ -43,9 +43,12 @@ class PathStep:
 
 @dataclass(frozen=True)
 class LeafPath:
-    steps: tuple[PathStep, ...]
-    leaf: Leaf
+    leaf: int  # node index in the tree
+    n: int
+    mean: float
     share: float
+    steps: tuple[PathStep, ...]
+    nodes: tuple[int, ...]  # the internal nodes passed, root first
 
     def describe(self) -> str:
         if not self.steps:
@@ -53,27 +56,19 @@ class LeafPath:
         return " -> ".join(s.describe() for s in self.steps)
 
 
-def leaf_share(tree: RegressionTree, leaf: Leaf) -> float:
-    """Fraction of the training rows that ended in this leaf."""
+def leaf_share(tree: RegressionTree, leaf: int) -> float:
+    """Fraction of the training rows that ended in this leaf (a node index)."""
     if tree.total_n <= 0:
         raise DegenerateInputError("tree has no training rows")
-    return leaf.n / tree.total_n
+    return int(tree.n[leaf]) / tree.total_n
 
 
-def _paths_to_leaves(tree: RegressionTree) -> list[tuple[tuple[PathStep, ...], Leaf]]:
-    out = []
-
-    def walk(node, steps):
-        if isinstance(node, Leaf):
-            out.append((steps, node))
-            return
-        s = node.split
-        name = tree.feature_names[s.feature]
-        walk(node.left, steps + (PathStep(s.feature, name, s.threshold, "lt"),))
-        walk(node.right, steps + (PathStep(s.feature, name, s.threshold, "ge"),))
-
-    walk(tree.root, ())
-    return out
+def _leaf_path(tree: RegressionTree, leaf: int) -> LeafPath:
+    path, feature, threshold = tree.path(leaf), tree.feature.tolist(), tree.threshold.tolist()
+    steps = tuple(PathStep(feature[i], tree.feature_names[feature[i]], threshold[i],
+                           "lt" if left else "ge") for i, left in path)
+    return LeafPath(leaf, int(tree.n[leaf]), float(tree.mean[leaf]), leaf_share(tree, leaf),
+                    steps, tuple(i for i, _ in path))
 
 
 def extreme_leaves(tree: RegressionTree) -> tuple[LeafPath, LeafPath]:
@@ -81,10 +76,9 @@ def extreme_leaves(tree: RegressionTree) -> tuple[LeafPath, LeafPath]:
 
     Mean ties break to the larger leaf, then the leftmost one.
     """
-    paths = _paths_to_leaves(tree)
+    leaves = tree.leaves()
     lo, hi = extreme_leaf_indices(tree)
-    mk = lambda i: LeafPath(paths[i][0], paths[i][1], leaf_share(tree, paths[i][1]))
-    return mk(lo), mk(hi)
+    return _leaf_path(tree, int(leaves[lo])), _leaf_path(tree, int(leaves[hi]))
 
 
 def path_rows(matrix: ScoredMatrix, path: LeafPath) -> np.ndarray:
@@ -119,22 +113,6 @@ class AlignmentVerdict:
         return VERDICT_LABELS[self.verdict]
 
 
-def _collect_path_nodes(tree: RegressionTree, paths) -> list[Internal]:
-    """Internal nodes lying on any of the given paths, deduplicated."""
-    seen: set[int] = set()
-    out = []
-    for path in paths:
-        node = tree.root
-        for step in path.steps:
-            if not isinstance(node, Internal):
-                raise DegenerateInputError("path does not match the tree's structure")
-            if id(node) not in seen:
-                seen.add(id(node))
-                out.append(node)
-            node = node.left if step.side == "lt" else node.right
-    return out
-
-
 def alignment_verdicts(tree: RegressionTree, paths=None) -> dict[str, AlignmentVerdict]:
     """Judge each factor by the split nodes along the extreme-leaf paths.
 
@@ -153,15 +131,14 @@ def alignment_verdicts(tree: RegressionTree, paths=None) -> dict[str, AlignmentV
     """
     if paths is None:
         paths = extreme_leaves(tree)
-    nodes = _collect_path_nodes(tree, paths)
-
     evidence: dict[str, list[Evidence]] = {name: [] for name in tree.feature_names}
-    for node in nodes:
-        name = tree.feature_names[node.split.feature]
-        low, high = node.left.mean, node.right.mean
+    for i in dict.fromkeys(i for path in paths for i in path.nodes):
+        feature = int(tree.feature[i])
+        name = tree.feature_names[feature]
+        low, high = (float(tree.mean[child]) for child in tree.children(i))
         aligned = None if low == high else bool(low > high)
-        evidence[name].append(Evidence(node.split.feature, name,
-                                       node.split.threshold, low, high, aligned))
+        evidence[name].append(Evidence(feature, name, float(tree.threshold[i]),
+                                       low, high, aligned))
 
     verdicts = {}
     for name in tree.feature_names:

@@ -37,26 +37,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="charterseg",
         description="Charter-value segmentation of bank panels with regression trees.",
     )
+    # Flags a subcommand does not read are not defined for it, so argparse rejects them.
+    parser.set_defaults(seed=None, min_leaf=None, trees=None, rescale_scope=None)
+    flags = {
+        "--seed": dict(type=int, help="override config seed"),
+        "--jobs": dict(type=int, default=1, help="worker threads; results do not depend on this"),
+        "--min-leaf": dict(type=int, help="override tree min_leaf"),
+        "--trees": dict(type=int, help="override forest n_trees"),
+        "--rescale-scope": dict(choices=("subsample", "full"),
+                                help="override where score knots are computed"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "load the panel, report row counts, write summary statistics"),
-        ("select", "pick one proxy per group on the full sample, as grow does"),
-        ("grow", "grow and prune a single tree on the full sample"),
-        ("study", "run the full study over all configured subsamples"),
+    for name, help_text, names in (
+        ("ingest", "load the panel, report row counts, write summary statistics", ()),
+        ("select", "pick one proxy per group on the full sample, as grow does",
+         ("--seed", "--trees")),
+        ("grow", "grow and prune a single tree on the full sample",
+         ("--seed", "--min-leaf", "--trees", "--rescale-scope")),
+        ("study", "run the full study over all configured subsamples", tuple(flags)),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
                        help=f"run config JSON (default: ${CONFIG_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads; results do not depend on this")
-        p.add_argument("--min-leaf", type=int, default=None,
-                       help="override tree min_leaf")
-        p.add_argument("--trees", type=int, default=None,
-                       help="override forest n_trees")
-        p.add_argument("--rescale-scope", choices=("subsample", "full"), default=None,
-                       help="override where score knots are computed")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -131,9 +136,9 @@ def _print_study_summary(result) -> None:
         print(f"{r.name.ljust(name_width)}  {r.status:<8} {cells}")
 
 
-def cmd_grow(cfg: RunConfig, jobs: int) -> int:
+def cmd_grow(cfg: RunConfig) -> int:
     cfg = replace(cfg, subsamples=(SubsampleSpec("full", FullSample()),))
-    result = run_study(cfg, jobs=jobs)
+    result = run_study(cfg)
     write_study(result, cfg.out)
     r = result.results[0]
     if r.status != "ok":
@@ -141,8 +146,8 @@ def cmd_grow(cfg: RunConfig, jobs: int) -> int:
         return 1
     print(f"tree on {r.n_rows} rows: {r.tree.n_leaves} leaves "
           f"(alpha {r.trace.chosen_alpha:.6g})")
-    print(f"Q^Min {r.qmin.leaf.mean:.3f} via {r.qmin.describe()}")
-    print(f"Q^Max {r.qmax.leaf.mean:.3f} via {r.qmax.describe()}")
+    print(f"Q^Min {r.qmin.mean:.3f} via {r.qmin.describe()}")
+    print(f"Q^Max {r.qmax.mean:.3f} via {r.qmax.describe()}")
     print(f"wrote {Path(cfg.out) / 'trees'} and {Path(cfg.out) / 'report.md'}")
     return 0
 
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
         if args.command == "select":
             return cmd_select(cfg)
         if args.command == "grow":
-            return cmd_grow(cfg, args.jobs)
+            return cmd_grow(cfg)
         if args.command == "study":
             return cmd_study(cfg, args.jobs)
         raise ChartersegError(f"unknown command {args.command!r}")

@@ -27,9 +27,10 @@ Criterion kinds: {"kind": "all"}, {"kind": "years", "start": Y, "end": Y},
 "codes": ["DE", ...]}, {"kind": "size", "half": "small" | "large"}.
 
 Every value must have its JSON type: "3" is not a number and 3 is not a
-string. RunConfig checks the finished config, so faults in proxy selection
-(duplicate proxy names, a bad selection.fixed, an mtry wider than a forest)
-are found before the panel is read.
+string. Numbers must be finite (json.load reads Infinity and NaN). RunConfig
+checks the finished config, so faults in proxy selection (duplicate proxy
+names, a bad selection.fixed, an mtry wider than a forest) and two subsample
+names that map to one output file name are found before the panel is read.
 
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
@@ -37,6 +38,8 @@ The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -115,6 +118,11 @@ def default_subsamples() -> tuple[SubsampleSpec, ...]:
     )
 
 
+def _slug(name: str) -> str:
+    """The part of a subsample's output file names that comes from its name."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
@@ -140,6 +148,12 @@ class RunConfig:
         names = [s.name for s in self.subsamples]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate subsample names: {names}")
+        by_slug = {}
+        for name in names:
+            first = by_slug.setdefault(_slug(name), name)
+            if first != name:
+                raise ConfigError(f"subsample names {first!r} and {name!r} would both write "
+                                  f"files named {_slug(name)!r}")
         proxy_names = [p.name for p in self.proxies]
         dupes = sorted({n for n in proxy_names if proxy_names.count(n) > 1})
         if dupes:
@@ -178,7 +192,9 @@ def _object(obj, fields: dict, where: str) -> dict:
 
 
 def _number(kind, value, key: str):
-    """A JSON number as int or float; anything else, or a lossy conversion, names the key."""
+    """A finite JSON number as int or float; anything else, or a lossy conversion, names the key."""
+    if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     out = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -331,6 +347,6 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge integers
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(doc)

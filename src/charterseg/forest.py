@@ -61,8 +61,7 @@ def _grow_one(X, y, feature_names, tree_params: TreeParams, mtry: int, seed: int
         # Sorted so tie-breaking matches single-tree growth when mtry == m.
         return np.sort(rng.choice(m, size=mtry, replace=False))
 
-    root = _build(Xb, yb, np.arange(n), 0, tree_params, pick)
-    return RegressionTree(root, feature_names, tree_params, n), boot
+    return RegressionTree(*_build(Xb, yb, tree_params, pick), feature_names, tree_params, n), boot
 
 
 def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), seed: int = 0,

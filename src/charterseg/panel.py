@@ -105,6 +105,21 @@ def _parse_cell(text: str, line: int, column: str) -> float:
         raise ParseError(f"expected a number, got {text!r}", line=line, column=column) from None
 
 
+def _records(text: str, path):
+    """(first physical line, fields) per CSV record; a malformed record raises ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    end = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
+        yield end + 1, record
+        end = reader.line_num
+
+
 def load_panel(path, schema: dict[str, str] | None = None,
                window: tuple[int, int] | None = None) -> Panel:
     """Read a bank-year panel from CSV.
@@ -122,8 +137,9 @@ def load_panel(path, schema: dict[str, str] | None = None,
 
     Raises:
         SchemaError: a required column is missing from the header.
-        ParseError: the file is not UTF-8, or a non-blank cell fails
-            numeric parsing.
+        ParseError: the file is not UTF-8, a record is not valid CSV (an
+            unclosed quote, a field over the csv module's size limit), or a
+            non-blank cell fails numeric parsing.
         DuplicateRowError: the same (bank_id, year) appears twice.
     """
     schema = schema or {}
@@ -142,20 +158,17 @@ def load_panel(path, schema: dict[str, str] | None = None,
     exclusions: list[Exclusion] = []
     seen: set[tuple[str, int]] = set()
 
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file, no header row") from None
-    index = {name.strip(): i for i, name in enumerate(header)}
+    records = _records(text, path)
+    header = next(records, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, no header row")
+    index = {name.strip(): i for i, name in enumerate(header[1])}
     needed = KEY_FIELDS + REQUIRED_FIELDS
     missing = [colname[f] for f in needed if colname[f] not in index]
     if missing:
         raise SchemaError(f"{path}: missing required columns {missing}")
 
-    end = reader.line_num
-    for record in reader:
-        line_no, end = end + 1, reader.line_num  # the record's first physical line
+    for line_no, record in records:
         if not record:  # a blank line holds no record
             continue
         def cell(fname: str) -> str:

@@ -178,7 +178,7 @@ class ScoredMatrix:
             raise SchemaError("feature_names and score columns disagree")
         if n != self.response.shape[0] or n != len(self.row_ids):
             raise SchemaError("row count mismatch between scores, response, and row_ids")
-        if n and (self.scores.min() < 1.0 or self.scores.max() > 5.0):
+        if not ((self.scores >= 1.0) & (self.scores <= 5.0)).all():  # NaN fails both
             raise DegenerateInputError("scores must lie within [1, 5]")
 
     @property

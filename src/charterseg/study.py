@@ -11,7 +11,6 @@ produces byte-identical output regardless of worker count.
 from __future__ import annotations
 
 import csv
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from .analysis import (
     group_comparison,
     path_rows,
 )
-from .config import RunConfig, SubsampleSpec
+from .config import RunConfig, SubsampleSpec, _slug
 from .errors import (
     ChartersegError,
     ConfigError,
@@ -268,10 +267,6 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
     return StudyResult(config, tuple(results))
 
 
-def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -347,9 +342,9 @@ def write_study(result: StudyResult, outdir) -> None:
             lines.append(f"- rows: {r.n_rows} (excluded: {len(r.exclusions)})")
             lines.append(f"- tree: {r.tree.n_leaves} leaves, "
                          f"chosen alpha {r.trace.chosen_alpha!r}")
-            lines.append(f"- Q^Min leaf: mean {r.qmin.leaf.mean:.3f}, n {r.qmin.leaf.n}, "
+            lines.append(f"- Q^Min leaf: mean {r.qmin.mean:.3f}, n {r.qmin.n}, "
                          f"share {100 * r.qmin.share:.2f}% via {r.qmin.describe()}")
-            lines.append(f"- Q^Max leaf: mean {r.qmax.leaf.mean:.3f}, n {r.qmax.leaf.n}, "
+            lines.append(f"- Q^Max leaf: mean {r.qmax.mean:.3f}, n {r.qmax.n}, "
                          f"share {100 * r.qmax.share:.2f}% via {r.qmax.describe()}")
             lines.append("- verdicts: " + " | ".join(f"{f}: {v}" for f, v in r.verdicts))
             (trees / f"{slug}.dot").write_text(export_dot(r.tree), encoding="utf-8")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,37 +31,6 @@ class SplitRule:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    n: int
-    mean: float
-    sse: float
-
-
-@dataclass(frozen=True)
-class Internal:
-    split: SplitRule
-    left: "TreeNode"
-    right: "TreeNode"
-    n: int
-    mean: float
-    sse: float
-
-
-TreeNode = Union[Leaf, Internal]
-
-
-def preorder(node: TreeNode) -> list[TreeNode]:
-    """Every node of a subtree, each before its left and then its right subtree."""
-    out, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Internal):
-            stack += [node.right, node.left]
-    return out
-
-
-@dataclass(frozen=True)
 class TreeParams:
     min_leaf: int = 30
     max_depth: Optional[int] = None
@@ -72,35 +42,77 @@ class TreeParams:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
 
 
-@dataclass(frozen=True)
+# The node arrays of a RegressionTree and their dtypes, in field order.
+_NODE_ARRAYS = (("feature", np.intp), ("threshold", float), ("right", np.intp),
+                ("n", np.int64), ("mean", float), ("sse", float))
+
+
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    root: TreeNode
+    """A fitted tree as read-only node arrays in preorder; node 0 is the root.
+
+    Internal node i splits on feature[i] at threshold[i]; its left child is
+    i + 1 and its right child right[i]. A leaf has feature and right -1 and
+    threshold NaN. Every node has its row count n, mean response and SSE, and
+    every subtree is a contiguous preorder range.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    n: np.ndarray
+    mean: np.ndarray
+    sse: np.ndarray
     feature_names: tuple[str, ...]
     params: TreeParams
     total_n: int
+
+    def __post_init__(self):
+        for name, dtype in _NODE_ARRAYS:
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def _levels(self, X: np.ndarray):
+        """Per depth level, the rows of X still descending and the node each has reached."""
+        rows = np.arange(X.shape[0])
+        at = np.zeros(X.shape[0], dtype=np.intp)
+        while rows.size:
+            yield rows, at
+            inner = self.feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            at = np.where(X[rows, self.feature[at]] < self.threshold[at], at + 1, self.right[at])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf mean for each row of X (left when value < threshold)."""
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if isinstance(node, Leaf):
-                out[idx] = node.mean
-                continue
-            go_left = X[idx, node.split.feature] < node.split.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
+        for rows, at in self._levels(X):
+            out[rows] = self.mean[at]
         return out
 
-    def leaves(self) -> list[Leaf]:
-        """Leaves in left-to-right (preorder) order."""
-        return [node for node in preorder(self.root) if isinstance(node, Leaf)]
+    def leaves(self) -> np.ndarray:
+        """Leaf node indices, left to right."""
+        return np.flatnonzero(self.feature < 0)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return int(np.count_nonzero(self.feature < 0))
+
+    def children(self, i: int) -> tuple[int, int]:
+        """Left and right child of internal node i."""
+        return i + 1, int(self.right[i])
+
+    def path(self, leaf: int) -> list[tuple[int, bool]]:
+        """(internal node, goes left) for each split from the root down to leaf."""
+        steps, at = [], 0
+        while at != leaf and self.feature[at] >= 0:
+            left, right = self.children(at)
+            steps.append((at, leaf < right))  # the left subtree is [left, right)
+            at = left if leaf < right else right
+        if at != leaf:
+            raise DegenerateInputError(f"tree has no node {leaf}")
+        return steps
 
 
 def node_sse(responses) -> tuple[float, float]:
@@ -178,24 +190,36 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
     return best
 
 
-def _build(X, y, idx, depth, params: TreeParams,
-           pick_features: Optional[Callable[[], np.ndarray]] = None) -> TreeNode:
-    ysub = y[idx]
-    mean, sse = node_sse(ysub)
-    n = idx.size
-    if n < 2 * params.min_leaf:
-        return Leaf(int(n), mean, sse)
-    if params.max_depth is not None and depth >= params.max_depth:
-        return Leaf(int(n), mean, sse)
-    cand = pick_features() if pick_features is not None else None
-    found = best_split(X[idx], ysub, params.min_leaf, feature_indices=cand)
-    if found is None:
-        return Leaf(int(n), mean, sse)
-    rule, _ = found
-    go_left = X[idx, rule.feature] < rule.threshold
-    left = _build(X, y, idx[go_left], depth + 1, params, pick_features)
-    right = _build(X, y, idx[~go_left], depth + 1, params, pick_features)
-    return Internal(rule, left, right, int(n), mean, sse)
+def _build(X, y, params: TreeParams,
+           pick_features: Optional[Callable[[], np.ndarray]] = None) -> list[tuple]:
+    """The node columns of a RegressionTree grown on every row, in preorder.
+
+    pick_features is called at each node before its subtrees are grown.
+    """
+    nodes = []  # [feature, threshold, right, n, mean, sse] per node
+
+    def split(idx, depth):
+        ysub = y[idx]
+        mean, sse = node_sse(ysub)
+        node = [-1, np.nan, -1, int(idx.size), mean, sse]
+        nodes.append(node)
+        if idx.size < 2 * params.min_leaf:
+            return
+        if params.max_depth is not None and depth >= params.max_depth:
+            return
+        cand = pick_features() if pick_features is not None else None
+        found = best_split(X[idx], ysub, params.min_leaf, feature_indices=cand)
+        if found is None:
+            return
+        rule, _ = found
+        node[:2] = rule.feature, rule.threshold
+        go_left = X[idx, rule.feature] < rule.threshold
+        split(idx[go_left], depth + 1)
+        node[2] = len(nodes)
+        split(idx[~go_left], depth + 1)
+
+    split(np.arange(len(y)), 0)
+    return list(zip(*nodes))
 
 
 def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionTree:
@@ -208,30 +232,31 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionT
     n = matrix.n_rows
     if n < params.min_leaf:
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
-    root = _build(matrix.scores, matrix.response, np.arange(n), 0, params)
-    return RegressionTree(root, matrix.feature_names, params, n)
+    return RegressionTree(*_build(matrix.scores, matrix.response, params),
+                          matrix.feature_names, params, n)
 
 
-def _collapse_schedule(root: TreeNode) -> list[tuple[float, Internal, int]]:
-    """Weakest-link collapses in order, as (penalty, node, leaves removed).
+def _collapse_schedule(tree: RegressionTree) -> list[tuple[float, int, int]]:
+    """Weakest-link collapses in order, as (penalty, node index, leaves removed).
 
     Each step folds the internal node of least g = (its SSE - its leaves' SSE)
     / (its leaves - 1), ties to the earlier in preorder, until the root is a
     leaf. A step's penalty is the largest g so far (g need not ascend), so
     pruning at alpha takes exactly the steps whose penalty is at most alpha.
     """
-    nodes = preorder(root)
-    at = {id(t): i for i, t in enumerate(nodes)}
-    internal = [i for i, t in enumerate(nodes) if isinstance(t, Internal)]
-    parent = {at[id(c)]: i for i in internal for c in (nodes[i].left, nodes[i].right)}
-    leaves, leaf_sse = [1] * len(nodes), [t.sse for t in nodes]
-    stamp = [0] * len(nodes)  # heap entries with another stamp are stale
+    right, sse = tree.right.tolist(), tree.sse.tolist()
+    internal = [i for i, r in enumerate(right) if r >= 0]
+    parent = [-1] * len(right)
+    for i in internal:
+        parent[i + 1] = parent[right[i]] = i
+    leaves, leaf_sse = [1] * len(right), list(sse)
+    stamp = [0] * len(right)  # heap entries with another stamp are stale
 
     def refresh(i: int) -> tuple[float, int, int]:
-        left, right = at[id(nodes[i].left)], at[id(nodes[i].right)]
-        leaves[i], leaf_sse[i] = leaves[left] + leaves[right], leaf_sse[left] + leaf_sse[right]
+        left, r = i + 1, right[i]
+        leaves[i], leaf_sse[i] = leaves[left] + leaves[r], leaf_sse[left] + leaf_sse[r]
         stamp[i] += 1
-        return (nodes[i].sse - leaf_sse[i]) / (leaves[i] - 1), i, stamp[i]
+        return (sse[i] - leaf_sse[i]) / (leaves[i] - 1), i, stamp[i]
 
     heap = [refresh(i) for i in reversed(internal)]  # children before their parent
     heapq.heapify(heap)
@@ -241,27 +266,33 @@ def _collapse_schedule(root: TreeNode) -> list[tuple[float, Internal, int]]:
         g, i, s = heapq.heappop(heap)
         if s == stamp[i]:
             penalty = max(penalty, g)
-            steps.append((penalty, nodes[i], leaves[i] - 1))
+            steps.append((penalty, i, leaves[i] - 1))
             # A collapse changes only its ancestors' g; re-add their leaf SSE sums.
             stamp[i:i + size[i]] = [-1] * size[i]
-            leaves[i], leaf_sse[i] = 1, nodes[i].sse
-            while i in parent:
+            leaves[i], leaf_sse[i] = 1, sse[i]
+            while parent[i] >= 0:
                 i = parent[i]
                 heapq.heappush(heap, refresh(i))
     return steps
 
 
-def _cut(node: TreeNode, cut: set[int]) -> TreeNode:
-    if isinstance(node, Leaf) or id(node) in cut:
-        return Leaf(node.n, node.mean, node.sse)
-    return Internal(node.split, _cut(node.left, cut), _cut(node.right, cut),
-                    node.n, node.mean, node.sse)
-
-
 def prune_at(tree: RegressionTree, alpha: float) -> RegressionTree:
     """Collapse internal nodes while the weakest link costs at most alpha."""
-    cut = {id(node) for penalty, node, _ in _collapse_schedule(tree.root) if penalty <= alpha}
-    return RegressionTree(_cut(tree.root, cut), tree.feature_names, tree.params, tree.total_n)
+    right = tree.right.tolist()
+    cut, gone = [False] * len(right), [False] * len(right)  # gone: below a cut node
+    for penalty, i, _ in _collapse_schedule(tree):
+        cut[i] = penalty <= alpha
+    for i, r in enumerate(right):
+        if r >= 0:
+            gone[i + 1] = gone[r] = gone[i] or cut[i]
+    keep = ~np.array(gone)
+    renumber = np.cumsum(keep) - 1
+    inner = (tree.feature >= 0) & ~np.array(cut)
+    return RegressionTree(np.where(inner, tree.feature, -1)[keep],
+                          np.where(inner, tree.threshold, np.nan)[keep],
+                          np.where(inner, renumber[tree.right], -1)[keep],
+                          tree.n[keep], tree.mean[keep], tree.sse[keep],
+                          tree.feature_names, tree.params, tree.total_n)
 
 
 @dataclass(frozen=True)
@@ -285,7 +316,7 @@ class PruneTrace:
 def cost_complexity_sequence(tree: RegressionTree) -> PruneTrace:
     """Strictly ascending collapse penalties and the nested subtree sizes."""
     alphas, sizes = [], [tree.n_leaves]
-    for penalty, _, removed in _collapse_schedule(tree.root):
+    for penalty, _, removed in _collapse_schedule(tree):
         # Steps sharing a penalty fold together, so alphas strictly ascend.
         if not alphas or penalty > alphas[-1]:
             alphas.append(float(penalty))
@@ -296,9 +327,8 @@ def cost_complexity_sequence(tree: RegressionTree) -> PruneTrace:
 
 def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) -> RegressionTree:
     sub = matrix.take(train_idx)
-    if sub.n_rows < params.min_leaf:
-        mean, sse = node_sse(sub.response)
-        return RegressionTree(Leaf(sub.n_rows, mean, sse), matrix.feature_names,
+    if sub.n_rows < params.min_leaf:  # too few rows for grow, so a single leaf
+        return RegressionTree(*_build(sub.scores, sub.response, params), matrix.feature_names,
                               params, sub.n_rows)
     return grow(sub, params)
 
@@ -309,18 +339,16 @@ def _pruned_predictions(tree: RegressionTree, X: np.ndarray, alphas) -> np.ndarr
     Each row is routed once. At alpha it stops at the first node on its path
     whose penalty is at most alpha (every ancestor's exceeds it), else at its leaf.
     """
-    penalties = {id(node): penalty for penalty, node, _ in _collapse_schedule(tree.root)}
+    penalty = np.where(tree.feature >= 0, np.inf, -np.inf)
+    for p, i, _ in _collapse_schedule(tree):
+        penalty[i] = p
     alphas = np.asarray(alphas, dtype=float)
     out = np.empty((alphas.size, X.shape[0]))
-    stack = [(tree.root, np.arange(X.shape[0]), np.inf)]
-    while stack:
-        node, rows, above = stack.pop()
-        penalty = penalties.get(id(node), np.inf) if isinstance(node, Internal) else -np.inf
-        out[np.ix_((penalty <= alphas) & (alphas < above), rows)] = node.mean
-        if isinstance(node, Internal):
-            go_left = X[rows, node.split.feature] < node.split.threshold
-            stack.append((node.left, rows[go_left], min(above, penalty)))
-            stack.append((node.right, rows[~go_left], min(above, penalty)))
+    above = np.full(X.shape[0], np.inf)  # least penalty of each row's ancestors so far
+    for rows, at in tree._levels(X):
+        stop, ai = np.nonzero((penalty[at, None] <= alphas) & (alphas < above[rows, None]))
+        out[ai, rows[stop]] = tree.mean[at[stop]]
+        above[rows] = np.minimum(above[rows], penalty[at])
     return out
 
 
@@ -387,110 +415,124 @@ def extreme_leaf_indices(tree: RegressionTree) -> tuple[int, int]:
     Ties break to the larger leaf, then the leftmost position.
     """
     leaves = tree.leaves()
-    lo = min(range(len(leaves)), key=lambda i: (leaves[i].mean, -leaves[i].n))
-    hi = max(range(len(leaves)), key=lambda i: (leaves[i].mean, leaves[i].n))
+    mean, n = tree.mean[leaves].tolist(), tree.n[leaves].tolist()
+    lo = min(range(len(leaves)), key=lambda i: (mean[i], -n[i]))
+    hi = max(range(len(leaves)), key=lambda i: (mean[i], n[i]))
     return lo, hi  # min and max keep the first of equal keys
 
 
 def export_dot(tree: RegressionTree, labels=None) -> str:
     """Graphviz digraph: splits as "name < threshold", leaves as n and mean.
 
-    The minimum- and maximum-mean leaves carry Q^Min / Q^Max annotations.
+    Node i is named n{i}. The minimum- and maximum-mean leaves carry Q^Min /
+    Q^Max annotations.
     """
     names = list(labels) if labels is not None else list(tree.feature_names)
-    lo, hi = extreme_leaf_indices(tree)
-
-    order = preorder(tree.root)
-    ids = {id(node): f"n{i}" for i, node in enumerate(order)}
+    lo, hi = (int(tree.leaves()[k]) for k in extreme_leaf_indices(tree))
+    feature, threshold, right, n, mean = (a.tolist() for a in (
+        tree.feature, tree.threshold, tree.right, tree.n, tree.mean))
 
     lines = ["digraph tree {", "  node [shape=box];"]
-    leaf_pos = 0
-    for node in order:
-        if isinstance(node, Leaf):
-            tag = ""
-            if leaf_pos == lo:
-                tag += "\\nQ^Min"
-            if leaf_pos == hi:
-                tag += "\\nQ^Max"
-            leaf_pos += 1
-            label = f"n={node.n}\\nQ={node.mean:.3f}{tag}"
+    for i, f in enumerate(feature):
+        if f < 0:
+            tag = ("\\nQ^Min" if i == lo else "") + ("\\nQ^Max" if i == hi else "")
+            label = f"n={n[i]}\\nQ={mean[i]:.3f}{tag}"
         else:
-            name = names[node.split.feature].replace('"', r'\"')
-            label = f"{name} < {node.split.threshold:.3f}"
-        lines.append(f'  {ids[id(node)]} [label="{label}"];')
-    for node in order:
-        if isinstance(node, Internal):
-            lines.append(f"  {ids[id(node)]} -> {ids[id(node.left)]};")
-            lines.append(f"  {ids[id(node)]} -> {ids[id(node.right)]};")
+            name = names[f].replace('"', r'\"')
+            label = f"{name} < {threshold[i]:.3f}"
+        lines.append(f'  n{i} [label="{label}"];')
+    for i, r in enumerate(right):
+        if r >= 0:
+            lines.append(f"  n{i} -> n{i + 1};")
+            lines.append(f"  n{i} -> n{r};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"n": node.n, "mean": node.mean, "sse": node.sse}
-    return {
-        "split": {"feature": node.split.feature, "threshold": node.split.threshold},
-        "n": node.n,
-        "mean": node.mean,
-        "sse": node.sse,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
 def export_json(tree: RegressionTree) -> str:
-    """Lossless JSON text for a tree; float fields keep full precision."""
-    doc = {
-        "format": "charterseg-tree",
-        "version": 1,
-        "feature_names": list(tree.feature_names),
-        "total_n": tree.total_n,
-        "params": {"min_leaf": tree.params.min_leaf, "max_depth": tree.params.max_depth},
-        "root": _node_to_dict(tree.root),
-    }
+    """Lossless JSON text for a tree, nested from the root; floats keep full precision."""
+    feature, threshold, right, n, mean, sse = (getattr(tree, name).tolist()
+                                               for name, _ in _NODE_ARRAYS)
+
+    def node(i: int) -> dict:
+        stats = {"n": n[i], "mean": mean[i], "sse": sse[i]}
+        if feature[i] < 0:
+            return stats
+        return {"split": {"feature": feature[i], "threshold": threshold[i]}, **stats,
+                "left": node(i + 1), "right": node(right[i])}
+
+    doc = {"format": "charterseg-tree", "version": 1,
+           "feature_names": list(tree.feature_names), "total_n": tree.total_n,
+           "params": {"min_leaf": tree.params.min_leaf, "max_depth": tree.params.max_depth},
+           "root": node(0)}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _node_from_dict(obj, n_features: int) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ParseError(f"tree node must be an object, got {type(obj).__name__}")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"tree {where} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _integer(obj: dict, key: str, where: str, low: int = 0, high: int = 2 ** 63) -> int:
+    """obj[key] as a JSON integer (not a bool) in [low, high); counts fit in int64."""
+    value = obj.get(key)
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value < high:
+        return value
+    bound = f"in [{low}, {high})" if high < 2 ** 63 else f">= {low}"
+    raise ParseError(f"tree {where}.{key} must be an integer {bound}, got {value!r}")
+
+
+def _real(obj: dict, key: str, where: str) -> float:
+    """obj[key] as a finite JSON number (not a bool)."""
+    value = obj.get(key)
     try:
-        n = int(obj["n"])
-        mean = float(obj["mean"])
-        sse = float(obj["sse"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"tree node missing or malformed stats: {exc}") from None
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ParseError(f"tree {where}.{key} must be a finite number, got {value!r}")
+
+
+def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
+    """Append the nodes of a nested export_json subtree to nodes, in preorder."""
+    obj = _object(obj, where)
+    node = [-1, np.nan, -1, _integer(obj, "n", where), _real(obj, "mean", where),
+            _real(obj, "sse", where)]
+    nodes.append(node)
     if "split" not in obj:
-        return Leaf(n, mean, sse)
-    try:
-        split = obj["split"]
-        feature = int(split["feature"])
-        threshold = float(split["threshold"])
-        left = _node_from_dict(obj["left"], n_features)
-        right = _node_from_dict(obj["right"], n_features)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed split node: {exc}") from None
-    if not 0 <= feature < n_features:
-        raise ParseError(f"split feature index {feature} out of range")
-    return Internal(SplitRule(feature, threshold), left, right, n, mean, sse)
+        return
+    split = _object(obj["split"], f"{where}.split")
+    node[:2] = (_integer(split, "feature", f"{where}.split", high=n_features),
+                _real(split, "threshold", f"{where}.split"))
+    _read_node(obj.get("left"), f"{where}.left", n_features, nodes)
+    node[2] = len(nodes)
+    _read_node(obj.get("right"), f"{where}.right", n_features, nodes)
 
 
 def import_json(text: str) -> RegressionTree:
-    """Parse a tree produced by export_json; malformed input raises ParseError."""
+    """Parse a tree produced by export_json; malformed input raises ParseError.
+
+    Counts and feature indices must be JSON integers, node statistics and
+    thresholds finite JSON numbers, and feature_names a list of strings.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _object(json.loads(text), "document")
+        if doc.get("format") != "charterseg-tree":
+            raise ParseError("not a charterseg tree document")
+        names = doc.get("feature_names")
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise ParseError(f"tree feature_names must be a list of strings, got {names!r}")
+        given = _object(doc.get("params"), "params")
+        max_depth = given.get("max_depth")
+        if max_depth is not None:
+            max_depth = _integer(given, "max_depth", "params")
+        params = TreeParams(_integer(given, "min_leaf", "params", low=1), max_depth)
+        total_n = _integer(doc, "total_n", "document")
+        nodes = []
+        _read_node(doc.get("root"), "root", len(names), nodes)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over 4,300 digits
         raise ParseError(f"invalid tree JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "charterseg-tree":
-        raise ParseError("not a charterseg tree document")
-    try:
-        names = tuple(str(x) for x in doc["feature_names"])
-        max_depth = doc["params"]["max_depth"]
-        params = TreeParams(int(doc["params"]["min_leaf"]),
-                            None if max_depth is None else int(max_depth))
-        total_n = int(doc["total_n"])
-        root = _node_from_dict(doc["root"], len(names))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tree document: {exc}") from None
-    return RegressionTree(root, names, params, total_n)
+    except RecursionError:
+        raise ParseError("tree JSON nests too deeply") from None
+    return RegressionTree(*zip(*nodes), tuple(names), params, total_n)

@@ -8,12 +8,62 @@ rather than tautology.
 
 from __future__ import annotations
 
+import copy
+import json
 import re
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from charterseg.rescale import ScoredMatrix
-from charterseg.tree import Internal, Leaf, RegressionTree, SplitRule, TreeParams
+from charterseg.tree import RegressionTree, SplitRule, export_json, import_json
+
+
+# The oracles' own tree form: nested frozen nodes, read from and written to
+# the nested document of export_json / import_json, so that they stay
+# independent of the library's array layout.
+
+
+@dataclass(frozen=True)
+class Leaf:
+    n: int
+    mean: float
+    sse: float
+
+
+@dataclass(frozen=True)
+class Internal:
+    split: SplitRule
+    left: "TreeNode"
+    right: "TreeNode"
+    n: int
+    mean: float
+    sse: float
+
+
+TreeNode = Union[Leaf, Internal]
+
+
+def _node_from_doc(obj) -> TreeNode:
+    if "split" not in obj:
+        return Leaf(obj["n"], obj["mean"], obj["sse"])
+    split = SplitRule(obj["split"]["feature"], obj["split"]["threshold"])
+    return Internal(split, _node_from_doc(obj["left"]), _node_from_doc(obj["right"]),
+                    obj["n"], obj["mean"], obj["sse"])
+
+
+def _node_to_doc(node: TreeNode) -> dict:
+    stats = {"n": node.n, "mean": node.mean, "sse": node.sse}
+    if isinstance(node, Leaf):
+        return stats
+    return {"split": {"feature": node.split.feature, "threshold": node.split.threshold},
+            **stats, "left": _node_to_doc(node.left), "right": _node_to_doc(node.right)}
+
+
+def root(tree: RegressionTree) -> TreeNode:
+    """The tree's root in the oracles' node form, read back from export_json."""
+    return _node_from_doc(json.loads(export_json(tree))["root"])
 
 
 def direct_sse(y) -> float:
@@ -110,9 +160,13 @@ def consistent_internal(split, left, right):
     return Internal(split, left, right, n, mean, sse)
 
 
-def build_tree(node, names, total_n=None, min_leaf=1) -> RegressionTree:
+def build_tree(node, names, total_n=None, min_leaf=1, max_depth=None) -> RegressionTree:
+    """A library tree from oracle nodes, through import_json."""
     tn = total_n if total_n is not None else node.n
-    return RegressionTree(node, tuple(names), TreeParams(min_leaf=min_leaf), tn)
+    return import_json(json.dumps({
+        "format": "charterseg-tree", "version": 1, "feature_names": list(names),
+        "total_n": tn, "params": {"min_leaf": min_leaf, "max_depth": max_depth},
+        "root": _node_to_doc(node)}))
 
 
 def check_stats_consistency(node, rel=1e-9):
@@ -137,9 +191,9 @@ def same_topology(a, b) -> bool:
     ulp when the same row set is visited in a different order.
     """
     if isinstance(a, RegressionTree):
-        a = a.root
+        a = root(a)
     if isinstance(b, RegressionTree):
-        b = b.root
+        b = root(b)
     if isinstance(a, Leaf) and isinstance(b, Leaf):
         return a.n == b.n
     if isinstance(a, Internal) and isinstance(b, Internal):
@@ -196,20 +250,21 @@ def reference_collapses(tree, alpha=float("inf")):
     Collapses the (g, preorder path)-least internal node while its g is at
     most alpha. Returns the pruned tree and the (g, path) of each collapse.
     """
-    root, done = tree.root, []
-    while isinstance(root, Internal):
-        g, path, _ = min(weakest_links(root), key=lambda item: (item[0], item[1]))
+    node, done = root(tree), []
+    while isinstance(node, Internal):
+        g, path, _ = min(weakest_links(node), key=lambda item: (item[0], item[1]))
         if g > alpha:
             break
-        root = collapse(root, path)
+        node = collapse(node, path)
         done.append((g, path))
-    return RegressionTree(root, tree.feature_names, tree.params, tree.total_n), done
+    return build_tree(node, tree.feature_names, tree.total_n, tree.params.min_leaf,
+                      tree.params.max_depth), done
 
 
 def reference_predict(tree, feature_row) -> float:
     """Route one feature row to its leaf mean (left if value < threshold)."""
     row = np.asarray(feature_row, dtype=float)
-    node = tree.root
+    node = root(tree)
     while isinstance(node, Internal):
         node = node.left if row[node.split.feature] < node.split.threshold else node.right
     return node.mean
@@ -223,16 +278,16 @@ def reference_cost_complexity_sequence(tree):
     """(alphas, subtree sizes): each alpha collapses every link costing at most it."""
     sizes = [tree.n_leaves]
     alphas = []
-    root = tree.root
-    while isinstance(root, Internal):
-        alpha = min(g for g, _, _ in weakest_links(root))
-        while isinstance(root, Internal):
-            g, path, _ = min(weakest_links(root), key=lambda item: (item[0], item[1]))
+    node = root(tree)
+    while isinstance(node, Internal):
+        alpha = min(g for g, _, _ in weakest_links(node))
+        while isinstance(node, Internal):
+            g, path, _ = min(weakest_links(node), key=lambda item: (item[0], item[1]))
             if g > alpha:
                 break
-            root = collapse(root, path)
+            node = collapse(node, path)
         alphas.append(float(alpha))
-        sizes.append(subtree_leaf_stats(root)[0])
+        sizes.append(subtree_leaf_stats(node)[0])
     return tuple(alphas), tuple(sizes)
 
 
@@ -306,3 +361,24 @@ def panel_csv_text(rows, header=None):
     for row in rows:
         lines.append(",".join(str(row.get(col, "")) for col in header))
     return "\n".join(lines) + "\n"
+
+
+def json_paths(obj, prefix=()):
+    """The key path of every value in a JSON document, the root's () included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of a JSON document with the value at path replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc

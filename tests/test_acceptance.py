@@ -23,8 +23,9 @@ from charterseg.seeding import derive_seed
 from charterseg.select import select_proxies
 from charterseg.stats import _kolmogorov_sf, ks_two_sample
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
-from charterseg.tree import Internal, Leaf, TreeParams, best_split, cv_prune, grow
-from helpers import brute_force_best_split, brute_force_ks_d, random_matrix
+from charterseg.tree import TreeParams, best_split, cv_prune, grow
+import helpers
+from helpers import Internal, Leaf, brute_force_best_split, brute_force_ks_d, random_matrix
 from test_study_cli import bundle_digests, fast_config, synth_panel_csv
 
 
@@ -87,19 +88,19 @@ def test_criterion_02_sse_decomposition(three_split_spec):
         internal_nodes = 0
         for _ in range(30):
             tree = grow(random_matrix(rng), TreeParams(min_leaf=5))
-            internal_nodes += check(tree.root)
+            internal_nodes += check(helpers.root(tree))
         for seed in range(5):
             panel = generate_synthetic_panel(three_split_spec, n=400,
                                              noise_sigma=0.01, seed=seed)
             tree = grow(planted_matrix(panel, three_split_spec),
                         TreeParams(min_leaf=30))
-            internal_nodes += check(tree.root)
+            internal_nodes += check(helpers.root(tree))
         assert internal_nodes > 100
 
 
 def _matches_planted(tree) -> bool:
     """Exact planted topology, thresholds within half the 0.25 grid step."""
-    root = tree.root
+    root = helpers.root(tree)
     names = tree.feature_names
     if not isinstance(root, Internal):
         return False
@@ -218,8 +219,8 @@ def test_criterion_07_reference_tree_fixture(reference_tree):
     """The six-leaf reference tree reproduces its expected verdict row."""
     with criterion(7, "reference tree: extreme leaves and verdict row"):
         qmin, qmax = extreme_leaves(reference_tree)
-        assert qmin.leaf.mean == 0.887
-        assert qmax.leaf.mean == 1.079
+        assert qmin.mean == 0.887
+        assert qmax.mean == 1.079
         assert [(s.name, s.threshold, s.side) for s in qmin.steps] == [
             ("C", 1.986, "lt"), ("S", 3.140, "lt"),
             ("L", 2.446, "ge"), ("C", 1.650, "lt"),

@@ -18,8 +18,8 @@ from charterseg.analysis import (
     significance_stars,
 )
 from charterseg.errors import DegenerateInputError
-from charterseg.tree import Leaf, SplitRule, grow, TreeParams
-from helpers import build_tree, consistent_internal, make_matrix
+from charterseg.tree import SplitRule, grow, TreeParams
+from helpers import Leaf, build_tree, consistent_internal, make_matrix
 
 
 def stump(lmean, rmean, feature=0, thr=3.0, n=10):
@@ -32,7 +32,7 @@ def stump(lmean, rmean, feature=0, thr=3.0, n=10):
 def test_single_leaf_paths():
     tree = build_tree(Leaf(7, 1.1, 0.2), ["C"], min_leaf=1)
     qmin, qmax = extreme_leaves(tree)
-    assert qmin.leaf is qmax.leaf
+    assert qmin.leaf == qmax.leaf
     assert qmin.steps == ()
     assert qmin.share == 1.0
     assert qmin.describe() == "(root)"
@@ -41,8 +41,8 @@ def test_single_leaf_paths():
 def test_stump_paths_and_shares():
     tree = stump(0.9, 1.2)
     qmin, qmax = extreme_leaves(tree)
-    assert qmin.leaf.mean == 0.9
-    assert qmax.leaf.mean == 1.2
+    assert qmin.mean == 0.9
+    assert qmax.mean == 1.2
     assert [s.side for s in qmin.steps] == ["lt"]
     assert [s.side for s in qmax.steps] == ["ge"]
     assert qmin.steps[0].name == "C"
@@ -53,10 +53,10 @@ def test_stump_paths_and_shares():
 
 def test_reference_tree_extremes(reference_tree):
     qmin, qmax = extreme_leaves(reference_tree)
-    assert qmin.leaf.mean == pytest.approx(0.887, abs=1e-12)
-    assert qmax.leaf.mean == pytest.approx(1.079, abs=1e-12)
-    assert qmin.leaf.n == 60
-    assert qmax.leaf.n == 510
+    assert qmin.mean == pytest.approx(0.887, abs=1e-12)
+    assert qmax.mean == pytest.approx(1.079, abs=1e-12)
+    assert qmin.n == 60
+    assert qmax.n == 510
     assert qmin.share == pytest.approx(60 / 900)
     assert [(s.name, s.threshold, s.side) for s in qmin.steps] == [
         ("C", 1.986, "lt"), ("S", 3.140, "lt"), ("L", 2.446, "ge"),
@@ -70,7 +70,7 @@ def test_reference_tree_extremes(reference_tree):
 def test_leaf_share_requires_rows():
     tree = build_tree(Leaf(3, 1.0, 0.0), ["C"], total_n=0, min_leaf=1)
     with pytest.raises(DegenerateInputError):
-        leaf_share(tree, tree.root)
+        leaf_share(tree, 0)
 
 
 def test_path_rows_match_leaf_counts():
@@ -82,8 +82,8 @@ def test_path_rows_match_leaf_counts():
     qmin, qmax = extreme_leaves(tree)
     for path in (qmin, qmax):
         mask = path_rows(matrix, path)
-        assert int(mask.sum()) == path.leaf.n
-        assert float(y[mask].mean()) == pytest.approx(path.leaf.mean, rel=1e-9)
+        assert int(mask.sum()) == path.n
+        assert float(y[mask].mean()) == pytest.approx(path.mean, rel=1e-9)
 
 
 def test_verdict_stump_aligned():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -22,6 +21,7 @@ from charterseg.config import (
 from charterseg.errors import ChartersegError, ConfigError
 from charterseg.panel import Countries, FullSample, SizeHalf, YearRange
 from charterseg.rescale import DEFAULT_PROXY_SPECS
+from helpers import json_paths, replaced
 
 
 def test_empty_document_gives_defaults():
@@ -180,10 +180,31 @@ def test_country_group_criteria():
     ({"tree": {"prune_rule": 1}}, "tree.prune_rule must be a string"),
     ({"selection": {"mode": True}}, "selection.mode must be a string"),
     ({"selection": {"forest_scope": 0}}, "selection.forest_scope must be a string"),
+    # json.load reads the literals Infinity and NaN as floats.
+    ({"proxies": [{"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
+                   "direction": "decreasing", "mode": "threshold",
+                   "threshold": float("inf")}]}, "proxies[0].threshold must be finite, got inf"),
+    ({"proxies": [{"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
+                   "direction": "decreasing", "mode": "threshold",
+                   "threshold": float("nan")}]}, "proxies[0].threshold must be finite, got nan"),
+    ({"seed": float("-inf")}, "seed must be finite, got -inf"),
+    ({"subsamples": [{"name": "early years", "criterion": {"kind": "all"}},
+                     {"name": "early_years", "criterion": {"kind": "all"}}]},
+     "subsample names 'early years' and 'early_years' would both write files named "
+     "'early_years'"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(doc)
+
+
+def test_infinity_in_the_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"proxies": [{"name": "Capt_x", "group": "C", "raw_field": '
+                    '"capital_ratio", "direction": "decreasing", "mode": "threshold", '
+                    '"threshold": Infinity}]}', encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape("proxies[0].threshold must be finite")):
+        load_config(path)
 
 
 def test_duplicate_proxy_names_are_config_errors():
@@ -242,6 +263,19 @@ def test_load_config(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("data", [
+    b'{"out": "r\xe9sum\xe9"}',  # Latin-1, not UTF-8
+    b"[" * 100_000,
+    b'{"seed": 1' + b"0" * 5000 + b"}",  # past the 4,300-digit limit of int()
+], ids=["latin1", "deep", "huge_integer"])
+def test_unreadable_config_json_is_a_config_error(tmp_path, data):
+    # Each of these used to escape load_config as a ValueError or RecursionError.
+    path = tmp_path / "run.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
 def test_env_var_name_is_stable():
     assert CONFIG_ENV_VAR == "CHARTERSEG_CONFIG"
 
@@ -274,24 +308,9 @@ _BASE = {"data": {"path": "p.csv", "columns": {"mve": "MarketCap"}, "window": [2
      "seed": 99, "out": "run1"}
 
 
-def _paths(obj, prefix=()):
-    yield prefix
-    items = obj.items() if isinstance(obj, dict) else (
-        enumerate(obj) if isinstance(obj, list) else ())
-    for key, value in items:
-        yield from _paths(value, prefix + (key,))
-
-
 def _replaced(path, value):
     """_BASE with the value at path replaced."""
-    doc = copy.deepcopy(_BASE)
-    if not path:
-        return value
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
+    return replaced(_BASE, path, value)
 
 
 _EDGES = [None, True, 0, -1, 2.5, 1e308, float("inf"), float("-inf"), float("nan"), 2 ** 64,
@@ -304,7 +323,7 @@ _VALUES = st.recursive(
                    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner,
                                      max_size=5)),
     max_leaves=12)
-_PLACES = list(_paths(_BASE))
+_PLACES = list(json_paths(_BASE))
 _DOCUMENTS = st.one_of(
     st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), _VALUES, max_size=6),
     # One value of a valid document replaced, by an edge case or by any value.

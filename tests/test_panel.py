@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from charterseg.errors import (
+    ChartersegError,
     DegenerateInputError,
     DuplicateRowError,
     EmptySubsampleError,
@@ -184,10 +189,53 @@ def test_load_non_utf8_is_a_located_parse_error(tmp_path):
     assert err.value.line == 3
 
 
+# A cell over the csv module's field size limit (131,072 characters) used to
+# escape as _csv.Error; a quote left open at the end of the file used to load.
+@pytest.mark.parametrize("cell, message", [
+    ("1" * 140_000, "field larger than field limit"),
+    ('"1,1,1', "unexpected end of data"),
+], ids=["huge_cell", "open_quote"])
+def test_load_malformed_csv_is_a_located_parse_error(tmp_path, cell, message):
+    text = panel_csv_text([base_row(), base_row(bank_id="b2", mve=cell)])
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as err:
+        load_panel(path)
+    assert err.value.line == 3
+
+
 def test_load_provenance_is_the_file_digest(tmp_path):
     path = write_csv(tmp_path / "p.csv", [base_row()])
     want = hashlib.sha256(path.read_bytes()).hexdigest()
     assert load_panel(path).provenance == f"sha256:{want}"
+
+
+_CELLS = ["", " ", "1", "-2.5", "1e999", "nan", "inf", "x", "DE", "PT", "b1", "2008",
+          "20o8", '"', '"a', 'a"b', '"a""b"', '"1,2"', "\r", "\x00", ",", "1" * 140_000]
+_CELL = st.sampled_from(_CELLS) | st.text(max_size=5)
+_HEADER = st.one_of(st.just(FULL_HEADER), st.lists(st.sampled_from(FULL_HEADER) | _CELL,
+                                                   max_size=12))
+_CSV_TEXTS = st.builds(lambda header, rows, end: "\n".join(map(",".join, [header, *rows])) + end,
+                       _HEADER, st.lists(st.lists(_CELL, max_size=21), max_size=5),
+                       st.sampled_from(["", "\n", "\r\n", '"']))
+_PANEL_BYTES = st.one_of(_CSV_TEXTS.map(str.encode), st.binary(max_size=60),
+                         st.builds(bytes.__add__, _CSV_TEXTS.map(str.encode),
+                                   st.binary(max_size=4)))
+
+
+@seed(20240611)
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_PANEL_BYTES, st.one_of(st.none(), st.just((2005, 2010))))
+def test_load_panel_fuzz_raises_only_charterseg_errors(data, window):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(data)
+        try:
+            panel = load_panel(path, window=window)
+        except ChartersegError:
+            return
+    assert isinstance(panel, Panel)
 
 
 # ------------------------------------------------------- panel builders

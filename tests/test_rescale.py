@@ -255,6 +255,13 @@ def test_scored_matrix_validates_range():
         scored([[5.5], [2.0]])
 
 
+def test_scored_matrix_rejects_nan_scores():
+    # NaN compares false with both bounds, so a min/max range check lets it through.
+    with pytest.raises(DegenerateInputError, match=r"within \[1, 5\]"):
+        scored([[2.0], [np.nan]])
+    assert scored(np.empty((0, 2))).n_rows == 0
+
+
 def test_scored_matrix_validates_shapes():
     with pytest.raises(SchemaError):
         ScoredMatrix(("a", "b"), np.ones((2, 1)), np.ones(2), ("r0", "r1"))

@@ -120,7 +120,7 @@ def test_study_statuses_and_trees(study_result):
     for r in study_result.results:
         assert r.status == "ok"
         assert r.tree is not None and r.tree.n_leaves >= 2
-        assert r.qmin.leaf.mean < r.qmax.leaf.mean
+        assert r.qmin.mean < r.qmax.mean
         assert dict(r.chosen).keys() == {"C", "A", "M", "E", "L", "S"}
         assert len(r.verdicts) == 6
     assert not study_result.degraded
@@ -386,6 +386,58 @@ def test_cli_ingest_non_utf8_exits_2(no_env_config, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not UTF-8" in err and "line 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("1" * 140_000, "field larger than field limit"),
+    ('"1.5,1.5', "unexpected end of data"),
+], ids=["huge_cell", "open_quote"])
+def test_cli_ingest_malformed_csv_exits_2(no_env_config, capsys, tmp_path, cell, message):
+    # The huge cell used to end in a _csv.Error traceback (exit 1); the open
+    # quote at the end of the file used to be read without an error.
+    panel = synth_panel_csv(tmp_path / "bad.csv", n_banks=2, years=range(2005, 2007))
+    lines = panel.read_text(encoding="utf-8").splitlines()
+    cells = lines[-1].split(",")
+    cells[HEADER.index("beta")] = cell
+    panel.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", {"data": {"path": str(panel)},
+                                             "out": str(tmp_path / "o")})
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "line 5" in err
+    assert "Traceback" not in err
+
+
+def test_cli_subsample_names_sharing_a_file_name_exit_2_before_reading_the_panel(
+        no_env_config, capsys, tmp_path):
+    # Both names write *_early_years.*, so the second's files used to replace the first's.
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "slugs.json", fast_config(
+        tmp_path / "no_such_panel.csv", out, subsamples=[
+            {"name": "early years", "criterion": {"kind": "years", "start": 2005, "end": 2009}},
+            {"name": "early_years", "criterion": {"kind": "years", "start": 2010, "end": 2014}},
+        ]))
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'early years' and 'early_years'" in err
+    assert "no_such_panel" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--jobs", "3"],
+    ["select", "--min-leaf", "3"],
+    ["grow", "--jobs", "2"],
+    ["study", "--max-depth", "2"],
+], ids=["ingest", "select", "grow", "study"])
+def test_cli_rejects_flags_the_subcommand_does_not_read(study_env, no_env_config, capsys,
+                                                        tmp_path, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as done:
+        main(argv + ["--config", str(study_env["config"]), "--out", str(out)])
+    assert done.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["charterseg", "charterseg.cli"])

@@ -15,6 +15,7 @@ from charterseg.synthetic import (
     planted_matrix,
 )
 from charterseg.tree import TreeParams, grow
+from helpers import root
 
 
 def test_same_seed_identical_panels(stump_spec):
@@ -50,9 +51,9 @@ def test_grown_tree_recovers_two_leaf_split(stump_spec):
     panel = generate_synthetic_panel(stump_spec, n=200, noise_sigma=0.01, seed=21)
     mat = planted_matrix(panel, stump_spec)
     tree = grow(mat, TreeParams(min_leaf=30))
-    assert tree.root.split.feature == 0
+    assert root(tree).split.feature == 0
     # threshold lands within half a grid step of the planted cut
-    assert abs(tree.root.split.threshold - 2.875) <= 0.125
+    assert abs(root(tree).split.threshold - 2.875) <= 0.125
 
 
 def test_three_split_spec_fields_in_preorder(three_split_spec):

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
-from charterseg.errors import ConfigError, DegenerateInputError, EmptyModelError, ParseError
+from charterseg.errors import (
+    ChartersegError,
+    ConfigError,
+    DegenerateInputError,
+    EmptyModelError,
+    ParseError,
+)
 from charterseg.seeding import make_rng
 from charterseg.tree import (
-    Internal,
-    Leaf,
     RegressionTree,
     SplitRule,
     TreeParams,
@@ -30,12 +37,14 @@ from charterseg.tree import (
 )
 
 from helpers import (
+    Internal,
+    Leaf,
     brute_force_best_split,
     build_tree,
     check_stats_consistency,
     consistent_internal,
     direct_sse,
-    internal_paths,
+    json_paths,
     make_matrix,
     parse_dot,
     random_matrix,
@@ -43,6 +52,8 @@ from helpers import (
     reference_cost_complexity_sequence,
     reference_predict,
     reference_prune_at,
+    replaced,
+    root,
     same_topology,
 )
 
@@ -163,9 +174,9 @@ def test_gain_shift_and_scale_behavior():
 def test_grow_four_row_fixture():
     mat = make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 10.0, 10.0])
     tree = grow(mat, TreeParams(min_leaf=1))
-    assert isinstance(tree.root, Internal)
-    assert tree.root.split == SplitRule(0, 2.5)
-    left, right = tree.root.left, tree.root.right
+    assert isinstance(root(tree), Internal)
+    assert root(tree).split == SplitRule(0, 2.5)
+    left, right = root(tree).left, root(tree).right
     assert isinstance(left, Leaf) and isinstance(right, Leaf)
     assert (left.mean, right.mean) == (0.0, 10.0)
     assert tree.n_leaves == 2
@@ -181,18 +192,18 @@ def test_grow_single_leaf_between_min_leaf_and_double():
     # enough rows to exist, too few to split
     mat = make_matrix([[1.0], [2.0], [3.0]], [0.0, 5.0, 9.0])
     tree = grow(mat, TreeParams(min_leaf=2))
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.n == 3
+    assert isinstance(root(tree), Leaf)
+    assert root(tree).n == 3
 
 
 def test_grow_max_depth_zero_and_one():
     rng = make_rng(3)
     mat = random_matrix(rng, n=100, m=3)
     stump_only = grow(mat, TreeParams(min_leaf=5, max_depth=0))
-    assert isinstance(stump_only.root, Leaf)
+    assert isinstance(root(stump_only), Leaf)
     depth1 = grow(mat, TreeParams(min_leaf=5, max_depth=1))
     assert depth1.n_leaves <= 2
-    for child in (depth1.root.left, depth1.root.right):
+    for child in (root(depth1).left, root(depth1).right):
         assert isinstance(child, Leaf)
 
 
@@ -218,11 +229,11 @@ def test_grow_invariants_on_random_data():
         mat = random_matrix(rng, n=150, m=4)
         params = TreeParams(min_leaf=10)
         tree = grow(mat, params)
-        assert tree.root.n == mat.n_rows
-        check_stats_consistency(tree.root)
-        for leaf in _walk_leaves(tree.root):
+        assert root(tree).n == mat.n_rows
+        check_stats_consistency(root(tree))
+        for leaf in _walk_leaves(root(tree)):
             assert leaf.n >= params.min_leaf
-        for node in _walk_internal(tree.root):
+        for node in _walk_internal(root(tree)):
             assert node.n == node.left.n + node.right.n
             # positive gain was required to make the cut
             assert node.sse > node.left.sse + node.right.sse
@@ -321,8 +332,8 @@ def test_prune_at_endpoints():
     trace = cost_complexity_sequence(tree)
     assert same_topology(prune_at(tree, 0.0), tree)
     collapsed = prune_at(tree, trace.alphas[-1])
-    assert isinstance(collapsed.root, Leaf)
-    assert collapsed.root.n == mat.n_rows
+    assert isinstance(root(collapsed), Leaf)
+    assert root(collapsed).n == mat.n_rows
 
 
 def test_prune_at_follows_schedule_sizes():
@@ -374,7 +385,7 @@ def test_cv_prune_bad_fold_counts():
 def test_cv_prune_single_leaf_tree():
     mat = make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 0.0, 0.0])
     tree, trace = cv_prune(mat, TreeParams(min_leaf=1), k=2)
-    assert isinstance(tree.root, Leaf)
+    assert isinstance(root(tree), Leaf)
     assert trace.alphas == ()
     assert trace.chosen_alpha == 0.0
 
@@ -427,6 +438,13 @@ def test_cv_prune_matches_rescanning_reference():
     assert export_json(pruned) == export_json(reference)
 
 
+def node_paths(node, path=()):
+    """Left/right bits from the root to every node, in preorder."""
+    if isinstance(node, Leaf):
+        return [path]
+    return [path] + node_paths(node.left, path + (0,)) + node_paths(node.right, path + (1,))
+
+
 def test_schedule_breaks_ties_in_preorder():
     # a (depth 2, left) and b (depth 1, right) both cost exactly g = 20 to
     # collapse; preorder takes a first, where depth order would take b.
@@ -434,10 +452,10 @@ def test_schedule_breaks_ties_in_preorder():
     b = consistent_internal(SplitRule(0, 4.5), Leaf(10, 10.0, 1.0), Leaf(10, 12.0, 1.0))
     left = consistent_internal(SplitRule(0, 2.5), a, Leaf(20, 50.0, 1.0))
     tree = build_tree(consistent_internal(SplitRule(0, 3.5), left, b), ("f0",))
-    paths = {id(node): path for path, node in internal_paths(tree.root)}
-    steps = _collapse_schedule(tree.root)
+    paths = node_paths(root(tree))
+    steps = _collapse_schedule(tree)
     _, reference = reference_collapses(tree)
-    assert [paths[id(node)] for _, node, _ in steps] == [path for _, path in reference]
+    assert [paths[i] for _, i, _ in steps] == [path for _, path in reference]
     assert [step[:2] for step in reference[:2]] == [(20.0, (0, 0)), (20.0, (1,))]
     assert [removed for _, _, removed in steps] == [1, 1, 2]
 
@@ -519,7 +537,7 @@ def test_export_dot_round_trip_structure(reference_tree):
         compare(node.left, kids[0])
         compare(node.right, kids[1])
 
-    compare(reference_tree.root, "n0")
+    compare(root(reference_tree), "n0")
 
 
 def test_export_dot_custom_labels():
@@ -546,7 +564,7 @@ def test_json_thresholds_survive_exactly():
     stump = consistent_internal(SplitRule(0, float(thr)), Leaf(5, 0.9, 0.1), Leaf(5, 1.1, 0.1))
     tree = build_tree(stump, ("f0",))
     again = import_json(export_json(tree))
-    assert again.root.split.threshold == float(thr)
+    assert root(again).split.threshold == float(thr)
 
 
 def test_import_json_rejects_garbage():
@@ -566,3 +584,103 @@ def test_import_json_rejects_bad_feature_index():
     doc["root"]["split"]["feature"] = 7
     with pytest.raises(ParseError):
         import_json(json.dumps(doc))
+
+
+def stump_document():
+    stump = consistent_internal(SplitRule(1, 2.0), Leaf(5, 0.9, 0.1), Leaf(5, 1.1, 0.1))
+    return json.loads(export_json(build_tree(stump, ("f0", "f1"), total_n=12, max_depth=4)))
+
+
+@pytest.mark.parametrize("path, value, fragment", [
+    (("total_n",), "10", "document.total_n must be an integer >= 0, got '10'"),
+    (("root", "n"), 2.7, "root.n must be an integer >= 0, got 2.7"),
+    (("root", "n"), 2 ** 63, "root.n must be an integer >= 0"),
+    (("root", "left", "mean"), "1", "root.left.mean must be a finite number, got '1'"),
+    (("root", "right", "sse"), float("inf"), "root.right.sse must be a finite number, got inf"),
+    (("root", "sse"), 10 ** 400, "root.sse must be a finite number"),
+    (("root", "split", "feature"), True, "root.split.feature must be an integer in [0, 2)"),
+    (("root", "split", "feature"), 2, "root.split.feature must be an integer in [0, 2), got 2"),
+    (("root", "split", "threshold"), "nan", "root.split.threshold must be a finite number"),
+    (("root", "split", "threshold"), float("nan"), "root.split.threshold must be a finite"),
+    (("root", "split"), [0, 2.0], "tree root.split must be an object, got list"),
+    (("root", "left"), None, "tree root.left must be an object, got NoneType"),
+    (("feature_names",), "ab", "feature_names must be a list of strings, got 'ab'"),
+    (("feature_names",), ["f0", 1], "feature_names must be a list of strings"),
+    (("params",), [], "tree params must be an object"),
+    (("params", "min_leaf"), True, "params.min_leaf must be an integer >= 1, got True"),
+    (("params", "max_depth"), 1.5, "params.max_depth must be an integer >= 0, got 1.5"),
+])
+def test_import_json_takes_only_values_of_their_json_type(path, value, fragment):
+    # Each of these used to load, coerced: "10" as 10, 2.7 as 2, "1" as 1.0,
+    # true as feature 1, "nan" as NaN and "ab" as the names ("a", "b").
+    text = json.dumps(replaced(stump_document(), path, value))
+    with pytest.raises(ParseError, match=re.escape(fragment)):
+        import_json(text)
+
+
+def test_import_json_integer_too_long_to_read_is_a_parse_error():
+    # int() reads at most 4,300 digits; json.loads used to raise its ValueError.
+    text = json.dumps(stump_document()).replace('"total_n": 12', '"total_n": 1' + "0" * 5000)
+    with pytest.raises(ParseError, match="invalid tree JSON"):
+        import_json(text)
+
+
+def test_import_json_nesting_too_deep_is_a_parse_error():
+    # Both used to raise RecursionError.
+    with pytest.raises(ParseError, match="nests too deeply"):
+        import_json("[" * 100000)
+    leaf = '{"n": 1, "mean": 0.0, "sse": 0.0}'
+    split = ('{"n": 2, "mean": 0.0, "sse": 0.0, "split": {"feature": 0, "threshold": 1.0}, '
+             '"right": ' + leaf + ', "left": ')
+    doc = replaced(stump_document(), ("root",), None)
+    text = json.dumps(doc).replace("null}", split * 5000 + leaf + "}" * 5000 + "}")
+    with pytest.raises(ParseError, match="nests too deeply"):
+        import_json(text)
+
+
+def test_fitted_tree_arrays_are_read_only():
+    tree = grow(random_matrix(make_rng(41), n=60, m=2), TreeParams(min_leaf=5))
+    for array in (tree.feature, tree.threshold, tree.right, tree.n, tree.mean, tree.sse):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_TREE_KEYS = ["format", "version", "feature_names", "total_n", "params", "min_leaf",
+              "max_depth", "root", "n", "mean", "sse", "split", "feature", "threshold",
+              "left", "right"]
+_TREE_EDGES = [None, True, False, 0, -1, 1, 2.5, 1e308, float("inf"), float("-inf"),
+               float("nan"), 2 ** 63, 10 ** 400, "3", "nan", "", [], {}, ["f0"],
+               {"n": 1, "mean": 0.0, "sse": 0.0}, "charterseg-tree"]
+_TREE_BASE = stump_document()
+_TREE_PLACES = list(json_paths(_TREE_BASE))
+_TREE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 65) | st.floats()
+    | st.sampled_from(_TREE_EDGES) | st.sampled_from(_TREE_KEYS) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_TREE_KEYS) | st.text(max_size=3), inner,
+                                     max_size=5)),
+    max_leaves=12)
+_TREE_TEXTS = st.one_of(
+    st.builds(replaced, st.just(_TREE_BASE), st.sampled_from(_TREE_PLACES),
+              st.sampled_from(_TREE_EDGES)).map(json.dumps),
+    st.builds(replaced, st.just(_TREE_BASE), st.sampled_from(_TREE_PLACES),
+              _TREE_VALUES).map(json.dumps),
+    _TREE_VALUES.map(json.dumps),
+    st.text(max_size=40),
+)
+
+
+@seed(20240611)
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_TREE_TEXTS)
+def test_import_json_fuzz_raises_only_charterseg_errors(text):
+    try:
+        tree = import_json(text)
+    except ChartersegError:
+        return
+    # A document that loads is a tree: it exports and reloads to the same text.
+    assert export_json(import_json(export_json(tree))) == export_json(tree)
+    export_dot(tree)
