@@ -10,14 +10,14 @@ importance (%IncMSE) picks the strongest proxy inside every group.
 import numpy as np
 
 from charterseg.forest import ForestParams, grow_forest, permutation_importance
-from charterseg.panel import BankYear, Panel, compute_raw_proxies
+from charterseg.panel import ALL_FIELDS, Panel, compute_raw_proxies
 from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
 from charterseg.select import select_proxies
 
 # ----------------------------------------------------------------- the data
 # A synthetic panel where charter value really is driven by capitalisation:
 # Q steps up by 0.2 once equity/assets clears 7%. Every other ratio varies
-# too, but independently of Q.
+# too, but independently of Q. A panel row is a tuple in ALL_FIELDS order.
 
 rng = np.random.default_rng(3)
 rows = []
@@ -27,7 +27,7 @@ for i in range(400):
     q = 0.95 + (0.2 if cap > 0.07 else 0.0) + float(rng.normal(0.0, 0.02))
     loans = float(rng.uniform(0.4, 0.7)) * ta
     expense = float(rng.uniform(10.0, 30.0))
-    rows.append(BankYear(
+    row = dict(
         bank_id=f"b{i:04d}", country="DE", year=2005 + i % 12,
         mve=q * ta - 0.9 * ta, bvl=0.9 * ta, nta=ta,
         equity=cap * ta, total_assets=ta, loans=loans,
@@ -42,8 +42,9 @@ for i in range(400):
         loan_growth=float(rng.uniform(-0.05, 0.15)),
         gdp_growth=float(rng.uniform(-0.02, 0.04)),
         beta=float(rng.uniform(0.5, 1.5)),
-    ))
-panel = Panel(tuple(rows), provenance="demo", window=(2005, 2016))
+    )
+    rows.append(tuple(row[f] for f in ALL_FIELDS))
+panel = Panel(rows, provenance="demo", window=(2005, 2016))
 
 # --------------------------------------------------------- score and forest
 matrix = build_scored_matrix(compute_raw_proxies(panel), DEFAULT_PROXY_SPECS)

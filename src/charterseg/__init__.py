@@ -38,7 +38,6 @@ from .forest import (
     permutation_importance,
 )
 from .panel import (
-    BankYear,
     Countries,
     FullSample,
     Panel,

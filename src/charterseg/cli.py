@@ -18,9 +18,10 @@ from pathlib import Path
 
 from .config import CONFIG_ENV_VAR, RunConfig, SubsampleSpec, load_config
 from .errors import ChartersegError
-from .panel import FullSample, compute_raw_proxies, load_panel
+from .panel import FullSample, compute_raw_proxies
 from .select import selection_to_spec_fragment
 from .study import (
+    load_configured_panel,
     run_study,
     select_full_panel,
     summary_table,
@@ -83,14 +84,8 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_data(cfg: RunConfig):
-    if not cfg.data.path:
-        raise ChartersegError("config.data.path is required for this command")
-    return load_panel(cfg.data.path, schema=cfg.data.columns, window=cfg.data.window)
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
-    panel = _load_data(cfg)
+    panel = load_configured_panel(cfg)
     frame = compute_raw_proxies(panel)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,7 +99,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    chosen, importance = select_full_panel(cfg, _load_data(cfg))
+    chosen, importance = select_full_panel(cfg, load_configured_panel(cfg))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_selection_table(out / "selection.csv", chosen.items())

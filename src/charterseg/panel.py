@@ -1,10 +1,11 @@
 """Bank-year panel ingestion and raw proxy ratios.
 
-A panel is a list of typed bank-year rows read from CSV. From it the module
-derives Tobin's Q and the raw balance-sheet ratios that later get rescaled
-into one-to-five risk scores: capital ratio, loan-loss allowances and
-provisions over loans, loan-growth gap, cost/income, expenses over assets,
-ROA, ROE, loans over deposits, liquid assets over assets, and market beta.
+A panel is one read-only record array of bank-year rows read from CSV. From
+it the module derives Tobin's Q and the raw balance-sheet ratios that later
+get rescaled into one-to-five risk scores: capital ratio, loan-loss
+allowances and provisions over loans, loan-growth gap, cost/income, expenses
+over assets, ROA, ROE, loans over deposits, liquid assets over assets, and
+market beta.
 """
 
 from __future__ import annotations
@@ -47,35 +48,15 @@ ALL_FIELDS = KEY_FIELDS + REQUIRED_FIELDS + OPTIONAL_FIELDS
 
 NAN = float("nan")
 
+# One record per bank-year; monetary fields share one currency unit and a
+# blank optional cell is NaN. Code reads fields by name: rows["year"].
+PANEL_DTYPE = np.dtype([("bank_id", object), ("country", object), ("year", np.int64)]
+                       + [(f, float) for f in REQUIRED_FIELDS + OPTIONAL_FIELDS])
 
-@dataclass(frozen=True)
-class BankYear:
-    """One bank-year observation; monetary fields share one currency unit."""
 
-    bank_id: str
-    country: str
-    year: int
-    mve: float
-    bvl: float
-    nta: float
-    equity: float
-    total_assets: float
-    loans: float
-    deposits: float
-    loan_loss_allowances: float = NAN
-    loan_loss_provisions: float = NAN
-    non_interest_expense: float = NAN
-    income: float = NAN
-    liquid_assets: float = NAN
-    roa: float = NAN
-    roe: float = NAN
-    loan_growth: float = NAN
-    gdp_growth: float = NAN
-    beta: float = NAN
-
-    @property
-    def row_id(self) -> str:
-        return f"{self.bank_id}:{self.year}"
+def row_ids(rows: np.ndarray) -> tuple[str, ...]:
+    """The "bank_id:year" id of each row of a PANEL_DTYPE array."""
+    return tuple(f"{b}:{y}" for b, y in zip(rows["bank_id"], rows["year"].tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,25 +65,39 @@ class Exclusion:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
-    rows: tuple[BankYear, ...]
+    """Bank-year rows as a read-only array of PANEL_DTYPE, with their source.
+
+    rows may also be given as a list (not a tuple) of ALL_FIELDS-order tuples.
+    """
+
+    rows: np.ndarray
     provenance: str = ""
     window: tuple[int, int] = (0, 0)
     exclusions: tuple[Exclusion, ...] = ()
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=PANEL_DTYPE)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
 def _parse_cell(text: str, line: int, column: str) -> float:
+    """A numeric cell as a finite float; a blank cell is NaN."""
     text = text.strip()
     if not text:
         return NAN
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"expected a number, got {text!r}", line=line, column=column) from None
+        value = NAN
+    if not math.isfinite(value):  # nan, inf and 1e999 would pass as data
+        raise ParseError(f"expected a finite number, got {text!r}", line=line, column=column)
+    return value
 
 
 def _records(text: str, path):
@@ -154,7 +149,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
 
-    rows: list[BankYear] = []
+    rows: list[tuple] = []  # one tuple per kept row, in ALL_FIELDS order
     exclusions: list[Exclusion] = []
     seen: set[tuple[str, int]] = set()
 
@@ -188,16 +183,15 @@ def load_panel(path, schema: dict[str, str] | None = None,
         try:
             year = int(year_text)
         except ValueError:
-            raise ParseError(f"expected an integer year, got {year_text!r}",
-                             line=line_no, column=colname["year"]) from None
+            year = None
+        if year is None or not -2 ** 63 <= year < 2 ** 63:  # PANEL_DTYPE holds years as int64
+            raise ParseError(f"expected an integer year within int64, got {year_text!r}",
+                             line=line_no, column=colname["year"])
 
-        values = {}
-        missing_field = None
-        for fname in REQUIRED_FIELDS + OPTIONAL_FIELDS:
-            v = _parse_cell(cell(fname), line_no, colname[fname])
-            values[fname] = v
-            if fname in REQUIRED_FIELDS and math.isnan(v) and missing_field is None:
-                missing_field = fname
+        values = [_parse_cell(cell(f), line_no, colname[f])
+                  for f in REQUIRED_FIELDS + OPTIONAL_FIELDS]
+        missing_field = next((f for f, v in zip(REQUIRED_FIELDS, values) if math.isnan(v)),
+                             None)
         if missing_field is not None:
             exclusions.append(Exclusion(row_id, f"missing {missing_field}"))
             continue
@@ -209,12 +203,12 @@ def load_panel(path, schema: dict[str, str] | None = None,
         if key in seen:
             raise DuplicateRowError(f"duplicate bank-year {key} at line {line_no}")
         seen.add(key)
-        rows.append(BankYear(bank_id=bank_id, country=country, year=year, **values))
+        rows.append((bank_id, country, year, *values))
 
     if window is None:
-        years = [r.year for r in rows]
+        years = [row[2] for row in rows]
         window = (min(years), max(years)) if years else (0, 0)
-    return Panel(tuple(rows), provenance=f"sha256:{digest}", window=window,
+    return Panel(rows, provenance=f"sha256:{digest}", window=window,
                  exclusions=tuple(exclusions))
 
 
@@ -271,17 +265,15 @@ def compute_raw_proxies(panel: Panel) -> ProxyFrame:
     surviving rows, a proxy whose own denominator is zero or whose inputs are
     missing is NaN; such rows drop out later only if that proxy is active.
     """
-    if not panel.rows:
+    rows = panel.rows
+    if not len(rows):
         raise EmptySubsampleError("panel has no rows")
 
-    def col(name):
-        return np.array([getattr(r, name) for r in panel.rows], dtype=float)
-
-    nta, ta, dep, loans = col("nta"), col("total_assets"), col("deposits"), col("loans")
-    q_all = np.where(nta > 0, (col("mve") + col("bvl")) / np.where(nta > 0, nta, 1.0), NAN)
+    nta, ta, dep, loans = rows["nta"], rows["total_assets"], rows["deposits"], rows["loans"]
+    q_all = np.where(nta > 0, (rows["mve"] + rows["bvl"]) / np.where(nta > 0, nta, 1.0), NAN)
 
     exclusions = []
-    keep = np.ones(len(panel.rows), dtype=bool)
+    keep = np.ones(len(rows), dtype=bool)
     checks = (
         (nta <= 0, "nta <= 0"),
         (ta <= 0, "total_assets <= 0"),
@@ -290,30 +282,26 @@ def compute_raw_proxies(panel: Panel) -> ProxyFrame:
         (~(q_all > 0), "q <= 0"),
     )
     for bad, reason in checks:
-        for i in np.flatnonzero(bad & keep):
-            exclusions.append(Exclusion(panel.rows[i].row_id, reason))
+        exclusions += [Exclusion(row_id, reason) for row_id in row_ids(rows[bad & keep])]
         keep &= ~bad
 
-    idx = np.flatnonzero(keep)
-    rows = [panel.rows[i] for i in idx]
-    sub = lambda name: col(name)[idx]
-
+    sub = rows[keep]
     columns = {
-        "capital_ratio": sub("equity") / sub("total_assets"),
-        "allowances_to_loans": _ratio(sub("loan_loss_allowances"), sub("loans")),
-        "provisions_to_loans": _ratio(sub("loan_loss_provisions"), sub("loans")),
-        "growth_gap": sub("loan_growth") - sub("gdp_growth"),
-        "cost_income": _ratio(sub("non_interest_expense"), sub("income")),
-        "expense_to_assets": sub("non_interest_expense") / sub("total_assets"),
-        "roa": sub("roa"),
-        "roe": sub("roe"),
-        "loans_to_deposits": sub("loans") / sub("deposits"),
-        "liquid_to_assets": sub("liquid_assets") / sub("total_assets"),
-        "beta": sub("beta"),
+        "capital_ratio": sub["equity"] / sub["total_assets"],
+        "allowances_to_loans": _ratio(sub["loan_loss_allowances"], sub["loans"]),
+        "provisions_to_loans": _ratio(sub["loan_loss_provisions"], sub["loans"]),
+        "growth_gap": sub["loan_growth"] - sub["gdp_growth"],
+        "cost_income": _ratio(sub["non_interest_expense"], sub["income"]),
+        "expense_to_assets": sub["non_interest_expense"] / sub["total_assets"],
+        "roa": sub["roa"],
+        "roe": sub["roe"],
+        "loans_to_deposits": sub["loans"] / sub["deposits"],
+        "liquid_to_assets": sub["liquid_assets"] / sub["total_assets"],
+        "beta": sub["beta"],
     }
     return ProxyFrame(
-        row_ids=tuple(r.row_id for r in rows),
-        q=q_all[idx],
+        row_ids=row_ids(sub),
+        q=q_all[keep],
         columns=columns,
         exclusions=tuple(exclusions),
     )
@@ -357,31 +345,25 @@ def filter_subsample(panel: Panel, criterion) -> Panel:
     """Select panel rows by year range, country group, or size half."""
     rows = panel.rows
     if isinstance(criterion, FullSample):
-        kept = rows
+        keep = np.ones(len(rows), dtype=bool)
     elif isinstance(criterion, YearRange):
-        kept = tuple(r for r in rows if criterion.start <= r.year <= criterion.end)
+        keep = (criterion.start <= rows["year"]) & (rows["year"] <= criterion.end)
     elif isinstance(criterion, Countries):
-        codes = set(criterion.codes)
-        if criterion.exclude:
-            kept = tuple(r for r in rows if r.country not in codes)
-        else:
-            kept = tuple(r for r in rows if r.country in codes)
+        keep = np.isin(rows["country"], criterion.codes) != criterion.exclude
     elif isinstance(criterion, SizeHalf):
         if criterion.half not in ("small", "large"):
             raise SchemaError(f"size half must be 'small' or 'large', got {criterion.half!r}")
-        if not rows:
+        if not len(rows):
             raise EmptySubsampleError("cannot take a size half of an empty panel")
-        med = float(np.median([r.total_assets for r in rows]))
-        if criterion.half == "small":
-            kept = tuple(r for r in rows if r.total_assets < med)
-        else:
-            kept = tuple(r for r in rows if r.total_assets >= med)
+        assets = rows["total_assets"]
+        med = float(np.median(assets))
+        keep = assets < med if criterion.half == "small" else assets >= med
     else:
         raise SchemaError(f"unknown subsample criterion {criterion!r}")
 
-    if not kept:
+    if not keep.any():
         raise EmptySubsampleError(f"criterion {criterion!r} matched no rows")
-    return Panel(kept, provenance=panel.provenance, window=panel.window)
+    return Panel(rows[keep], provenance=panel.provenance, window=panel.window)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,17 @@ def _run_selection(config: RunConfig, frame: ProxyFrame, reference: Optional[Pro
     return select_proxies(importance, specs), importance
 
 
+def load_configured_panel(config: RunConfig) -> Panel:
+    """The panel at config.data.path, read with the config's columns and window.
+
+    Raises:
+        ConfigError: the config names no data path.
+    """
+    if not config.data.path:
+        raise ConfigError("config.data.path is required to read the panel")
+    return load_panel(config.data.path, schema=config.data.columns, window=config.data.window)
+
+
 def select_full_panel(config: RunConfig, panel: Panel):
     """The study's proxy selection on the whole panel, as _run_selection returns it.
 
@@ -234,17 +245,15 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
         subsample ended without a tree.
 
     Raises:
-        ConfigError: jobs below 1, or a config fault found inside a
-            subsample; it ends the run. Selection faults (mtry, proxy names,
-            selection.fixed) are already raised when the RunConfig is built.
+        ConfigError: jobs below 1, no panel and no config.data.path, or a
+            config fault found inside a subsample; it ends the run.
+            Selection faults (mtry, proxy names, selection.fixed) are
+            already raised when the RunConfig is built.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if panel is None:
-        if not config.data.path:
-            raise ConfigError("config.data.path is required when no panel is supplied")
-        panel = load_panel(config.data.path, schema=config.data.columns,
-                           window=config.data.window)
+        panel = load_configured_panel(config)
     full_frame = compute_raw_proxies(panel)  # under either scope: an empty panel ends here
     reference = full_frame if config.rescale_scope == "full" else None
 

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
-from .panel import PROXY_FIELDS, BankYear, Panel, compute_raw_proxies
+from .panel import PANEL_DTYPE, PROXY_FIELDS, Panel, compute_raw_proxies
 from .rescale import ScoredMatrix
 from .seeding import make_rng
 
@@ -114,8 +114,9 @@ class PlantedTreeSpec:
         return tuple(out)
 
 
-def _realize_fields(feature_values: dict[str, float], total_assets: float) -> dict[str, float]:
-    """Back out balance-sheet fields that reproduce the requested ratios."""
+def _realize_fields(feature_values: dict[str, np.ndarray],
+                    total_assets: np.ndarray) -> dict[str, np.ndarray]:
+    """Back out balance-sheet columns that reproduce the requested ratio columns."""
     v = dict(_DEFAULTS)
     v.update(feature_values)
     ta = total_assets
@@ -168,22 +169,16 @@ def generate_synthetic_panel(spec: PlantedTreeSpec, n: int, noise_sigma: float,
     sizes = rng.choice(np.array([64.0, 128.0, 256.0, 512.0]), size=n)
     noise = rng.normal(0.0, noise_sigma, size=n) if noise_sigma > 0 else np.zeros(n)
 
-    rows = []
-    for i in range(n):
-        values = {f: float(draws[f][i]) for f in fields}
-        q = spec.route(values) + float(noise[i])
-        realized = _realize_fields(values, float(sizes[i]))
-        rows.append(BankYear(
-            bank_id=f"B{i:05d}",
-            country=_COUNTRY_CYCLE[i % len(_COUNTRY_CYCLE)],
-            year=_YEARS[i % len(_YEARS)],
-            mve=q,
-            bvl=0.0,
-            nta=1.0,
-            **realized,
-        ))
-    return Panel(tuple(rows), provenance=f"synthetic:seed={seed}",
-                 window=(_YEARS[0], _YEARS[-1]))
+    # Routing stays per row: the planted tree is a nested node structure.
+    q = np.array([spec.route({f: draws[f][i] for f in fields}) for i in range(n)]) + noise
+    rows = np.empty(n, PANEL_DTYPE)
+    rows["bank_id"] = [f"B{i:05d}" for i in range(n)]
+    rows["country"] = np.take(_COUNTRY_CYCLE, np.arange(n), mode="wrap")
+    rows["year"] = np.take(_YEARS, np.arange(n), mode="wrap")
+    rows["mve"], rows["bvl"], rows["nta"] = q, 0.0, 1.0
+    for name, column in _realize_fields(draws, sizes).items():
+        rows[name] = column
+    return Panel(rows, provenance=f"synthetic:seed={seed}", window=(_YEARS[0], _YEARS[-1]))
 
 
 def planted_matrix(panel: Panel, spec: PlantedTreeSpec) -> ScoredMatrix:

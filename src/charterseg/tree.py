@@ -499,6 +499,11 @@ def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
     obj = _object(obj, where)
     node = [-1, np.nan, -1, _integer(obj, "n", where), _real(obj, "mean", where),
             _real(obj, "sse", where)]
+    if node[3] < 1:
+        raise ParseError(f"tree {where}.n must be at least 1, got {node[3]}")
+    if node[5] < 0:
+        raise ParseError(f"tree {where}.sse must not be negative, got {node[5]!r}")
+    at = len(nodes)
     nodes.append(node)
     if "split" not in obj:
         return
@@ -508,13 +513,19 @@ def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
     _read_node(obj.get("left"), f"{where}.left", n_features, nodes)
     node[2] = len(nodes)
     _read_node(obj.get("right"), f"{where}.right", n_features, nodes)
+    left_n, right_n = nodes[at + 1][3], nodes[node[2]][3]
+    if left_n + right_n != node[3]:
+        raise ParseError(f"tree {where}.n is {node[3]}, but its children hold "
+                         f"{left_n} + {right_n} rows")
 
 
 def import_json(text: str) -> RegressionTree:
     """Parse a tree produced by export_json; malformed input raises ParseError.
 
     Counts and feature indices must be JSON integers, node statistics and
-    thresholds finite JSON numbers, and feature_names a list of strings.
+    thresholds finite JSON numbers, and feature_names a list of strings. Every
+    node holds at least one row and an SSE of at least zero, and the two
+    children of a split hold all of their parent's rows.
     """
     try:
         doc = _object(json.loads(text), "document")

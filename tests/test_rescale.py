@@ -9,10 +9,10 @@ from charterseg.config import default_subsamples
 from charterseg.errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
 from charterseg.panel import (
     PIGS_COUNTRIES,
-    BankYear,
     Panel,
     compute_raw_proxies,
     filter_subsample,
+    row_ids,
 )
 from charterseg.rescale import (
     DEFAULT_PROXY_SPECS,
@@ -341,7 +341,7 @@ def test_build_inactive_nan_fields_cost_nothing():
 
 def test_build_empty_inputs():
     with pytest.raises(EmptySubsampleError):
-        build_scored_matrix(compute_raw_proxies(Panel(())), [DEFAULT_PROXY_SPECS[0]])
+        build_scored_matrix(compute_raw_proxies(Panel([])), [DEFAULT_PROXY_SPECS[0]])
     panel = make_panel([bank_year()])
     spec = ProxySpec("Syst", "S", "beta", "increasing", "quantile")
     with pytest.raises(EmptySubsampleError):
@@ -391,13 +391,13 @@ def gappy_panel(seed: int, n: int = 300) -> Panel:
         }
         optional = {k: (float("nan") if rng.random() < 0.05 else v)
                     for k, v in optional.items()}
-        rows.append(BankYear(
+        rows.append(bank_year(
             bank_id=f"b{i // 12:03d}", country=countries[(i // 12) % len(countries)],
             year=2005 + i % 12, mve=float(rng.uniform(0.0, 0.3)) * ta, bvl=0.9 * ta,
             nta=ta, equity=float(rng.uniform(0.03, 0.12)) * ta, total_assets=ta,
             loans=loans, deposits=0.0 if i % 97 == 5 else float(rng.uniform(0.5, 0.8)) * ta,
             **optional))
-    return Panel(tuple(rows), provenance="test", window=(2005, 2016))
+    return Panel(rows, provenance="test", window=(2005, 2016))
 
 
 SIX_SPECS = canonical_specs({"C": "Capt", "A": "Asts_px", "M": "Mang_p", "E": "Ergs_x",
@@ -423,7 +423,7 @@ def test_reference_knots_match_full_panel_matrix(specs):
         assert np.array_equal(got.response, old.response), sub.name
         own = build_scored_matrix(sub_frame, specs)
         assert got.exclusions == own.exclusions, sub.name
-        assert {e.row_id for e in got.exclusions} <= {r.row_id for r in sub_panel.rows}
+        assert {e.row_id for e in got.exclusions} <= set(row_ids(sub_panel.rows))
         knots_moved |= not np.array_equal(got.scores, own.scores)
     assert knots_moved
     assert len(full.exclusions) > 0

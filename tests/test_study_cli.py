@@ -12,19 +12,23 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import venv
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
-from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel
+from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel, row_ids
 from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import run_study, write_study
+
+from test_panel import _PANEL_BYTES
 
 HEADER = [
     "bank_id", "country", "year", "mve", "bvl", "nta", "equity",
@@ -233,7 +237,7 @@ def test_full_scope_trees_use_each_subsample_own_proxies(study_env):
     full_frame = compute_raw_proxies(panel)
     for r, sub in zip(result.results, config.subsamples):
         full = build_scored_matrix(full_frame, canonical_specs(dict(r.chosen), config.proxies))
-        wanted = {row.row_id for row in filter_subsample(panel, sub.criterion).rows}
+        wanted = set(row_ids(filter_subsample(panel, sub.criterion).rows))
         m = full.take([i for i, rid in enumerate(full.row_ids) if rid in wanted])
         assert r.status == "ok" and r.n_rows == m.n_rows
         assert r.correlations == tuple((name, *pearson(m.scores[:, j], m.response))
@@ -391,7 +395,8 @@ def test_cli_ingest_non_utf8_exits_2(no_env_config, capsys, tmp_path):
 @pytest.mark.parametrize("cell, message", [
     ("1" * 140_000, "field larger than field limit"),
     ('"1.5,1.5', "unexpected end of data"),
-], ids=["huge_cell", "open_quote"])
+    ("inf", "expected a finite number"),
+], ids=["huge_cell", "open_quote", "infinite"])
 def test_cli_ingest_malformed_csv_exits_2(no_env_config, capsys, tmp_path, cell, message):
     # The huge cell used to end in a _csv.Error traceback (exit 1); the open
     # quote at the end of the file used to be read without an error.
@@ -406,6 +411,21 @@ def test_cli_ingest_malformed_csv_exits_2(no_env_config, capsys, tmp_path, cell,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "line 5" in err
     assert "Traceback" not in err
+
+
+@seed(20240611)
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_PANEL_BYTES)
+def test_cli_ingest_fuzz_exits_0_or_2(data):
+    # Any panel file ends in exit 0 or a located error and exit 2, never in
+    # a traceback; --config is given, so the environment plays no part.
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = Path(tmp) / "p.csv"
+        panel.write_bytes(data)
+        cfg = write_config(Path(tmp) / "c.json", {"data": {"path": str(panel)},
+                                                  "out": str(Path(tmp) / "o")})
+        assert main(["ingest", "--config", str(cfg)]) in (0, 2)
 
 
 def test_cli_subsample_names_sharing_a_file_name_exit_2_before_reading_the_panel(

@@ -21,9 +21,9 @@ from helpers import root
 def test_same_seed_identical_panels(stump_spec):
     a = generate_synthetic_panel(stump_spec, n=80, noise_sigma=0.05, seed=7)
     b = generate_synthetic_panel(stump_spec, n=80, noise_sigma=0.05, seed=7)
-    assert a.rows == b.rows
+    assert a.rows.tolist() == b.rows.tolist()
     c = generate_synthetic_panel(stump_spec, n=80, noise_sigma=0.05, seed=8)
-    assert a.rows != c.rows
+    assert a.rows.tolist() != c.rows.tolist()
 
 
 def test_zero_noise_reproduces_leaf_means(stump_spec):

@@ -609,10 +609,16 @@ def stump_document():
     (("params",), [], "tree params must be an object"),
     (("params", "min_leaf"), True, "params.min_leaf must be an integer >= 1, got True"),
     (("params", "max_depth"), 1.5, "params.max_depth must be an integer >= 0, got 1.5"),
+    (("root", "left", "n"), 0, "root.left.n must be at least 1, got 0"),
+    (("root", "right", "n"), 50, "root.n is 10, but its children hold 5 + 50 rows"),
+    (("root", "n"), 11, "root.n is 11, but its children hold 5 + 5 rows"),
+    (("root", "left", "sse"), -3.0, "root.left.sse must not be negative, got -3.0"),
 ])
 def test_import_json_takes_only_values_of_their_json_type(path, value, fragment):
     # Each of these used to load, coerced: "10" as 10, 2.7 as 2, "1" as 1.0,
-    # true as feature 1, "nan" as NaN and "ab" as the names ("a", "b").
+    # true as feature 1, "nan" as NaN and "ab" as the names ("a", "b"). The
+    # last four are well typed but break the tree's own invariants; they too
+    # used to load, and gave alphas and leaf shares out of range.
     text = json.dumps(replaced(stump_document(), path, value))
     with pytest.raises(ParseError, match=re.escape(fragment)):
         import_json(text)
