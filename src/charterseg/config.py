@@ -46,7 +46,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .forest import ForestParams
-from .panel import Countries, FullSample, SizeHalf, YearRange
+from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
 
 CONFIG_ENV_VAR = "CHARTERSEG_CONFIG"
@@ -231,6 +231,7 @@ def _names(value, key: str) -> tuple[str, ...]:
 def _columns(value, key: str) -> dict[str, str]:
     if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
         raise ConfigError(f"{key} must map field names to column names, got {value!r}")
+    _expect_keys(value, ALL_FIELDS, key)  # a misspelt field would read as blank on every row
     return value
 
 

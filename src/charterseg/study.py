@@ -249,13 +249,15 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
             config fault found inside a subsample; it ends the run.
             Selection faults (mtry, proxy names, selection.fixed) are
             already raised when the RunConfig is built.
+        EmptySubsampleError: the panel has no rows.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if panel is None:
         panel = load_configured_panel(config)
-    full_frame = compute_raw_proxies(panel)  # under either scope: an empty panel ends here
-    reference = full_frame if config.rescale_scope == "full" else None
+    if not len(panel.rows):
+        raise EmptySubsampleError("panel has no rows")
+    reference = compute_raw_proxies(panel) if config.rescale_scope == "full" else None
 
     tasks = [(sub, derive_seed(config.seed, i)) for i, sub in enumerate(config.subsamples)]
 

@@ -4,9 +4,10 @@ Splits minimise within-node sum of squared errors. Candidate thresholds sit
 at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
 the fitted partition exactly. Pruning follows the weakest-link sequence with
-k-fold cross-validated selection of the complexity penalty. A tree's collapse
-schedule is computed once; CV routes each test row once through a fold tree
-and reads its prediction at every candidate penalty off the row's path.
+k-fold cross-validated selection of the complexity penalty, read off two
+per-node arrays: the penalty at which each node folds and the least of its
+ancestors'. CV routes each test row once through a fold tree and reads its
+prediction at every candidate penalty off the row's path.
 """
 
 from __future__ import annotations
@@ -125,41 +126,13 @@ def node_sse(responses) -> tuple[float, float]:
     return mean, float(d @ d)
 
 
-def _candidate_gains(x: np.ndarray, yc: np.ndarray, min_leaf: int):
-    """Best cut of one feature on centred responses: (gain, threshold) or None.
-
-    With yc centred at the node mean, the SSE reduction of cutting after
-    sorted position i is sum_L^2/n_L + sum_R^2/n_R - sum^2/n, which avoids
-    the cancellation of large squared sums.
-    """
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = yc[order]
-    cum = np.cumsum(ys)
-    total = cum[-1]
-    sizes = np.arange(1, n)
-    left_sum = cum[:-1]
-    gains = (left_sum ** 2 / sizes
-             + (total - left_sum) ** 2 / (n - sizes)
-             - total ** 2 / n)
-    valid = (xs[1:] > xs[:-1]) & (sizes >= min_leaf) & ((n - sizes) >= min_leaf)
-    if not valid.any():
-        return None
-    gains = np.where(valid, gains, -np.inf)
-    j = int(np.argmax(gains))  # first maximum = smallest qualifying threshold
-    gain = float(gains[j])
-    if gain <= 0.0:
-        return None
-    thr = (xs[j] + xs[j + 1]) / 2.0
-    if thr <= xs[j]:  # adjacent floats can round the midpoint onto the left value
-        thr = float(xs[j + 1])
-    return gain, float(thr)
-
-
 def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
                feature_indices=None) -> Optional[tuple[SplitRule, float]]:
     """Exhaustive best SSE-reducing split over the given rows.
+
+    All candidate columns are sorted and scored in one pass. With y centred,
+    cutting after sorted position i reduces SSE by sum_L^2/n_L + sum_R^2/n_R
+    - sum^2/n, which avoids the cancellation of large squared sums.
 
     Args:
         X: (n, m) feature values for the node's rows.
@@ -177,17 +150,28 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
     n = X.shape[0]
     if n < 2 * min_leaf:
         return None
-    yc = y - y.mean()
-    features = range(X.shape[1]) if feature_indices is None else feature_indices
-    best = None
-    for f in features:
-        cand = _candidate_gains(X[:, f], yc, min_leaf)
-        if cand is None:
-            continue
-        gain, thr = cand
-        if best is None or gain > best[1]:
-            best = (SplitRule(int(f), thr), gain)
-    return best
+    features = np.arange(X.shape[1]) if feature_indices is None else np.asarray(feature_indices)
+    cols = X[:, features].T  # (candidate, row)
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    cum = np.cumsum((y - y.mean())[order], axis=1)
+    total = cum[:, -1:]  # each column's own sum, so a gain matches its single-column search
+    sizes = np.arange(1, n)
+    left_sum = cum[:, :-1]
+    gains = left_sum ** 2 / sizes + (total - left_sum) ** 2 / (n - sizes) - total ** 2 / n
+    valid = (xs[:, 1:] > xs[:, :-1]) & (sizes >= min_leaf) & ((n - sizes) >= min_leaf)
+    if not valid.any():
+        return None
+    gains = np.where(valid, gains, -np.inf)
+    # The first maximum in (candidate, cut) order: lowest feature, then smallest threshold.
+    c, j = np.unravel_index(np.argmax(gains), gains.shape)
+    gain = float(gains[c, j])
+    if gain <= 0.0:
+        return None
+    thr = (xs[c, j] + xs[c, j + 1]) / 2.0
+    if thr <= xs[c, j]:  # adjacent floats can round the midpoint onto the left value
+        thr = xs[c, j + 1]
+    return SplitRule(int(features[c]), float(thr)), gain
 
 
 def _build(X, y, params: TreeParams,
@@ -236,13 +220,16 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionT
                           matrix.feature_names, params, n)
 
 
-def _collapse_schedule(tree: RegressionTree) -> list[tuple[float, int, int]]:
-    """Weakest-link collapses in order, as (penalty, node index, leaves removed).
+def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
+    """Weakest-link pruning as two read-only per-node arrays (penalty, above).
 
-    Each step folds the internal node of least g = (its SSE - its leaves' SSE)
-    / (its leaves - 1), ties to the earlier in preorder, until the root is a
-    leaf. A step's penalty is the largest g so far (g need not ascend), so
-    pruning at alpha takes exactly the steps whose penalty is at most alpha.
+    One heap pass folds the internal node of least g = (its SSE - its leaves'
+    SSE) / (its leaves - 1), ties to the earlier in preorder, until the root
+    is a leaf. penalty[i] is the largest g so far when node i folds (g need
+    not ascend); it is -inf for a leaf and +inf for a node folded together
+    with an ancestor. above[i] is the least penalty of i's ancestors (+inf at
+    the root). Pruned at alpha, node i is kept when alpha < above[i], and is
+    a leaf when also penalty[i] <= alpha.
     """
     right, sse = tree.right.tolist(), tree.sse.tolist()
     internal = [i for i, r in enumerate(right) if r >= 0]
@@ -261,33 +248,34 @@ def _collapse_schedule(tree: RegressionTree) -> list[tuple[float, int, int]]:
     heap = [refresh(i) for i in reversed(internal)]  # children before their parent
     heapq.heapify(heap)
     size = [2 * count - 1 for count in leaves]  # a subtree is contiguous in preorder
-    steps, penalty = [], -np.inf
+    penalty = [math.inf if r >= 0 else -math.inf for r in right]
+    running = -math.inf
     while heap:
         g, i, s = heapq.heappop(heap)
         if s == stamp[i]:
-            penalty = max(penalty, g)
-            steps.append((penalty, i, leaves[i] - 1))
+            running = penalty[i] = max(running, g)
             # A collapse changes only its ancestors' g; re-add their leaf SSE sums.
             stamp[i:i + size[i]] = [-1] * size[i]
             leaves[i], leaf_sse[i] = 1, sse[i]
             while parent[i] >= 0:
                 i = parent[i]
                 heapq.heappush(heap, refresh(i))
-    return steps
+    above = [math.inf] * len(right)
+    for i in internal:  # preorder: a node's own value is set before its children's
+        above[i + 1] = above[right[i]] = min(above[i], penalty[i])
+    arrays = np.array(penalty), np.array(above)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def prune_at(tree: RegressionTree, alpha: float) -> RegressionTree:
     """Collapse internal nodes while the weakest link costs at most alpha."""
-    right = tree.right.tolist()
-    cut, gone = [False] * len(right), [False] * len(right)  # gone: below a cut node
-    for penalty, i, _ in _collapse_schedule(tree):
-        cut[i] = penalty <= alpha
-    for i, r in enumerate(right):
-        if r >= 0:
-            gone[i + 1] = gone[r] = gone[i] or cut[i]
-    keep = ~np.array(gone)
+    penalty, above = _fold_penalties(tree)
+    keep = alpha < above
+    keep[0] = True  # the root has no ancestor to fold into, even at alpha = inf
+    inner = alpha < penalty
     renumber = np.cumsum(keep) - 1
-    inner = (tree.feature >= 0) & ~np.array(cut)
     return RegressionTree(np.where(inner, tree.feature, -1)[keep],
                           np.where(inner, tree.threshold, np.nan)[keep],
                           np.where(inner, renumber[tree.right], -1)[keep],
@@ -315,14 +303,10 @@ class PruneTrace:
 
 def cost_complexity_sequence(tree: RegressionTree) -> PruneTrace:
     """Strictly ascending collapse penalties and the nested subtree sizes."""
-    alphas, sizes = [], [tree.n_leaves]
-    for penalty, _, removed in _collapse_schedule(tree):
-        # Steps sharing a penalty fold together, so alphas strictly ascend.
-        if not alphas or penalty > alphas[-1]:
-            alphas.append(float(penalty))
-            sizes.append(sizes[-1])
-        sizes[-1] -= removed
-    return PruneTrace(tuple(alphas), tuple(sizes))
+    penalty, above = _fold_penalties(tree)
+    alphas = np.unique(penalty[np.isfinite(penalty)])  # links of one penalty fold together
+    sizes = ((penalty[:, None] <= alphas) & (alphas < above[:, None])).sum(axis=0)
+    return PruneTrace(tuple(alphas.tolist()), (tree.n_leaves, *sizes.tolist()))
 
 
 def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) -> RegressionTree:
@@ -336,19 +320,15 @@ def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) 
 def _pruned_predictions(tree: RegressionTree, X: np.ndarray, alphas) -> np.ndarray:
     """prune_at(tree, alpha).predict_batch(X) for every alpha, as (alphas, rows).
 
-    Each row is routed once. At alpha it stops at the first node on its path
-    whose penalty is at most alpha (every ancestor's exceeds it), else at its leaf.
+    Each row is routed once. At alpha it stops at the node on its path that
+    prune_at keeps as a leaf: penalty <= alpha < above.
     """
-    penalty = np.where(tree.feature >= 0, np.inf, -np.inf)
-    for p, i, _ in _collapse_schedule(tree):
-        penalty[i] = p
+    penalty, above = _fold_penalties(tree)
     alphas = np.asarray(alphas, dtype=float)
     out = np.empty((alphas.size, X.shape[0]))
-    above = np.full(X.shape[0], np.inf)  # least penalty of each row's ancestors so far
     for rows, at in tree._levels(X):
-        stop, ai = np.nonzero((penalty[at, None] <= alphas) & (alphas < above[rows, None]))
+        stop, ai = np.nonzero((penalty[at, None] <= alphas) & (alphas < above[at, None]))
         out[ai, rows[stop]] = tree.mean[at[stop]]
-        above[rows] = np.minimum(above[rows], penalty[at])
     return out
 
 

@@ -7,6 +7,7 @@ ranges so the counts are reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -296,3 +297,24 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         assert digests[0], "bundle came out empty"
         assert digests[0] == digests[1], "rerun differs"
         assert digests[0] == digests[2], "--jobs 8 differs from --jobs 1"
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ({"rescale_scope": "full", "selection": {"mode": "rf", "forest_scope": "per_group"},
+      "tree": {"min_leaf": 5, "cv_folds": 5, "prune_rule": "one_se"}},
+     "cffdf662f5678a78c8dd0f60f52f3ae4266c6ec7783a990f64c3327ef394a2c0"),
+    ({"selection": {"mode": "fixed"},
+      "tree": {"min_leaf": 1, "max_depth": 8, "cv_folds": 5, "prune_rule": "min_cv"}},
+     "a7a6855ccdf311eea51654529329dfb892d1fbdc34a33fa537adbe8088b29ba5"),
+], ids=["rf_per_group_full_one_se", "fixed_deep"])
+def test_bundle_bytes_are_pinned(tmp_path, extra, digest):
+    """Small studies give the bundle bytes recorded when the digests were pinned.
+
+    The digest is the sha256 of the JSON of bundle_digests (path -> file sha256).
+    """
+    csv_path = synth_panel_csv(tmp_path / "panel.csv")
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(fast_config(csv_path, out, **extra)), encoding="utf-8")
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(json.dumps(bundle_digests(out)).encode()).hexdigest() == digest

@@ -192,6 +192,7 @@ def test_country_group_criteria():
                      {"name": "early_years", "criterion": {"kind": "all"}}]},
      "subsample names 'early years' and 'early_years' would both write files named "
      "'early_years'"),
+    ({"data": {"columns": {"betta": "Beta"}}}, "unknown keys in data.columns: ['betta']"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):

@@ -365,7 +365,10 @@ def test_cli_config_fault_inside_subsample_exits_2(study_env, no_env_config, cap
      "selection.fixed names unknown proxy 'Nope'"),
     ({"selection": {"mode": "fixed", "fixed": ["Capt", "Capt_x"]}},
      "selection.fixed has two proxies for group 'C'"),
-], ids=["mtry", "unknown", "two_of_a_group"])
+    # "betta" is no panel field, so beta would read as blank on every row.
+    ({"data": {"path": "no_such_panel.csv", "columns": {"betta": "Beta"}},
+      "selection": {"mode": "fixed"}}, "unknown keys in data.columns: ['betta']"),
+], ids=["mtry", "unknown", "two_of_a_group", "unknown_column_field"])
 def test_cli_selection_fault_exits_2_before_reading_the_panel(no_env_config, capsys, tmp_path,
                                                               extra, fragment):
     # The panel path does not exist, so an error naming the config key shows
@@ -377,6 +380,17 @@ def test_cli_selection_fault_exits_2_before_reading_the_panel(no_env_config, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "no_such_panel" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scope", ["subsample", "full"])
+def test_cli_header_only_panel_exits_2(no_env_config, capsys, tmp_path, scope):
+    panel = tmp_path / "empty.csv"
+    panel.write_text(",".join(HEADER) + "\n", encoding="utf-8")
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "c.json", fast_config(panel, out, rescale_scope=scope))
+    assert main(["study", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: panel has no rows\n"
     assert not out.exists()
 
 

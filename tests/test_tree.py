@@ -22,7 +22,7 @@ from charterseg.tree import (
     RegressionTree,
     SplitRule,
     TreeParams,
-    _collapse_schedule,
+    _fold_penalties,
     _pruned_predictions,
     best_split,
     cost_complexity_sequence,
@@ -156,6 +156,42 @@ def test_best_split_matches_brute_force():
         rule, gain = got
         assert (rule.feature, rule.threshold) == (want[0], want[1])
         assert gain == pytest.approx(want[2], rel=1e-9)
+
+
+def test_best_split_on_feature_subsets_matches_brute_force():
+    # Forest nodes search an ascending random subset of the columns, drawn as
+    # the forest's pick() draws it; the oracle searches those columns alone.
+    rng = make_rng(2025)
+    for trial in range(40):
+        mat = random_matrix(rng, m=int(rng.integers(2, 9)), tie_heavy=bool(trial % 2))
+        X, y = np.array(mat.scores), mat.response
+        m = X.shape[1]
+        if trial % 3 == 0:
+            X[:, m - 1] = X[:, 0]  # the first and last columns tie on every cut
+        subset = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        min_leaf = int(rng.integers(1, 6))
+        got = best_split(X, y, min_leaf, feature_indices=subset)
+        want = brute_force_best_split(X[:, subset], y, min_leaf)
+        if want is None:
+            assert got is None
+            continue
+        rule, gain = got
+        assert (rule.feature, rule.threshold) == (subset[want[0]], want[1])
+        assert gain == pytest.approx(want[2], rel=1e-9)
+
+
+def test_best_split_tie_between_non_adjacent_candidates_takes_the_lower():
+    rng = make_rng(31)
+    X = rng.uniform(1.0, 5.0, size=(60, 4))
+    X[:, 3] = X[:, 1]
+    y = np.where(X[:, 1] < 3.0, 0.0, 1.0) + rng.normal(0.0, 0.01, 60)
+    rule, gain = best_split(X, y, 5, feature_indices=np.array([0, 1, 3]))
+    alone, alone_gain = best_split(X, y, 5, feature_indices=np.array([0, 3]))
+    assert (rule.feature, alone.feature) == (1, 3)
+    assert (rule.threshold, gain) == (alone.threshold, alone_gain)
+    f, thr, ref_gain = brute_force_best_split(X[:, [0, 1, 3]], y, 5)
+    assert (f, thr) == (1, rule.threshold)
+    assert gain == pytest.approx(ref_gain, rel=1e-9)
 
 
 def test_gain_shift_and_scale_behavior():
@@ -334,6 +370,7 @@ def test_prune_at_endpoints():
     collapsed = prune_at(tree, trace.alphas[-1])
     assert isinstance(root(collapsed), Leaf)
     assert root(collapsed).n == mat.n_rows
+    assert export_json(prune_at(tree, np.inf)) == export_json(collapsed)
 
 
 def test_prune_at_follows_schedule_sizes():
@@ -447,17 +484,22 @@ def node_paths(node, path=()):
 
 def test_schedule_breaks_ties_in_preorder():
     # a (depth 2, left) and b (depth 1, right) both cost exactly g = 20 to
-    # collapse; preorder takes a first, where depth order would take b.
+    # collapse; preorder takes a first, where depth order would take b. Links
+    # of equal g fold at the same penalty, so no output shows their order.
     a = consistent_internal(SplitRule(0, 1.5), Leaf(10, 0.0, 1.0), Leaf(10, 2.0, 1.0))
     b = consistent_internal(SplitRule(0, 4.5), Leaf(10, 10.0, 1.0), Leaf(10, 12.0, 1.0))
     left = consistent_internal(SplitRule(0, 2.5), a, Leaf(20, 50.0, 1.0))
     tree = build_tree(consistent_internal(SplitRule(0, 3.5), left, b), ("f0",))
     paths = node_paths(root(tree))
-    steps = _collapse_schedule(tree)
+    penalty, _ = _fold_penalties(tree)
     _, reference = reference_collapses(tree)
-    assert [paths[i] for _, i, _ in steps] == [path for _, path in reference]
+    running, want = -np.inf, {}
+    for g, path in reference:
+        running = want[path] = max(running, g)
+    assert {paths[i]: p for i, p in enumerate(penalty.tolist()) if np.isfinite(p)} == want
     assert [step[:2] for step in reference[:2]] == [(20.0, (0, 0)), (20.0, (1,))]
-    assert [removed for _, _, removed in steps] == [1, 1, 2]
+    trace = cost_complexity_sequence(tree)
+    assert (trace.alphas, trace.subtree_sizes) == reference_cost_complexity_sequence(tree)
 
 
 def test_prune_at_cuts_at_first_step_above_alpha():
