@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtr
 
 from .errors import DegenerateInputError
 
@@ -84,5 +84,5 @@ def pearson(x, y) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(sstats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, min(1.0, p)

@@ -225,9 +225,10 @@ def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
 
     One heap pass folds the internal node of least g = (its SSE - its leaves'
     SSE) / (its leaves - 1), ties to the earlier in preorder, until the root
-    is a leaf. penalty[i] is the largest g so far when node i folds (g need
-    not ascend); it is -inf for a leaf and +inf for a node folded together
-    with an ancestor. above[i] is the least penalty of i's ancestors (+inf at
+    is a leaf. penalty[i] is the largest g so far, and at least 0, when node
+    i folds (g need not ascend, and a zero gain can compute a residue below 0);
+    it is -inf for a leaf and +inf for a node folded together with an
+    ancestor. above[i] is the least penalty of i's ancestors (+inf at
     the root). Pruned at alpha, node i is kept when alpha < above[i], and is
     a leaf when also penalty[i] <= alpha.
     """
@@ -249,7 +250,7 @@ def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
     heapq.heapify(heap)
     size = [2 * count - 1 for count in leaves]  # a subtree is contiguous in preorder
     penalty = [math.inf if r >= 0 else -math.inf for r in right]
-    running = -math.inf
+    running = 0.0  # a node's SSE is at least its leaves', so a true g is >= 0
     while heap:
         g, i, s = heapq.heappop(heap)
         if s == stamp[i]:

@@ -84,7 +84,21 @@ def test_pearson_hand_computed():
     r, p = pearson(x, y)
     assert r == pytest.approx(0.8, abs=1e-12)
     t = 0.8 * math.sqrt(3 / (1 - 0.64))
-    assert p == pytest.approx(2 * scipy.stats.t.sf(t, 3), abs=1e-15)
+    assert p == 2 * scipy.stats.t.sf(t, 3)
+
+
+def test_pearson_p_equals_scipy_t_sf():
+    # stdtr(df, -|t|) is the routine behind scipy.stats.t.sf, so the two
+    # must agree bit for bit; bundles write p-values with repr.
+    rng = np.random.default_rng(29)
+    for df in [*range(1, 400), 1000, 5000, 100_000]:
+        n = df + 2
+        x = rng.normal(size=n)
+        y = rng.normal(size=n) * 0.3 + x * rng.choice([0.0, 0.05, 1.0])
+        r, p = pearson(x, y)
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        expected = min(1.0, 2.0 * float(scipy.stats.t.sf(abs(t), n - 2)))
+        assert p == expected, (df, r, p, expected)
 
 
 def test_pearson_perfect_line():

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib.util
+import io
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
@@ -19,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
@@ -28,6 +34,8 @@ from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import run_study, write_study
 
+from helpers import json_paths, replaced
+from test_config import _EDGES, _WORDS
 from test_panel import _PANEL_BYTES
 
 HEADER = [
@@ -442,6 +450,88 @@ def test_cli_ingest_fuzz_exits_0_or_2(data):
         assert main(["ingest", "--config", str(cfg)]) in (0, 2)
 
 
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    """A valid config on a 2005-2014 panel of 120 rows that touches every section."""
+    base = tmp_path_factory.mktemp("cli_fuzz")
+    fixed = ["Capt", "Asts", "Mang", "Ergs_x", "Liqt_x", "Syst"]
+    return {
+        "data": {"path": str(synth_panel_csv(base / "panel.csv", n_banks=12)),
+                 "columns": {"beta": "beta"}, "window": [2005, 2014]},
+        "proxies": [dataclasses.asdict(s) for s in DEFAULT_PROXY_SPECS
+                    if s.name in fixed or s.name == "Capt_x"],
+        "rescale_scope": "subsample",
+        "subsamples": [
+            {"name": "all", "criterion": {"kind": "all"}},
+            {"name": "early", "criterion": {"kind": "years", "start": 2005, "end": 2009},
+             "min_leaf": 10},
+            {"name": "late", "criterion": {"kind": "years", "start": 2014, "end": 2015}},
+            {"name": "south", "criterion": {"kind": "countries", "codes": ["ES", "IT"]}},
+            {"name": "big", "criterion": {"kind": "size", "half": "large"}},
+            {"name": "pigs", "criterion": {"kind": "countries", "group": "pigs"}},
+        ],
+        "tree": {"min_leaf": 15, "max_depth": 4, "cv_folds": 5, "prune_rule": "min_cv"},
+        "forest": {"n_trees": 3, "mtry": 2, "min_leaf": 5},
+        "selection": {"mode": "rf", "fixed": fixed, "forest_scope": "joint"},
+        "seed": 7,
+        "out": "unused",
+    }
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _mutated(doc, edits):
+    """doc after each edit: a value replaced (by "renumber", a number by a
+    number), a key deleted, or an unknown key added to an object."""
+    for pick, action, value in edits:
+        places = [p for p in json_paths(doc)
+                  if action != "renumber" or type(_at(doc, p)) in (int, float)]
+        if not places:
+            continue
+        path = places[pick % len(places)]
+        target = _at(doc, path)
+        if action in ("replace", "renumber"):
+            doc = replaced(doc, path, value)
+        elif action == "add" and isinstance(target, dict):
+            doc = replaced(doc, path, {**target, "zz_unknown": value})
+        elif action == "delete" and path:
+            doc = copy.deepcopy(doc)
+            del _at(doc, path[:-1])[path[-1]]
+    return doc
+
+
+# Wrong JSON types and config words (test_config's edge cases) anywhere, and
+# numbers at and past the edges of the ranges that only the run itself
+# meets: fold and leaf counts against 120 rows, years against the panel's.
+_NUMBERS = [-1, 0, 1, 2, 3, 5, 15, 60, 120, 10 ** 6, 2 ** 63, -0.5, 0.5, 1e-300, 1e308,
+            2004, 2005, 2008, 2014, 2015]
+_PICKS = st.integers(0, 10 ** 4)
+_EDITS = st.lists(st.tuples(_PICKS, st.sampled_from(["replace", "delete", "add"]),
+                            st.sampled_from([*_EDGES, *_WORDS]))
+                  | st.tuples(_PICKS, st.just("renumber"), st.sampled_from(_NUMBERS)),
+                  min_size=1, max_size=3)
+
+
+@seed(20241018)
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["select", "grow", "study"]), _EDITS)
+def test_cli_fuzzed_config_exits_0_1_or_2(fuzz_config, command, edits):
+    # A perturbed config ends in a result (0), a degraded study (1) or a
+    # located error (2), never in a traceback. --trees keeps any forest the
+    # edits leave valid at 3 trees; the config's own n_trees is still checked.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.json", _mutated(fuzz_config, edits))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o"),
+                       "--trees", "3"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_subsample_names_sharing_a_file_name_exit_2_before_reading_the_panel(
         no_env_config, capsys, tmp_path):
     # Both names write *_early_years.*, so the second's files used to replace the first's.
@@ -474,17 +564,46 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(study_env, no_env_config
     assert not out.exists()
 
 
+def src_env() -> dict[str, str]:
+    """The outer environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 @pytest.mark.parametrize("module", ["charterseg", "charterseg.cli"])
 def test_python_dash_m_runs_the_cli(module, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-m", module, "--help"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-m", module, "--help"], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "usage: charterseg" in done.stdout
     for cmd in ("ingest", "select", "grow", "study"):
         assert cmd in done.stdout
+
+
+_IMPORT_PROBE = """
+import json, sys
+from charterseg import cli
+rc = cli.main(["study", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_study_loads_only_scipy_special(study_env, tmp_path):
+    # pearson's Student-t tail is scipy.special.stdtr; importing scipy.stats
+    # for it would pull in optimize, linalg, sparse and spatial and more than
+    # double the start-up time of every charterseg process.
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(study_env["config"]),
+                           str(tmp_path / "out")], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["rc"] in (0, 1)
+    assert (tmp_path / "out" / "tables").is_dir()
+    assert "scipy.special" in probe["modules"]
+    for heavy in ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+                  "scipy.spatial"):
+        assert heavy not in probe["modules"]
 
 
 def test_cli_grow(study_env, no_env_config, capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,30 @@ def test_cv_prune_matches_rescanning_reference():
             assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
     reference = reference_prune_at(grow(mat, params), trace.chosen_alpha)
     assert export_json(pruned) == export_json(reference)
+
+
+def test_cv_prune_zero_gain_split_gives_no_negative_penalty():
+    # Integer responses let best_split accept a cut whose true gain is 0 with
+    # a rounding residue, so its g computes to about -4e-16. Floored at 0,
+    # no eval alpha is the NaN sqrt of a negative product, and every cv_mse
+    # cell is written (a NaN alpha used to leave a row of np.empty unset).
+    rng = np.random.default_rng(20)
+    mat = make_matrix(rng.uniform(1.0, 5.0, (89, 2)), np.round(rng.standard_normal(89)))
+    params = TreeParams(min_leaf=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [cv_prune(mat, params, k=10, seed=0)[1] for _ in range(3)]
+    trace = runs[0]
+    assert trace.alphas[0] == 0.0  # the zero-gain split, floored; the rest ascend from it
+    assert np.isfinite(trace.eval_alphas).all()
+    assert list(trace.eval_alphas) == midpoint_alphas(trace.alphas)
+    for other in runs[1:]:
+        assert np.array_equal(other.cv_mse, trace.cv_mse)
+    for fi, test_idx in enumerate(np.array_split(make_rng(0).permutation(mat.n_rows), 10)):
+        fold_tree = grow(mat.take(np.setdiff1d(np.arange(mat.n_rows), test_idx)), params)
+        for ai, alpha in enumerate(trace.eval_alphas):
+            pred = reference_prune_at(fold_tree, alpha).predict_batch(mat.scores[test_idx])
+            assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
 
 
 def node_paths(node, path=()):
