@@ -9,6 +9,7 @@ same master seed always produces a byte-identical bundle.
 
 import csv
 import os
+import shutil
 
 import numpy as np
 
@@ -73,6 +74,7 @@ config = parse_config({
 
 # -------------------------------------------------------------------- study
 result = run_study(config, jobs=2)
+shutil.rmtree(OUT_DIR, ignore_errors=True)  # write_study refuses to mix two runs' files
 write_study(result, OUT_DIR)
 
 for r in result.results:

@@ -58,8 +58,6 @@ class LeafPath:
 
 def leaf_share(tree: RegressionTree, leaf: int) -> float:
     """Fraction of the training rows that ended in this leaf (a node index)."""
-    if tree.total_n <= 0:
-        raise DegenerateInputError("tree has no training rows")
     return int(tree.n[leaf]) / tree.total_n
 
 

@@ -21,7 +21,9 @@ from .errors import ChartersegError
 from .panel import FullSample, compute_raw_proxies
 from .select import selection_to_spec_fragment
 from .study import (
+    STUDY_OUTPUTS,
     load_configured_panel,
+    refuse_existing_outputs,
     run_study,
     select_full_panel,
     summary_table,
@@ -31,6 +33,16 @@ from .study import (
     write_study,
     write_summary_table,
 )
+
+
+# The files and directories each command writes into --out. A command refuses
+# an --out that already holds one of them, so no output mixes two runs.
+OUTPUTS = {
+    "ingest": ("summary.csv", "exclusions.csv"),
+    "select": ("selection.csv", "selected_proxies.json", "importance.csv"),
+    "grow": STUDY_OUTPUTS,
+    "study": STUDY_OUTPUTS,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
                        help=f"run config JSON (default: ${CONFIG_ENV_VAR})")
-        p.add_argument("--out", default=None, help="override output directory")
+        p.add_argument("--out", default=None,
+                       help="override output directory; it must not hold this command's outputs")
         for flag in names:
             p.add_argument(flag, **flags[flag])
     return parser
@@ -159,6 +172,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_run_config(args)
+        refuse_existing_outputs(cfg.out, OUTPUTS[args.command])
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "select":

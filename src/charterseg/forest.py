@@ -44,9 +44,6 @@ class ForestParams:
 class Forest:
     trees: tuple[RegressionTree, ...]
     bootstrap_indices: tuple[np.ndarray, ...]
-    feature_names: tuple[str, ...]
-    params: ForestParams
-    n_rows: int
 
 
 def _grow_one(X, y, feature_names, tree_params: TreeParams, mtry: int, seed: int,
@@ -61,7 +58,7 @@ def _grow_one(X, y, feature_names, tree_params: TreeParams, mtry: int, seed: int
         # Sorted so tie-breaking matches single-tree growth when mtry == m.
         return np.sort(rng.choice(m, size=mtry, replace=False))
 
-    return RegressionTree(*_build(Xb, yb, tree_params, pick), feature_names, tree_params, n), boot
+    return RegressionTree(*_build(Xb, yb, tree_params, pick), feature_names, tree_params), boot
 
 
 def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), seed: int = 0,
@@ -90,7 +87,7 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
                                derive_seed(seed, t), bootstrap)
         trees.append(tree)
         boots.append(boot)
-    return Forest(tuple(trees), tuple(boots), matrix.feature_names, params, n)
+    return Forest(tuple(trees), tuple(boots))
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def _oob_mask(boot: np.ndarray, n: int) -> np.ndarray:
 def oob_predict(forest: Forest, matrix: ScoredMatrix) -> OobResult:
     """Average each row's predictions over the trees that did not train on it."""
     n = matrix.n_rows
-    if n != forest.n_rows:
+    if n != forest.trees[0].total_n:
         raise ConfigError("matrix row count differs from the forest's training rows")
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=int)

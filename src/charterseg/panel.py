@@ -231,15 +231,15 @@ PROXY_FIELDS = (
 
 @dataclass(frozen=True)
 class ProxyFrame:
-    """Column table of Tobin's Q and raw proxy ratios for surviving rows."""
+    """Column table of Tobin's Q and raw proxy ratios for the surviving panel rows."""
 
-    row_ids: tuple[str, ...]
+    rows: np.ndarray
     q: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     exclusions: tuple[Exclusion, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.row_ids)
+        return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
         if name == "q":
@@ -299,12 +299,7 @@ def compute_raw_proxies(panel: Panel) -> ProxyFrame:
         "liquid_to_assets": sub["liquid_assets"] / sub["total_assets"],
         "beta": sub["beta"],
     }
-    return ProxyFrame(
-        row_ids=row_ids(sub),
-        q=q_all[keep],
-        columns=columns,
-        exclusions=tuple(exclusions),
-    )
+    return ProxyFrame(rows=sub, q=q_all[keep], columns=columns, exclusions=tuple(exclusions))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ always the safest observation and 5 the riskiest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import panel as panel_mod
 from .errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
-from .panel import Exclusion, ProxyFrame
+from .panel import Exclusion, ProxyFrame, row_ids
 
 INCREASING = "increasing"  # raw value up -> risk up
 DECREASING = "decreasing"  # raw value up -> risk down
@@ -26,6 +27,15 @@ QUANTILE = "quantile"
 THRESHOLD = "threshold"
 
 GROUPS = ("C", "A", "M", "E", "L", "S")
+
+# Largest |threshold|. For u and raw values within it, u - lo, hi - u and
+# 3 * (v - u) stay below 3/4 of the largest float, so no score overflows.
+THRESHOLD_BOUND = sys.float_info.max / 8
+
+
+def _check_threshold(u: float, where: str = "") -> None:
+    if not abs(u) <= THRESHOLD_BOUND:  # NaN fails too
+        raise ConfigError(f"{where}threshold must lie within +-{THRESHOLD_BOUND:.6g}, got {u!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,8 @@ class ProxySpec:
             raise ConfigError(f"{self.name}: threshold mode needs a threshold value")
         if self.mode == QUANTILE and self.threshold is not None:
             raise ConfigError(f"{self.name}: quantile mode takes no threshold")
+        if self.threshold is not None:
+            _check_threshold(self.threshold, f"{self.name}: ")
         if self.raw_field not in panel_mod.PROXY_FIELDS:
             raise SchemaError(f"{self.name}: unknown raw field {self.raw_field!r}")
 
@@ -152,8 +164,10 @@ def threshold_rescale(values, direction: str, u: float, reference=None) -> np.nd
     at exactly 2.0; the risky side maps onto (2, 5] with the worst observed
     value at 5. A zero-width safe piece (sample edge equal to u) sends its
     values to 2.0; a constant column scores 3.0 everywhere. The extremes come
-    from reference when given, which must span every value.
+    from reference when given, which must span every value. |u| must not
+    exceed THRESHOLD_BOUND.
     """
+    _check_threshold(float(u))
     v, ref = _samples(values, reference)
     if direction == INCREASING:
         return _threshold_increasing(v, float(u), ref)
@@ -169,15 +183,14 @@ class ScoredMatrix:
     feature_names: tuple[str, ...]
     scores: np.ndarray  # (n, m)
     response: np.ndarray  # (n,)
-    row_ids: tuple[str, ...]
-    exclusions: tuple[Exclusion, ...] = ()
+    exclusions: tuple[Exclusion, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self):
         n, m = self.scores.shape
         if m != len(self.feature_names):
             raise SchemaError("feature_names and score columns disagree")
-        if n != self.response.shape[0] or n != len(self.row_ids):
-            raise SchemaError("row count mismatch between scores, response, and row_ids")
+        if n != self.response.shape[0]:
+            raise SchemaError("row count mismatch between scores and response")
         if not ((self.scores >= 1.0) & (self.scores <= 5.0)).all():  # NaN fails both
             raise DegenerateInputError("scores must lie within [1, 5]")
 
@@ -190,16 +203,9 @@ class ScoredMatrix:
         return self.scores.shape[1]
 
     def take(self, indices) -> "ScoredMatrix":
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        return ScoredMatrix(
-            feature_names=self.feature_names,
-            scores=self.scores[idx],
-            response=self.response[idx],
-            row_ids=tuple(self.row_ids[i] for i in idx),
-            exclusions=self.exclusions,
-        )
+        """The rows at indices (positions or a boolean mask), in that order."""
+        return ScoredMatrix(self.feature_names, self.scores[indices], self.response[indices],
+                            exclusions=self.exclusions)
 
 
 def complete_rows(frame: ProxyFrame, specs, exclusions: list | None = None) -> np.ndarray:
@@ -214,8 +220,8 @@ def complete_rows(frame: ProxyFrame, specs, exclusions: list | None = None) -> n
             raise SchemaError(f"raw field {fname!r} not in proxy frame")
         bad = ~np.isfinite(frame.columns[fname]) & keep
         if exclusions is not None:
-            exclusions.extend(Exclusion(frame.row_ids[i], f"missing {fname}")
-                              for i in np.flatnonzero(bad))
+            exclusions.extend(Exclusion(row_id, f"missing {fname}")
+                              for row_id in row_ids(frame.rows[bad]))
         keep &= ~bad
     return np.flatnonzero(keep)
 
@@ -255,6 +261,5 @@ def build_scored_matrix(frame: ProxyFrame, specs,
         feature_names=tuple(names),
         scores=np.column_stack(cols),
         response=frame.q[idx],
-        row_ids=tuple(frame.row_ids[i] for i in idx),
         exclusions=tuple(exclusions),
     )

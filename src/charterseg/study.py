@@ -11,6 +11,7 @@ produces byte-identical output regardless of worker count.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,6 +279,19 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
     return StudyResult(config, tuple(results))
 
 
+# What write_study puts in its output directory.
+STUDY_OUTPUTS = ("report.md", "tables", "trees")
+
+
+def refuse_existing_outputs(outdir, names) -> None:
+    """Raise ConfigError when outdir already holds one of names, so two runs never mix."""
+    for name in names:
+        path = Path(outdir) / name
+        if os.path.lexists(path):
+            raise ConfigError(f"output {path} already exists; "
+                              "remove it or choose another directory")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -312,7 +326,12 @@ def write_selection_table(path, chosen) -> None:
 
 
 def write_study(result: StudyResult, outdir) -> None:
-    """Write the study bundle: report.md, tables/*.csv, trees/*.dot|.json."""
+    """Write the study bundle: report.md, tables/*.csv, trees/*.dot|.json.
+
+    Raises:
+        ConfigError: outdir already holds report.md, tables or trees.
+    """
+    refuse_existing_outputs(outdir, STUDY_OUTPUTS)
     out = Path(outdir)
     tables = out / "tables"
     trees = out / "trees"

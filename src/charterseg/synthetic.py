@@ -194,6 +194,5 @@ def planted_matrix(panel: Panel, spec: PlantedTreeSpec) -> ScoredMatrix:
         feature_names=fields,
         scores=np.column_stack(cols),
         response=frame.q,
-        row_ids=frame.row_ids,
         exclusions=frame.exclusions,
     )

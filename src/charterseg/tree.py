@@ -66,7 +66,6 @@ class RegressionTree:
     sse: np.ndarray
     feature_names: tuple[str, ...]
     params: TreeParams
-    total_n: int
 
     def __post_init__(self):
         for name, dtype in _NODE_ARRAYS:
@@ -95,6 +94,11 @@ class RegressionTree:
     def leaves(self) -> np.ndarray:
         """Leaf node indices, left to right."""
         return np.flatnonzero(self.feature < 0)
+
+    @property
+    def total_n(self) -> int:
+        """Rows the tree was grown on: the root's count."""
+        return int(self.n[0])
 
     @property
     def n_leaves(self) -> int:
@@ -217,7 +221,7 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionT
     if n < params.min_leaf:
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
     return RegressionTree(*_build(matrix.scores, matrix.response, params),
-                          matrix.feature_names, params, n)
+                          matrix.feature_names, params)
 
 
 def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +285,7 @@ def prune_at(tree: RegressionTree, alpha: float) -> RegressionTree:
                           np.where(inner, tree.threshold, np.nan)[keep],
                           np.where(inner, renumber[tree.right], -1)[keep],
                           tree.n[keep], tree.mean[keep], tree.sse[keep],
-                          tree.feature_names, tree.params, tree.total_n)
+                          tree.feature_names, tree.params)
 
 
 @dataclass(frozen=True)
@@ -314,7 +318,7 @@ def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) 
     sub = matrix.take(train_idx)
     if sub.n_rows < params.min_leaf:  # too few rows for grow, so a single leaf
         return RegressionTree(*_build(sub.scores, sub.response, params), matrix.feature_names,
-                              params, sub.n_rows)
+                              params)
     return grow(sub, params)
 
 
@@ -505,8 +509,8 @@ def import_json(text: str) -> RegressionTree:
 
     Counts and feature indices must be JSON integers, node statistics and
     thresholds finite JSON numbers, and feature_names a list of strings. Every
-    node holds at least one row and an SSE of at least zero, and the two
-    children of a split hold all of their parent's rows.
+    node holds at least one row and an SSE of at least zero, the two children
+    of a split hold all of their parent's rows, and total_n is the root's n.
     """
     try:
         doc = _object(json.loads(text), "document")
@@ -527,4 +531,6 @@ def import_json(text: str) -> RegressionTree:
         raise ParseError(f"invalid tree JSON: {exc}") from None
     except RecursionError:
         raise ParseError("tree JSON nests too deeply") from None
-    return RegressionTree(*zip(*nodes), tuple(names), params, total_n)
+    if total_n != nodes[0][3]:
+        raise ParseError(f"tree document.total_n is {total_n}, but root.n is {nodes[0][3]}")
+    return RegressionTree(*zip(*nodes), tuple(names), params)

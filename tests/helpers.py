@@ -132,8 +132,7 @@ def make_matrix(X, y, names=None) -> ScoredMatrix:
     y = np.asarray(y, dtype=float)
     if names is None:
         names = tuple(f"f{j}" for j in range(X.shape[1]))
-    ids = tuple(f"r{i}:0" for i in range(X.shape[0]))
-    return ScoredMatrix(tuple(names), X, y, ids)
+    return ScoredMatrix(tuple(names), X, y)
 
 
 def random_matrix(rng, n=None, m=None, tie_heavy=False):
@@ -160,12 +159,11 @@ def consistent_internal(split, left, right):
     return Internal(split, left, right, n, mean, sse)
 
 
-def build_tree(node, names, total_n=None, min_leaf=1, max_depth=None) -> RegressionTree:
+def build_tree(node, names, min_leaf=1, max_depth=None) -> RegressionTree:
     """A library tree from oracle nodes, through import_json."""
-    tn = total_n if total_n is not None else node.n
     return import_json(json.dumps({
         "format": "charterseg-tree", "version": 1, "feature_names": list(names),
-        "total_n": tn, "params": {"min_leaf": min_leaf, "max_depth": max_depth},
+        "total_n": node.n, "params": {"min_leaf": min_leaf, "max_depth": max_depth},
         "root": _node_to_doc(node)}))
 
 
@@ -257,7 +255,7 @@ def reference_collapses(tree, alpha=float("inf")):
             break
         node = collapse(node, path)
         done.append((g, path))
-    return build_tree(node, tree.feature_names, tree.total_n, tree.params.min_leaf,
+    return build_tree(node, tree.feature_names, tree.params.min_leaf,
                       tree.params.max_depth), done
 
 

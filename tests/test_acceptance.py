@@ -42,8 +42,7 @@ def criterion(number: int, title: str):
 
 def plain_matrix(X, y, names=None) -> ScoredMatrix:
     names = names or tuple(f"f{j}" for j in range(X.shape[1]))
-    return ScoredMatrix(tuple(names), np.asarray(X, float), np.asarray(y, float),
-                        tuple(f"r{i}:0" for i in range(len(y))))
+    return ScoredMatrix(tuple(names), np.asarray(X, float), np.asarray(y, float))
 
 
 def test_criterion_01_split_oracle_equivalence():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from charterseg.analysis import (
     path_rows,
     significance_stars,
 )
-from charterseg.errors import DegenerateInputError
-from charterseg.tree import SplitRule, grow, TreeParams
+from charterseg.errors import DegenerateInputError, ParseError
+from charterseg.tree import SplitRule, TreeParams, export_json, grow, import_json
 from helpers import Leaf, build_tree, consistent_internal, make_matrix
 
 
@@ -68,9 +70,14 @@ def test_reference_tree_extremes(reference_tree):
 
 
 def test_leaf_share_requires_rows():
-    tree = build_tree(Leaf(3, 1.0, 0.0), ["C"], total_n=0, min_leaf=1)
-    with pytest.raises(DegenerateInputError):
-        leaf_share(tree, 0)
+    # leaf_share divides by the root's count; a document whose total_n
+    # disagrees with its root (0 over 3 rows) does not load.
+    tree = build_tree(Leaf(3, 1.0, 0.0), ["C"])
+    assert leaf_share(tree, 0) == 1.0
+    doc = json.loads(export_json(tree))
+    doc["total_n"] = 0
+    with pytest.raises(ParseError, match=r"total_n is 0, but root\.n is 3"):
+        import_json(json.dumps(doc))
 
 
 def test_path_rows_match_leaf_counts():

@@ -193,6 +193,11 @@ def test_country_group_criteria():
      "subsample names 'early years' and 'early_years' would both write files named "
      "'early_years'"),
     ({"data": {"columns": {"betta": "Beta"}}}, "unknown keys in data.columns: ['betta']"),
+    # 1e308 used to overflow the risky-side scores and end the run in the
+    # unlocated "scores must lie within [1, 5]".
+    ({"proxies": [{"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
+                   "direction": "decreasing", "mode": "threshold",
+                   "threshold": 1e308}]}, "Capt_x: threshold must lie within"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):

@@ -316,7 +316,7 @@ def test_tobin_q_values(mve, bvl, nta, expect):
 def test_tobin_q_rejects_nonpositive_nta():
     frame = compute_raw_proxies(make_panel([
         bank_year(), bank_year(bank_id="b2", nta=0.0), bank_year(bank_id="b3", nta=-5.0)]))
-    assert frame.row_ids == ("b1:2008",)
+    assert row_ids(frame.rows) == ("b1:2008",)
     assert [(e.row_id, e.reason) for e in frame.exclusions] == [
         ("b2:2008", "nta <= 0"), ("b3:2008", "nta <= 0")]
 
@@ -340,7 +340,7 @@ def test_raw_proxies_hand_values():
     assert frame.column("loans_to_deposits")[0] == 1.0
     assert frame.column("growth_gap")[0] == 0.0
     assert frame.q[0] == pytest.approx(1.05, rel=1e-12)
-    assert frame.row_ids == ("b1:2008",)
+    assert row_ids(frame.rows) == ("b1:2008",)
 
 
 def test_raw_proxies_excludes_bad_rows():
@@ -352,7 +352,7 @@ def test_raw_proxies_excludes_bad_rows():
         bank_year(bank_id="b5", loans=-1.0),
     ]
     frame = compute_raw_proxies(make_panel(rows))
-    assert frame.row_ids == ("b1:2008",)
+    assert row_ids(frame.rows) == ("b1:2008",)
     reasons = {e.row_id: e.reason for e in frame.exclusions}
     assert reasons["b2:2008"] == "nta <= 0"
     assert reasons["b3:2008"] == "deposits <= 0"

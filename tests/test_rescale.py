@@ -17,9 +17,11 @@ from charterseg.panel import (
 from charterseg.rescale import (
     DEFAULT_PROXY_SPECS,
     GROUPS,
+    THRESHOLD_BOUND,
     ProxySpec,
     ScoredMatrix,
     build_scored_matrix,
+    complete_rows,
     quantile_rescale,
     threshold_rescale,
 )
@@ -210,6 +212,24 @@ def test_threshold_matches_per_direction_reference():
             assert np.array_equal(got, want), (case, direction)
 
 
+@pytest.mark.parametrize("u", [-1e308, 1e308, THRESHOLD_BOUND * 1.0000001, float("inf"),
+                               float("nan")])
+def test_threshold_beyond_the_bound_is_rejected(u):
+    # -1e308 used to score every value inf, with an overflow warning.
+    with pytest.raises(ConfigError, match="threshold must lie within"):
+        threshold_rescale([0.1, 0.2, 0.3], "increasing", u)
+    with pytest.raises(ConfigError, match="Capt_x: threshold must lie within"):
+        ProxySpec("Capt_x", "C", "capital_ratio", "decreasing", "threshold", u)
+
+
+def test_threshold_at_the_bound_scores_finite_values():
+    v = [-THRESHOLD_BOUND, 0.0, THRESHOLD_BOUND]
+    for direction in ("increasing", "decreasing"):
+        for u in (-THRESHOLD_BOUND, THRESHOLD_BOUND):
+            got = threshold_rescale(v, direction, u)
+            assert ((got >= 1.0) & (got <= 5.0)).all(), (direction, u, got)
+
+
 # --------------------------------------------------------------- ProxySpec
 
 
@@ -244,8 +264,7 @@ def scored(scores, response=None, names=None):
         response = np.ones(scores.shape[0])
     if names is None:
         names = tuple(f"f{j}" for j in range(scores.shape[1]))
-    ids = tuple(f"b{i}:2008" for i in range(scores.shape[0]))
-    return ScoredMatrix(tuple(names), scores, np.asarray(response, float), ids)
+    return ScoredMatrix(tuple(names), scores, np.asarray(response, float))
 
 
 def test_scored_matrix_validates_range():
@@ -264,18 +283,21 @@ def test_scored_matrix_rejects_nan_scores():
 
 def test_scored_matrix_validates_shapes():
     with pytest.raises(SchemaError):
-        ScoredMatrix(("a", "b"), np.ones((2, 1)), np.ones(2), ("r0", "r1"))
+        ScoredMatrix(("a", "b"), np.ones((2, 1)), np.ones(2))
     with pytest.raises(SchemaError):
-        ScoredMatrix(("a",), np.ones((2, 1)), np.ones(3), ("r0", "r1"))
+        ScoredMatrix(("a",), np.ones((2, 1)), np.ones(3))
+    with pytest.raises(TypeError):  # exclusions are keyword-only, so stray ids cannot land there
+        ScoredMatrix(("a",), np.ones((2, 1)), np.ones(2), ("r0:0", "r1:0"))
 
 
 def test_scored_matrix_take_bool_and_index():
     m = scored([[1.0], [2.0], [3.0]], response=[0.1, 0.2, 0.3])
     sub = m.take(np.array([True, False, True]))
-    assert sub.row_ids == ("b0:2008", "b2:2008")
+    assert np.array_equal(sub.scores[:, 0], [1.0, 3.0])
     assert np.array_equal(sub.response, [0.1, 0.3])
     sub2 = m.take([2, 0])
-    assert sub2.row_ids == ("b2:2008", "b0:2008")
+    assert np.array_equal(sub2.scores[:, 0], [3.0, 1.0])
+    assert np.array_equal(sub2.response, [0.3, 0.1])
 
 
 # ------------------------------------------------------ build_scored_matrix
@@ -326,9 +348,10 @@ def test_build_excludes_rows_missing_active_fields():
     rows[3] = bank_year(bank_id="b3")  # beta left NaN
     panel = make_panel(rows)
     spec = ProxySpec("Syst", "S", "beta", "increasing", "quantile")
-    m = build_scored_matrix(compute_raw_proxies(panel), [spec])
+    frame = compute_raw_proxies(panel)
+    m = build_scored_matrix(frame, [spec])
     assert m.n_rows == 5
-    assert "b3:2008" not in m.row_ids
+    assert "b3:2008" not in row_ids(frame.rows[complete_rows(frame, [spec])])
     assert any(e.row_id == "b3:2008" and "beta" in e.reason for e in m.exclusions)
 
 
@@ -411,14 +434,17 @@ def test_reference_knots_match_full_panel_matrix(specs):
     panel = gappy_panel(seed=5)
     full_frame = compute_raw_proxies(panel)
     full = build_scored_matrix(full_frame, specs)
+    full_ids = row_ids(full_frame.rows[complete_rows(full_frame, specs)])
     knots_moved = False
     for sub in default_subsamples():
         sub_panel = filter_subsample(panel, sub.criterion)
         sub_frame = compute_raw_proxies(sub_panel)
         got = build_scored_matrix(sub_frame, specs, full_frame)
-        wanted = set(sub_frame.row_ids)
-        old = full.take([i for i, rid in enumerate(full.row_ids) if rid in wanted])
-        assert got.row_ids == old.row_ids, sub.name
+        wanted = set(row_ids(sub_frame.rows))
+        inside = [i for i, rid in enumerate(full_ids) if rid in wanted]
+        old = full.take(inside)
+        got_ids = row_ids(sub_frame.rows[complete_rows(sub_frame, specs)])
+        assert got_ids == tuple(full_ids[i] for i in inside), sub.name
         assert np.array_equal(got.scores, old.scores), sub.name
         assert np.array_equal(got.response, old.response), sub.name
         own = build_scored_matrix(sub_frame, specs)

@@ -28,8 +28,9 @@ from hypothesis import strategies as st
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
+from charterseg.errors import ConfigError
 from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel, row_ids
-from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix
+from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix, complete_rows
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import run_study, write_study
@@ -244,16 +245,17 @@ def test_full_scope_trees_use_each_subsample_own_proxies(study_env):
     assert result.results[0].chosen != result.results[1].chosen
     full_frame = compute_raw_proxies(panel)
     for r, sub in zip(result.results, config.subsamples):
-        full = build_scored_matrix(full_frame, canonical_specs(dict(r.chosen), config.proxies))
+        specs = canonical_specs(dict(r.chosen), config.proxies)
+        full = build_scored_matrix(full_frame, specs)
+        full_ids = row_ids(full_frame.rows[complete_rows(full_frame, specs)])
         wanted = set(row_ids(filter_subsample(panel, sub.criterion).rows))
-        m = full.take([i for i, rid in enumerate(full.row_ids) if rid in wanted])
+        m = full.take([i for i, rid in enumerate(full_ids) if rid in wanted])
         assert r.status == "ok" and r.n_rows == m.n_rows
         assert r.correlations == tuple((name, *pearson(m.scores[:, j], m.response))
                                        for j, name in enumerate(m.feature_names))
 
 
 def test_study_needs_a_data_path():
-    from charterseg.errors import ConfigError
     with pytest.raises(ConfigError, match="data.path"):
         run_study(parse_config({}))
 
@@ -349,6 +351,55 @@ def test_cli_select_agrees_with_grow(study_env, no_env_config, capsys, tmp_path,
     assert (sel_out / "importance.csv").exists() == (not fixed)
     assert ("OOB MSE" in printed) == (extra["selection"].get("forest_scope") != "per_group"
                                       and not fixed)
+
+
+def test_cli_study_refuses_an_out_holding_an_earlier_bundle(study_env, no_env_config, capsys,
+                                                           tmp_path):
+    # A second run into the same --out used to leave the first run's trees and
+    # tables beside a verdicts.csv that says no_tree.
+    out = tmp_path / "st"
+    early = [{"name": "early", "criterion": {"kind": "years", "start": 2005, "end": 2009}}]
+    first = write_config(tmp_path / "ok.json",
+                         fast_config(study_env["csv"], out, subsamples=early))
+    assert main(["study", "--config", str(first)]) == 0
+    before = bundle_digests(out)
+    assert "trees/early.json" in before
+    capsys.readouterr()
+    second = write_config(tmp_path / "no_tree.json", fast_config(
+        study_env["csv"], out, subsamples=early,
+        tree={"min_leaf": 400, "cv_folds": 5, "prune_rule": "min_cv"}))
+    assert main(["study", "--config", str(second)]) == 2
+    assert capsys.readouterr().err == (f"error: output {out / 'report.md'} already exists; "
+                                       "remove it or choose another directory\n")
+    assert bundle_digests(out) == before
+
+
+@pytest.mark.parametrize("command, existing", [
+    ("ingest", "exclusions.csv"),
+    ("select", "importance.csv"),
+    ("grow", "trees"),
+    ("study", "tables"),
+])
+def test_cli_refuses_an_out_holding_any_output_before_reading_the_panel(
+        no_env_config, capsys, tmp_path, command, existing):
+    # Running select in rf mode and then fixed mode used to keep the first importance.csv.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / existing).write_text("earlier run\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", fast_config(tmp_path / "no_such_panel.csv", out))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{out / existing} already exists" in err
+    assert "no_such_panel" not in err
+    assert sorted(p.name for p in out.iterdir()) == [existing]
+
+
+def test_write_study_refuses_an_earlier_bundle(study_result, tmp_path):
+    write_study(study_result, tmp_path)
+    before = bundle_digests(tmp_path)
+    with pytest.raises(ConfigError, match="report.md already exists"):
+        write_study(study_result, tmp_path)
+    assert bundle_digests(tmp_path) == before
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

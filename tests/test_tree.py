@@ -655,7 +655,7 @@ def test_import_json_rejects_bad_feature_index():
 
 def stump_document():
     stump = consistent_internal(SplitRule(1, 2.0), Leaf(5, 0.9, 0.1), Leaf(5, 1.1, 0.1))
-    return json.loads(export_json(build_tree(stump, ("f0", "f1"), total_n=12, max_depth=4)))
+    return json.loads(export_json(build_tree(stump, ("f0", "f1"), max_depth=4)))
 
 
 @pytest.mark.parametrize("path, value, fragment", [
@@ -680,6 +680,7 @@ def stump_document():
     (("root", "right", "n"), 50, "root.n is 10, but its children hold 5 + 50 rows"),
     (("root", "n"), 11, "root.n is 11, but its children hold 5 + 5 rows"),
     (("root", "left", "sse"), -3.0, "root.left.sse must not be negative, got -3.0"),
+    (("total_n",), 2, "document.total_n is 2, but root.n is 10"),
 ])
 def test_import_json_takes_only_values_of_their_json_type(path, value, fragment):
     # Each of these used to load, coerced: "10" as 10, 2.7 as 2, "1" as 1.0,
@@ -693,7 +694,9 @@ def test_import_json_takes_only_values_of_their_json_type(path, value, fragment)
 
 def test_import_json_integer_too_long_to_read_is_a_parse_error():
     # int() reads at most 4,300 digits; json.loads used to raise its ValueError.
-    text = json.dumps(stump_document()).replace('"total_n": 12', '"total_n": 1' + "0" * 5000)
+    text = json.dumps(stump_document())
+    assert '"total_n": 10,' in text
+    text = text.replace('"total_n": 10,', '"total_n": 1' + "0" * 5000 + ",")
     with pytest.raises(ParseError, match="invalid tree JSON"):
         import_json(text)
 
