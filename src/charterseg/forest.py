@@ -3,7 +3,9 @@
 Each tree grows unpruned on a bootstrap resample, drawing a fresh random
 feature subset of size mtry at every node. Tree t seeds its own generator
 from a 64-bit mix of the master seed and t, so a forest is reproducible
-independent of how many workers grew it.
+independent of how many workers grew it. Permutation importance routes a
+tree's OOB rows and all their permuted copies through the tree together, in
+calls of at most n rows.
 """
 
 from __future__ import annotations
@@ -110,11 +112,26 @@ def _oob_mask(boot: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
+def _check_rows(forest: Forest, matrix: ScoredMatrix) -> None:
+    if matrix.n_rows != forest.trees[0].total_n:
+        raise ConfigError("matrix row count differs from the forest's training rows")
+
+
+def _oob_result(sums: np.ndarray, counts: np.ndarray, y: np.ndarray) -> OobResult:
+    """The ensemble OOB result from each row's summed OOB predictions and their count."""
+    covered = counts > 0
+    predictions = np.full(y.size, np.nan)
+    predictions[covered] = sums[covered] / counts[covered]
+    if not covered.any():
+        raise EmptyModelError("no row was ever out of bag; grow more trees")
+    resid = predictions[covered] - y[covered]
+    return OobResult(predictions, counts, float(np.mean(resid ** 2)), ~covered)
+
+
 def oob_predict(forest: Forest, matrix: ScoredMatrix) -> OobResult:
     """Average each row's predictions over the trees that did not train on it."""
+    _check_rows(forest, matrix)
     n = matrix.n_rows
-    if n != forest.trees[0].total_n:
-        raise ConfigError("matrix row count differs from the forest's training rows")
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=int)
     for tree, boot in zip(forest.trees, forest.bootstrap_indices):
@@ -123,13 +140,7 @@ def oob_predict(forest: Forest, matrix: ScoredMatrix) -> OobResult:
             continue
         sums[oob] += tree.predict_batch(matrix.scores[oob])
         counts[oob] += 1
-    covered = counts > 0
-    predictions = np.full(n, np.nan)
-    predictions[covered] = sums[covered] / counts[covered]
-    if not covered.any():
-        raise EmptyModelError("no row was ever out of bag; grow more trees")
-    resid = predictions[covered] - matrix.response[covered]
-    return OobResult(predictions, counts, float(np.mean(resid ** 2)), ~covered)
+    return _oob_result(sums, counts, matrix.response)
 
 
 @dataclass(frozen=True)
@@ -159,26 +170,37 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
     (one seeded draw per tree and feature, independent of worker count) and
     the MSE increase recorded; deltas average over trees.
     """
+    _check_rows(forest, matrix)
     n, m = matrix.n_rows, matrix.n_features
-    base = oob_predict(forest, matrix)
     X, y = matrix.scores, matrix.response
+    sums = np.zeros(n)
+    counts = np.zeros(n, dtype=int)
     deltas = []
     for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
         oob = np.flatnonzero(_oob_mask(boot, n))
-        if oob.size == 0:
+        k = oob.size
+        if k == 0:
             continue
         Xo, yo = X[oob], y[oob]
-        tree_mse = float(np.mean((tree.predict_batch(Xo) - yo) ** 2))
         rng = make_rng(derive_seed(seed, t))
-        row = np.empty(m)
-        for f in range(m):
-            perm = rng.permutation(oob.size)
-            Xp = Xo.copy()
-            Xp[:, f] = Xo[perm, f]
-            row[f] = float(np.mean((tree.predict_batch(Xp) - yo) ** 2)) - tree_mse
-        deltas.append(row)
-    if not deltas:
-        raise EmptyModelError("no tree had out-of-bag rows")
+        perms = [rng.permutation(k) for _ in range(m)]
+        # Feature f is shuffled in copy f and no feature in copy -1. One
+        # routing call holds at most n rows: max(1, n // k) copies.
+        mse = []
+        step = max(1, n // k)
+        for first in range(-1, m, step):
+            features = range(first, min(first + step, m))
+            stack = np.tile(Xo, (len(features), 1, 1))
+            for s, f in enumerate(features):
+                if f >= 0:
+                    stack[s, :, f] = Xo[perms[f], f]
+            pred = tree.predict_batch(stack.reshape(-1, m)).reshape(len(features), k)
+            if first < 0:
+                sums[oob] += pred[0]
+                counts[oob] += 1
+            mse += [float(np.mean((p - yo) ** 2)) for p in pred]
+        deltas.append(np.array(mse[1:]) - mse[0])
+    base = _oob_result(sums, counts, y)  # raises unless some tree had out-of-bag rows
     d = np.array(deltas)
     raw = d.mean(axis=0)
     if d.shape[0] > 1:

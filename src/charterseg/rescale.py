@@ -202,11 +202,6 @@ class ScoredMatrix:
     def n_features(self) -> int:
         return self.scores.shape[1]
 
-    def take(self, indices) -> "ScoredMatrix":
-        """The rows at indices (positions or a boolean mask), in that order."""
-        return ScoredMatrix(self.feature_names, self.scores[indices], self.response[indices],
-                            exclusions=self.exclusions)
-
 
 def complete_rows(frame: ProxyFrame, specs, exclusions: list | None = None) -> np.ndarray:
     """Indices of the frame rows with a finite Q and every active raw field finite.

@@ -3,7 +3,13 @@
 Splits minimise within-node sum of squared errors. Candidate thresholds sit
 at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
-the fitted partition exactly. Pruning follows the weakest-link sequence with
+the fitted partition exactly. Trees grow one depth level at a time, as in
+SLIQ and SPRINT: the nodes of a level that may split are packed by size into
+padded blocks, and each block is sorted and scored in one pass. cv_prune
+grows its full tree and every fold tree in one such pass; best_split is the
+one-node call of the same scorer. Forest trees draw their candidate features
+node by node in preorder, so they grow by a preorder recursion on that
+scorer. Pruning follows the weakest-link sequence with
 k-fold cross-validated selection of the complexity penalty, read off two
 per-node arrays: the penalty at which each node folds and the least of its
 ancestors'. CV routes each test row once through a fold tree and reads its
@@ -125,18 +131,58 @@ def node_sse(responses) -> tuple[float, float]:
     y = np.asarray(responses, dtype=float)
     if y.size == 0:
         raise DegenerateInputError("a node cannot be empty")
-    mean = float(y.mean())
+    mean = float(y.sum()) / y.size  # y.mean() to the bit, at half the call cost
     d = y - mean
     return mean, float(d @ d)
+
+
+def _best_cuts(cols: np.ndarray, centred: np.ndarray, n: np.ndarray,
+               min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best cut of each node in a padded block, scored in one pass.
+
+    cols is (node, candidate, L) feature values and centred is (node, L)
+    responses less the node's mean, for n[i] <= L rows of node i; every node
+    holds at least 2*min_leaf rows. Pads are +inf in cols, so they sort
+    last, and 0 in centred, so no prefix sum changes. With y centred,
+    cutting after sorted position i reduces SSE by sum_L^2/n_L + sum_R^2/n_R
+    - sum^2/n, which avoids the cancellation of large squared sums.
+
+    Returns each node's (candidate position, threshold, gain); the gain is
+    -inf where no cut keeps min_leaf rows on both sides. The first maximum in
+    (candidate, cut) order wins: the lowest candidate, then the smallest
+    threshold.
+    """
+    N, F, L = cols.shape
+    if F == 0:
+        return np.zeros(N, dtype=np.intp), np.full(N, np.nan), np.full(N, -np.inf)
+    order = np.argsort(cols, axis=2, kind="stable")
+    xs = cols.reshape(-1)[order + np.arange(0, N * F * L, L).reshape(N, F, 1)]
+    cum = np.cumsum(centred.reshape(-1)[order + np.arange(0, N * L, L).reshape(N, 1, 1)], axis=2)
+    total = cum[:, :, -1:]  # pads add 0: each column's own sum, as in a single-column search
+    lo, hi = min_leaf - 1, L - min_leaf  # the cuts that leave min_leaf rows on the left
+    sizes = np.arange(lo + 1, hi + 1)
+    n = n.reshape(N, 1, 1)
+    right = n - sizes
+    left_sum = cum[:, :, lo:hi]
+    # Pads make right 0 or less; those cuts are masked, so divide them by 1 instead.
+    gains = (left_sum ** 2 / sizes + (total - left_sum) ** 2 / np.maximum(right, 1)
+             - total ** 2 / n)
+    valid = (xs[:, :, lo + 1:hi + 1] > xs[:, :, lo:hi]) & (right >= min_leaf)
+    gains = np.where(valid, gains, -np.inf).reshape(N, -1)
+    best = np.argmax(gains, axis=1)
+    node = np.arange(N)
+    c, j = np.divmod(best, hi - lo)
+    below, above = xs[node, c, lo + j], xs[node, c, lo + j + 1]
+    thr = (below + above) / 2.0
+    thr = np.where(thr <= below, above, thr)  # adjacent floats can round onto the left value
+    return c, thr, gains[node, best]
 
 
 def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
                feature_indices=None) -> Optional[tuple[SplitRule, float]]:
     """Exhaustive best SSE-reducing split over the given rows.
 
-    All candidate columns are sorted and scored in one pass. With y centred,
-    cutting after sorted position i reduces SSE by sum_L^2/n_L + sum_R^2/n_R
-    - sum^2/n, which avoids the cancellation of large squared sums.
+    The one-node call of the block scorer that grows every tree.
 
     Args:
         X: (n, m) feature values for the node's rows.
@@ -155,36 +201,21 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
     if n < 2 * min_leaf:
         return None
     features = np.arange(X.shape[1]) if feature_indices is None else np.asarray(feature_indices)
-    cols = X[:, features].T  # (candidate, row)
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=1)
-    cum = np.cumsum((y - y.mean())[order], axis=1)
-    total = cum[:, -1:]  # each column's own sum, so a gain matches its single-column search
-    sizes = np.arange(1, n)
-    left_sum = cum[:, :-1]
-    gains = left_sum ** 2 / sizes + (total - left_sum) ** 2 / (n - sizes) - total ** 2 / n
-    valid = (xs[:, 1:] > xs[:, :-1]) & (sizes >= min_leaf) & ((n - sizes) >= min_leaf)
-    if not valid.any():
+    c, thr, gain = _best_cuts(X[:, features].T[None], (y - float(y.sum()) / n)[None],
+                              np.array([n]), min_leaf)
+    if not gain[0] > 0.0:
         return None
-    gains = np.where(valid, gains, -np.inf)
-    # The first maximum in (candidate, cut) order: lowest feature, then smallest threshold.
-    c, j = np.unravel_index(np.argmax(gains), gains.shape)
-    gain = float(gains[c, j])
-    if gain <= 0.0:
-        return None
-    thr = (xs[c, j] + xs[c, j + 1]) / 2.0
-    if thr <= xs[c, j]:  # adjacent floats can round the midpoint onto the left value
-        thr = xs[c, j + 1]
-    return SplitRule(int(features[c]), float(thr)), gain
+    return SplitRule(int(features[c[0]]), float(thr[0])), float(gain[0])
 
 
-def _build(X, y, params: TreeParams,
-           pick_features: Optional[Callable[[], np.ndarray]] = None) -> list[tuple]:
+def _build(X, y, params: TreeParams, pick_features: Callable[[], np.ndarray]) -> list[tuple]:
     """The node columns of a RegressionTree grown on every row, in preorder.
 
-    pick_features is called at each node before its subtrees are grown.
+    Forest trees grow here: pick_features draws a node's candidates before its
+    subtrees are grown, so the draws follow preorder.
     """
     nodes = []  # [feature, threshold, right, n, mean, sse] per node
+    XT = np.ascontiguousarray(X.T)
 
     def split(idx, depth):
         ysub = y[idx]
@@ -195,33 +226,111 @@ def _build(X, y, params: TreeParams,
             return
         if params.max_depth is not None and depth >= params.max_depth:
             return
-        cand = pick_features() if pick_features is not None else None
-        found = best_split(X[idx], ysub, params.min_leaf, feature_indices=cand)
-        if found is None:
+        features = pick_features()
+        c, thr, gain = _best_cuts(XT[features[:, None], idx][None], (ysub - mean)[None],
+                                  np.array([idx.size]), params.min_leaf)
+        if not gain[0] > 0.0:
             return
-        rule, _ = found
-        node[:2] = rule.feature, rule.threshold
-        go_left = X[idx, rule.feature] < rule.threshold
+        f, t = int(features[c[0]]), float(thr[0])
+        node[:2] = f, t
+        go_left = X[idx, f] < t
         split(idx[go_left], depth + 1)
         node[2] = len(nodes)
         split(idx[~go_left], depth + 1)
 
     split(np.arange(len(y)), 0)
+    del split  # it refers to itself: break the cycle, or X and XT outlive the call
     return list(zip(*nodes))
+
+
+def _buckets(sizes: np.ndarray, n_rows: int):
+    """Slices of ascending node sizes to pack together.
+
+    A bucket holds sizes within 2x of its smallest, and at most n_rows // L
+    nodes of padded length L, so no block holds more cells than X.
+    """
+    start = 0
+    while start < sizes.size:
+        end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
+        end = min(end, start + max(1, n_rows // int(sizes[end - 1])))
+        yield slice(start, end)
+        start = end
+
+
+def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams) -> list[list[tuple]]:
+    """The node columns of one tree per root (its rows of X, in order), each in preorder.
+
+    The trees grow one depth level at a time. The nodes of a level that may
+    split are bucketed by size and packed into padded (node, feature, row)
+    blocks, each scored by one _best_cuts call. A child keeps its parent's
+    row order, so every node scores exactly as it would grown alone.
+    """
+    columns, kids = [], []  # per node, in the order made
+
+    def make(idx):
+        columns.append([-1, np.nan, -1, int(idx.size), *node_sse(y[idx])])
+        kids.append(None)
+        return len(columns) - 1, idx
+
+    level = [make(idx) for idx in roots]  # (node, its rows) for the nodes of one depth
+    tops = [i for i, _ in level]
+    padded_XT = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])  # (feature, row), pads +inf
+    padded_y = np.append(y, 0.0)
+    features = np.arange(X.shape[1])[:, None]
+    depth = 0
+    while level and (params.max_depth is None or depth < params.max_depth):
+        able = sorted((node for node in level if node[1].size >= 2 * params.min_leaf),
+                      key=lambda node: node[1].size)
+        sizes = np.array([idx.size for _, idx in able], dtype=np.intp)
+        level = []
+        for part in _buckets(sizes, X.shape[0]):
+            block, n = able[part], sizes[part]
+            pad = np.arange(n[-1]) >= n[:, None]
+            at = np.full(pad.shape, X.shape[0])  # a pad reads the extra last row
+            at[~pad] = np.concatenate([idx for _, idx in block])
+            means = np.array([columns[i][4] for i, _ in block])
+            centred = np.where(pad, 0.0, padded_y[at] - means[:, None])
+            cols = padded_XT[features, at[:, None, :]]
+            feature, thr, gain = _best_cuts(cols, centred, n, params.min_leaf)
+            for (i, idx), f, t, g in zip(block, feature.tolist(), thr.tolist(), gain.tolist()):
+                if g > 0.0:
+                    columns[i][:2] = f, t
+                    go_left = X[idx, f] < t
+                    left, right = make(idx[go_left]), make(idx[~go_left])
+                    kids[i] = left[0], right[0]
+                    level += left, right
+        depth += 1
+
+    def preorder(i, nodes):
+        nodes.append(columns[i])
+        if kids[i] is not None:
+            preorder(kids[i][0], nodes)
+            columns[i][2] = len(nodes)
+            preorder(kids[i][1], nodes)
+        return nodes
+
+    trees = [list(zip(*preorder(top, []))) for top in tops]
+    del preorder  # it refers to itself: break the cycle, or the node lists outlive the call
+    return trees
 
 
 def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionTree:
     """Grow a CART tree on a scored matrix.
 
-    Splits recursively while a node holds at least 2*min_leaf rows, some cut
-    has positive gain, and both children keep min_leaf rows. max_depth, when
-    set, caps the recursion (0 means a single leaf).
+    Splits while a node holds at least 2*min_leaf rows, some cut has positive
+    gain, and both children keep min_leaf rows. max_depth, when set, caps the
+    depth (0 means a single leaf).
     """
+    return _grow_many(matrix, [np.arange(matrix.n_rows)], params)[0]
+
+
+def _grow_many(matrix: ScoredMatrix, roots, params: TreeParams) -> list[RegressionTree]:
+    """One tree per root, a row index array into matrix, grown in one batched pass."""
     n = matrix.n_rows
     if n < params.min_leaf:
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
-    return RegressionTree(*_build(matrix.scores, matrix.response, params),
-                          matrix.feature_names, params)
+    return [RegressionTree(*columns, matrix.feature_names, params)
+            for columns in _build_many(matrix.scores, matrix.response, roots, params)]
 
 
 def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -314,14 +423,6 @@ def cost_complexity_sequence(tree: RegressionTree) -> PruneTrace:
     return PruneTrace(tuple(alphas.tolist()), (tree.n_leaves, *sizes.tolist()))
 
 
-def _fold_tree(matrix: ScoredMatrix, train_idx: np.ndarray, params: TreeParams) -> RegressionTree:
-    sub = matrix.take(train_idx)
-    if sub.n_rows < params.min_leaf:  # too few rows for grow, so a single leaf
-        return RegressionTree(*_build(sub.scores, sub.response, params), matrix.feature_names,
-                              params)
-    return grow(sub, params)
-
-
 def _pruned_predictions(tree: RegressionTree, X: np.ndarray, alphas) -> np.ndarray:
     """prune_at(tree, alpha).predict_batch(X) for every alpha, as (alphas, rows).
 
@@ -362,7 +463,9 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
     if k > n:
         raise ConfigError(f"cannot split {n} rows into {k} folds")
 
-    full = grow(matrix, params)
+    folds = np.array_split(make_rng(seed).permutation(n), k)
+    full, *fold_trees = _grow_many(
+        matrix, [np.arange(n), *(np.setdiff1d(np.arange(n), test) for test in folds)], params)
     trace = cost_complexity_sequence(full)
     if not trace.alphas:
         return full, PruneTrace((), (1,), (0.0,), None, 0.0, rule)
@@ -370,11 +473,8 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
     alphas = trace.alphas
     evals = [0.0, *(float(np.sqrt(a * b)) for a, b in zip(alphas[:-1], alphas[1:])), alphas[-1]]
 
-    rng = make_rng(seed)
-    folds = np.array_split(rng.permutation(n), k)
     cv = np.empty((len(evals), k))
-    for fi, test_idx in enumerate(folds):
-        fold_tree = _fold_tree(matrix, np.setdiff1d(np.arange(n), test_idx), params)
+    for fi, (test_idx, fold_tree) in enumerate(zip(folds, fold_trees)):
         preds = _pruned_predictions(fold_tree, matrix.scores[test_idx], evals)
         cv[:, fi] = np.mean((preds - matrix.response[test_idx]) ** 2, axis=1)
 

@@ -157,7 +157,8 @@ def test_criterion_04_pruning_efficacy(three_split_spec):
                                              noise_sigma=0.005, seed=100 + seed)
             matrix = planted_matrix(panel, three_split_spec)
             perm = np.random.default_rng(derive_seed(seed, 3)).permutation(500)
-            train = matrix.take(perm[:350])
+            train = plain_matrix(matrix.scores[perm[:350]], matrix.response[perm[:350]],
+                                 matrix.feature_names)
             hold_x = matrix.scores[perm[350:]]
             hold_y = matrix.response[perm[350:]]
             unpruned = grow(train, TreeParams(min_leaf=30))

@@ -13,7 +13,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import charterseg.cli as cli
+import charterseg.forest
+import charterseg.tree
+from charterseg.forest import ForestParams
+from charterseg.tree import TreeParams
+
+from helpers import make_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHILD = PERFBENCH / "child.py"
@@ -57,11 +65,21 @@ def test_a_traced_study_records_every_span_and_count(monkeypatch, tmp_path, caps
     recorder.install()
     try:
         code = cli.main(["study", "--config", str(config), "--out", str(tmp_path / "out")])
+        # A study grows its trees in cv_prune's one batched call and sums OOB
+        # predictions inside permutation_importance, so it reaches neither
+        # tree.grow nor forest.oob_predict; call both to check their wrappers.
+        reached = {span[1] for span in recorder.spans}
+        matrix = make_matrix(np.arange(1.0, 5.0, 0.25).reshape(-1, 2), np.arange(8.0))
+        charterseg.tree.grow(matrix, TreeParams(min_leaf=1))
+        forest = charterseg.forest.grow_forest(matrix, ForestParams(n_trees=3, min_leaf=1))
+        charterseg.forest.oob_predict(forest, matrix)
     finally:
         recorder.restore()
     assert code == 0, capsys.readouterr().err
+    traced = {span for _, _, span, _ in child._traced_names()}
+    assert traced - reached == {"tree.grow", "forest.oob_predict"}
     recorded = {span[1] for span in recorder.spans}
-    missing = {span for _, _, span, _ in child._traced_names()} - recorded
+    missing = traced - recorded
     assert not missing
     assert {name for name, _ in recorder.counts} == COUNTS
     assert all(isinstance(value, int) and value >= 0 for _, value in recorder.counts)

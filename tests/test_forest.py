@@ -12,7 +12,7 @@ from charterseg.forest import (
     oob_predict,
     permutation_importance,
 )
-from charterseg.seeding import make_rng
+from charterseg.seeding import derive_seed, make_rng
 from charterseg.study import write_importance_table
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import TreeParams, export_json, grow
@@ -128,7 +128,7 @@ def test_oob_row_count_mismatch():
     mat = signal_matrix(n=80)
     forest = grow_forest(mat, ForestParams(n_trees=2, min_leaf=5), seed=1)
     with pytest.raises(ConfigError):
-        oob_predict(forest, mat.take(np.arange(40)))
+        oob_predict(forest, make_matrix(mat.scores[:40], mat.response[:40], mat.feature_names))
 
 
 def test_oob_identity_bootstrap_has_no_oob_rows():
@@ -187,3 +187,52 @@ def test_importance_csv_round_trip(tmp_path):
     assert float(pct) == report.pct_inc_mse[0]
     assert float(raw) == report.raw_delta[0]
     assert float(se) == report.stderr[0]
+
+
+def reference_importance(forest, mat, seed):
+    """permutation_importance computed one predict_batch per tree and feature."""
+    n, m = mat.n_rows, mat.n_features
+    base = oob_predict(forest, mat)
+    deltas = []
+    for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
+        oob = np.setdiff1d(np.arange(n), boot)
+        if oob.size == 0:
+            continue
+        Xo, yo = mat.scores[oob], mat.response[oob]
+        tree_mse = float(np.mean((tree.predict_batch(Xo) - yo) ** 2))
+        rng = make_rng(derive_seed(seed, t))
+        row = np.empty(m)
+        for f in range(m):
+            perm = rng.permutation(oob.size)
+            Xp = Xo.copy()
+            Xp[:, f] = Xo[perm, f]
+            row[f] = float(np.mean((tree.predict_batch(Xp) - yo) ** 2)) - tree_mse
+        deltas.append(row)
+    d = np.array(deltas)
+    raw = d.mean(axis=0)
+    stderr = d.std(axis=0, ddof=1) / np.sqrt(d.shape[0])
+    return 100.0 * raw / base.oob_mse, raw, stderr, base.oob_mse
+
+
+def test_stacked_importance_equals_one_routing_call_per_feature():
+    # Tree 2 trains on every row, so it has no OOB row. The other trees'
+    # OOB sets hold about n / e rows, so their m + 1 copies span several
+    # routing calls of at most n rows each.
+    calls = []
+
+    def one_tree_sees_all(rng, n):
+        calls.append(n)
+        return np.arange(n) if len(calls) == 3 else rng.integers(0, n, size=n)
+
+    for seed in (3, 4):
+        calls.clear()
+        mat = signal_matrix(seed=seed, n=150, noise_features=5)
+        forest = grow_forest(mat, ForestParams(n_trees=8, mtry=2, min_leaf=3), seed=seed,
+                             bootstrap=one_tree_sees_all)
+        assert np.unique(forest.bootstrap_indices[2]).size == mat.n_rows
+        report = permutation_importance(forest, mat, seed=seed)
+        pct, raw, stderr, oob_mse = reference_importance(forest, mat, seed)
+        assert np.array_equal(report.pct_inc_mse, pct)
+        assert np.array_equal(report.raw_delta, raw)
+        assert np.array_equal(report.stderr, stderr)
+        assert report.oob_mse == oob_mse

@@ -30,7 +30,8 @@ from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
 from charterseg.errors import ConfigError
 from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel, row_ids
-from charterseg.rescale import DEFAULT_PROXY_SPECS, build_scored_matrix, complete_rows
+from charterseg.rescale import (DEFAULT_PROXY_SPECS, ScoredMatrix, build_scored_matrix,
+                                complete_rows)
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import run_study, write_study
@@ -249,7 +250,8 @@ def test_full_scope_trees_use_each_subsample_own_proxies(study_env):
         full = build_scored_matrix(full_frame, specs)
         full_ids = row_ids(full_frame.rows[complete_rows(full_frame, specs)])
         wanted = set(row_ids(filter_subsample(panel, sub.criterion).rows))
-        m = full.take([i for i, rid in enumerate(full_ids) if rid in wanted])
+        inside = [i for i, rid in enumerate(full_ids) if rid in wanted]
+        m = ScoredMatrix(full.feature_names, full.scores[inside], full.response[inside])
         assert r.status == "ok" and r.n_rows == m.n_rows
         assert r.correlations == tuple((name, *pearson(m.scores[:, j], m.response))
                                        for j, name in enumerate(m.feature_names))

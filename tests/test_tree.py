@@ -23,6 +23,9 @@ from charterseg.tree import (
     RegressionTree,
     SplitRule,
     TreeParams,
+    _buckets,
+    _build,
+    _build_many,
     _fold_penalties,
     _pruned_predictions,
     best_split,
@@ -287,12 +290,68 @@ def test_grow_training_rows_reach_their_leaf_means():
         assert np.mean(group) == pytest.approx(value, rel=1e-12)
 
 
+def tie_heavy_matrix(rng, low=2):
+    """Integer scores 1-5 and responses rounded to one decimal: many tied cuts."""
+    n, m = int(rng.integers(low, 120)), int(rng.integers(1, 6))
+    X = rng.integers(1, 6, size=(n, m)).astype(float)
+    return make_matrix(X, np.round(X[:, 0] + rng.normal(size=n), 1))
+
+
+def test_grow_matches_the_preorder_recursion():
+    # grow builds level by level over padded blocks; the forest recursion
+    # _build scores one node at a time. With every feature a candidate at
+    # every node, the two must give the same tree to the bit.
+    rng = make_rng(41)
+    for _ in range(200):
+        mat = tie_heavy_matrix(rng)
+        everything = np.arange(mat.n_features)
+        for params in (TreeParams(min_leaf=int(rng.choice([1, 2, 5])), max_depth=md)
+                       for md in (None, 3)):
+            if mat.n_rows < params.min_leaf:
+                continue
+            recursive = RegressionTree(*_build(mat.scores, mat.response, params,
+                                               lambda: everything),
+                                       mat.feature_names, params)
+            assert export_json(grow(mat, params)) == export_json(recursive)
+
+
+def test_fold_trees_of_one_batch_equal_trees_grown_alone():
+    rng = make_rng(42)
+    for min_leaf in (1, 1, 2, 2, 5, 5, 10):
+        # At least 4 * min_leaf rows, so every five-fold training set holds min_leaf.
+        mat = (tie_heavy_matrix(rng, low=4 * min_leaf) if min_leaf < 10
+               else random_matrix(rng, n=150, m=4))
+        params = TreeParams(min_leaf=min_leaf)
+        roots = [np.arange(mat.n_rows)] + [
+            np.setdiff1d(np.arange(mat.n_rows), test)
+            for test in np.array_split(rng.permutation(mat.n_rows), 5)]
+        batch = _build_many(mat.scores, mat.response, roots, params)
+        for rows, columns in zip(roots, batch):
+            alone = grow(make_matrix(mat.scores[rows], mat.response[rows]), params)
+            assert export_json(RegressionTree(*columns, mat.feature_names, params)) == \
+                export_json(alone)
+
+
+def test_buckets_hold_sizes_within_twice_the_smallest_and_no_more_cells_than_x():
+    rng = make_rng(43)
+    for _ in range(100):
+        n_rows = int(rng.integers(2, 500))
+        sizes = np.sort(rng.integers(2, n_rows + 1, size=int(rng.integers(1, 60))))
+        covered = []
+        for part in _buckets(sizes, n_rows):
+            block = sizes[part]
+            assert block.size >= 1 and block[-1] <= 2 * block[0]
+            assert block.size <= max(1, n_rows // block[-1])
+            covered.extend(range(part.start, part.stop))
+        assert covered == list(range(sizes.size))
+
+
 def test_grow_row_permutation_invariance():
     rng = make_rng(13)
     mat = random_matrix(rng, n=90, m=3)
     perm = rng.permutation(mat.n_rows)
     tree_a = grow(mat, TreeParams(min_leaf=7))
-    tree_b = grow(mat.take(perm), TreeParams(min_leaf=7))
+    tree_b = grow(make_matrix(mat.scores[perm], mat.response[perm]), TreeParams(min_leaf=7))
     assert same_topology(tree_a, tree_b)
 
 
@@ -468,7 +527,8 @@ def test_cv_prune_matches_rescanning_reference():
     pruned, trace = cv_prune(mat, params, k=5, seed=3)
     assert list(trace.eval_alphas) == midpoint_alphas(trace.alphas)
     for fi, test_idx in enumerate(np.array_split(make_rng(3).permutation(mat.n_rows), 5)):
-        fold_tree = grow(mat.take(np.setdiff1d(np.arange(mat.n_rows), test_idx)), params)
+        train = np.setdiff1d(np.arange(mat.n_rows), test_idx)
+        fold_tree = grow(make_matrix(mat.scores[train], mat.response[train]), params)
         for ai, alpha in enumerate(trace.eval_alphas):
             pred = reference_prune_at(fold_tree, alpha).predict_batch(mat.scores[test_idx])
             assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
@@ -494,7 +554,8 @@ def test_cv_prune_zero_gain_split_gives_no_negative_penalty():
     for other in runs[1:]:
         assert np.array_equal(other.cv_mse, trace.cv_mse)
     for fi, test_idx in enumerate(np.array_split(make_rng(0).permutation(mat.n_rows), 10)):
-        fold_tree = grow(mat.take(np.setdiff1d(np.arange(mat.n_rows), test_idx)), params)
+        train = np.setdiff1d(np.arange(mat.n_rows), test_idx)
+        fold_tree = grow(make_matrix(mat.scores[train], mat.response[train]), params)
         for ai, alpha in enumerate(trace.eval_alphas):
             pred = reference_prune_at(fold_tree, alpha).predict_batch(mat.scores[test_idx])
             assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
