@@ -1,11 +1,12 @@
 """Random forests with out-of-bag permutation importance.
 
 Each tree grows unpruned on a bootstrap resample, drawing a fresh random
-feature subset of size mtry at every node. Tree t seeds its own generator
-from a 64-bit mix of the master seed and t, so a forest is reproducible
-independent of how many workers grew it. Permutation importance routes a
-tree's OOB rows and all their permuted copies through the tree together, in
-calls of at most n rows.
+feature subset of size mtry at every node in preorder. Tree t seeds its own
+generator from a 64-bit mix of the master seed and t, so a forest is
+reproducible independent of how many workers grew it. All trees grow in
+lockstep in one batched call, each from its bootstrap rows of the shared
+matrix. Permutation importance routes a tree's OOB rows and all their
+permuted copies through the tree in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, EmptyModelError
 from .rescale import ScoredMatrix
 from .seeding import derive_seed, make_rng
-from .tree import RegressionTree, TreeParams, _build
+from .tree import RegressionTree, TreeParams, _build_many
 
 
 @dataclass(frozen=True)
@@ -48,21 +49,6 @@ class Forest:
     bootstrap_indices: tuple[np.ndarray, ...]
 
 
-def _grow_one(X, y, feature_names, tree_params: TreeParams, mtry: int, seed: int,
-              bootstrap=None) -> tuple[RegressionTree, np.ndarray]:
-    rng = make_rng(seed)
-    n, m = X.shape
-    boot = np.asarray(bootstrap(rng, n) if bootstrap is not None
-                      else rng.integers(0, n, size=n))
-    Xb, yb = X[boot], y[boot]
-
-    def pick():
-        # Sorted so tie-breaking matches single-tree growth when mtry == m.
-        return np.sort(rng.choice(m, size=mtry, replace=False))
-
-    return RegressionTree(*_build(Xb, yb, tree_params, pick), feature_names, tree_params), boot
-
-
 def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), seed: int = 0,
                 bootstrap=None) -> Forest:
     """Grow a seeded forest on a scored matrix.
@@ -82,14 +68,18 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
         raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
     mtry = params.resolve_mtry(m)
     tree_params = TreeParams(min_leaf=params.min_leaf, max_depth=None)
-    X, y = matrix.scores, matrix.response
-    trees, boots = [], []
-    for t in range(params.n_trees):
-        tree, boot = _grow_one(X, y, matrix.feature_names, tree_params, mtry,
-                               derive_seed(seed, t), bootstrap)
-        trees.append(tree)
-        boots.append(boot)
-    return Forest(tuple(trees), tuple(boots))
+    rngs = [make_rng(derive_seed(seed, t)) for t in range(params.n_trees)]
+    boots = [np.asarray(bootstrap(rng, n) if bootstrap is not None else rng.integers(0, n, size=n))
+             for rng in rngs]
+
+    def picker(rng):
+        # Sorted so tie-breaking matches single-tree growth when mtry == m.
+        return lambda: np.sort(rng.choice(m, size=mtry, replace=False))
+
+    columns = _build_many(matrix.scores, matrix.response, boots, tree_params,
+                          [picker(rng) for rng in rngs])
+    return Forest(tuple(RegressionTree(*c, matrix.feature_names, tree_params) for c in columns),
+                  tuple(boots))
 
 
 @dataclass(frozen=True)
@@ -183,22 +173,15 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
             continue
         Xo, yo = X[oob], y[oob]
         rng = make_rng(derive_seed(seed, t))
-        perms = [rng.permutation(k) for _ in range(m)]
-        # Feature f is shuffled in copy f and no feature in copy -1. One
-        # routing call holds at most n rows: max(1, n // k) copies.
-        mse = []
-        step = max(1, n // k)
-        for first in range(-1, m, step):
-            features = range(first, min(first + step, m))
-            stack = np.tile(Xo, (len(features), 1, 1))
-            for s, f in enumerate(features):
-                if f >= 0:
-                    stack[s, :, f] = Xo[perms[f], f]
-            pred = tree.predict_batch(stack.reshape(-1, m)).reshape(len(features), k)
-            if first < 0:
-                sums[oob] += pred[0]
-                counts[oob] += 1
-            mse += [float(np.mean((p - yo) ** 2)) for p in pred]
+        # Copy 0 shuffles no feature and copy f + 1 shuffles feature f; one
+        # routing call takes all m + 1 copies.
+        stack = np.tile(Xo, (m + 1, 1, 1))
+        for f in range(m):
+            stack[f + 1, :, f] = Xo[rng.permutation(k), f]
+        pred = tree.predict_batch(stack.reshape(-1, m)).reshape(m + 1, k)
+        sums[oob] += pred[0]
+        counts[oob] += 1
+        mse = [float(np.mean((p - yo) ** 2)) for p in pred]
         deltas.append(np.array(mse[1:]) - mse[0])
     base = _oob_result(sums, counts, y)  # raises unless some tree had out-of-bag rows
     d = np.array(deltas)

@@ -3,13 +3,14 @@
 Splits minimise within-node sum of squared errors. Candidate thresholds sit
 at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
-the fitted partition exactly. Trees grow one depth level at a time, as in
-SLIQ and SPRINT: the nodes of a level that may split are packed by size into
-padded blocks, and each block is sorted and scored in one pass. cv_prune
-grows its full tree and every fold tree in one such pass; best_split is the
-one-node call of the same scorer. Forest trees draw their candidate features
-node by node in preorder, so they grow by a preorder recursion on that
-scorer. Pruning follows the weakest-link sequence with
+the fitted partition exactly. Every tree grows on one batched grower, as in
+SLIQ and SPRINT: the nodes of a step that may split are packed by size into
+padded blocks, and each block is sorted and scored in one pass. grow and
+cv_prune take a whole depth level per step, so cv_prune grows its full tree
+and every fold tree together. Forest trees advance in lockstep, each one
+preorder node per step, so each draws its candidate features in its own
+preorder. best_split is the one-node call of the same scorer. Pruning follows
+the weakest-link sequence with
 k-fold cross-validated selection of the complexity penalty, read off two
 per-node arrays: the penalty at which each node folds and the least of its
 ancestors'. CV routes each test row once through a fold tree and reads its
@@ -22,7 +23,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -208,98 +209,86 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
     return SplitRule(int(features[c[0]]), float(thr[0])), float(gain[0])
 
 
-def _build(X, y, params: TreeParams, pick_features: Callable[[], np.ndarray]) -> list[tuple]:
-    """The node columns of a RegressionTree grown on every row, in preorder.
-
-    Forest trees grow here: pick_features draws a node's candidates before its
-    subtrees are grown, so the draws follow preorder.
-    """
-    nodes = []  # [feature, threshold, right, n, mean, sse] per node
-    XT = np.ascontiguousarray(X.T)
-
-    def split(idx, depth):
-        ysub = y[idx]
-        mean, sse = node_sse(ysub)
-        node = [-1, np.nan, -1, int(idx.size), mean, sse]
-        nodes.append(node)
-        if idx.size < 2 * params.min_leaf:
-            return
-        if params.max_depth is not None and depth >= params.max_depth:
-            return
-        features = pick_features()
-        c, thr, gain = _best_cuts(XT[features[:, None], idx][None], (ysub - mean)[None],
-                                  np.array([idx.size]), params.min_leaf)
-        if not gain[0] > 0.0:
-            return
-        f, t = int(features[c[0]]), float(thr[0])
-        node[:2] = f, t
-        go_left = X[idx, f] < t
-        split(idx[go_left], depth + 1)
-        node[2] = len(nodes)
-        split(idx[~go_left], depth + 1)
-
-    split(np.arange(len(y)), 0)
-    del split  # it refers to itself: break the cycle, or X and XT outlive the call
-    return list(zip(*nodes))
-
-
-def _buckets(sizes: np.ndarray, n_rows: int):
+def _buckets(sizes: np.ndarray, cells: int, width: int):
     """Slices of ascending node sizes to pack together.
 
-    A bucket holds sizes within 2x of its smallest, and at most n_rows // L
-    nodes of padded length L, so no block holds more cells than X.
+    A bucket holds sizes within 2x of its smallest, and at most
+    cells // (width * L) nodes (but at least one) of padded length L with
+    width candidates each, so with cells = X.size no block holds more cells
+    than X.
     """
     start = 0
     while start < sizes.size:
         end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
-        end = min(end, start + max(1, n_rows // int(sizes[end - 1])))
+        end = min(end, start + max(1, cells // (width * int(sizes[end - 1]))))
         yield slice(start, end)
         start = end
 
 
-def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams) -> list[list[tuple]]:
+def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams,
+                picks=None) -> list[list[tuple]]:
     """The node columns of one tree per root (its rows of X, in order), each in preorder.
 
-    The trees grow one depth level at a time. The nodes of a level that may
-    split are bucketed by size and packed into padded (node, feature, row)
-    blocks, each scored by one _best_cuts call. A child keeps its parent's
-    row order, so every node scores exactly as it would grown alone.
+    The trees grow in steps. Each step packs the nodes it takes that may
+    split, bucketed by size, into padded (node, candidate, row) blocks, each
+    scored by one _best_cuts call. A child keeps its parent's row order, so
+    every node scores exactly as it would grown alone.
+
+    With picks None, every feature is a candidate and a step takes every
+    pending node: the trees grow one depth level at a time. With one pick
+    callable per root, each returning the same number of ascending feature
+    indices, a step takes each tree's next node in preorder that may split
+    and calls its tree's pick there, so every tree draws its candidates in
+    preorder, as a recursion growing it alone would; trees sharing no
+    generator grow as they would one by one.
     """
     columns, kids = [], []  # per node, in the order made
 
-    def make(idx):
+    def make(idx, depth):
         columns.append([-1, np.nan, -1, int(idx.size), *node_sse(y[idx])])
         kids.append(None)
-        return len(columns) - 1, idx
+        return len(columns) - 1, idx, depth
 
-    level = [make(idx) for idx in roots]  # (node, its rows) for the nodes of one depth
-    tops = [i for i, _ in level]
+    # Per tree, its pending (node, rows, depth); the right child goes on first.
+    stacks = [[make(idx, 0)] for idx in roots]
+    tops = [stack[0][0] for stack in stacks]
     padded_XT = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])  # (feature, row), pads +inf
     padded_y = np.append(y, 0.0)
-    features = np.arange(X.shape[1])[:, None]
-    depth = 0
-    while level and (params.max_depth is None or depth < params.max_depth):
-        able = sorted((node for node in level if node[1].size >= 2 * params.min_leaf),
-                      key=lambda node: node[1].size)
-        sizes = np.array([idx.size for _, idx in able], dtype=np.intp)
-        level = []
-        for part in _buckets(sizes, X.shape[0]):
+    everything = np.arange(X.shape[1])
+    while True:
+        able = []  # (node, rows, depth, candidates, its tree's stack)
+        for t, stack in enumerate(stacks):
+            while stack:
+                i, idx, depth = stack.pop()
+                if idx.size < 2 * params.min_leaf or (params.max_depth is not None
+                                                      and depth >= params.max_depth):
+                    continue  # a leaf
+                able.append((i, idx, depth, everything if picks is None else picks[t](), stack))
+                if picks is not None:
+                    break
+        if not able:
+            break
+        able.sort(key=lambda node: node[1].size)
+        sizes = np.array([node[1].size for node in able], dtype=np.intp)
+        for part in _buckets(sizes, X.size, len(able[0][3])):
             block, n = able[part], sizes[part]
             pad = np.arange(n[-1]) >= n[:, None]
             at = np.full(pad.shape, X.shape[0])  # a pad reads the extra last row
-            at[~pad] = np.concatenate([idx for _, idx in block])
-            means = np.array([columns[i][4] for i, _ in block])
+            at[~pad] = np.concatenate([node[1] for node in block])
+            means = np.array([columns[node[0]][4] for node in block])
             centred = np.where(pad, 0.0, padded_y[at] - means[:, None])
-            cols = padded_XT[features, at[:, None, :]]
-            feature, thr, gain = _best_cuts(cols, centred, n, params.min_leaf)
-            for (i, idx), f, t, g in zip(block, feature.tolist(), thr.tolist(), gain.tolist()):
+            feats = np.array([node[3] for node in block])
+            c, thr, gain = _best_cuts(padded_XT[feats[:, :, None], at[:, None, :]],
+                                      centred, n, params.min_leaf)
+            feature = feats[np.arange(feats.shape[0]), c]
+            for (i, idx, depth, _, stack), f, cut, g in zip(block, feature.tolist(), thr.tolist(),
+                                                            gain.tolist()):
                 if g > 0.0:
-                    columns[i][:2] = f, t
-                    go_left = X[idx, f] < t
-                    left, right = make(idx[go_left]), make(idx[~go_left])
+                    columns[i][:2] = f, cut
+                    go_left = X[idx, f] < cut
+                    left, right = make(idx[go_left], depth + 1), make(idx[~go_left], depth + 1)
                     kids[i] = left[0], right[0]
-                    level += left, right
-        depth += 1
+                    stack += right, left
 
     def preorder(i, nodes):
         nodes.append(columns[i])

@@ -17,7 +17,8 @@ from typing import Union
 import numpy as np
 
 from charterseg.rescale import ScoredMatrix
-from charterseg.tree import RegressionTree, SplitRule, export_json, import_json
+from charterseg.tree import (RegressionTree, SplitRule, _best_cuts, export_json, import_json,
+                             node_sse)
 
 
 # The oracles' own tree form: nested frozen nodes, read from and written to
@@ -113,6 +114,41 @@ def brute_force_best_split(X, y, min_leaf):
             if best is None or gain > best[2]:
                 best = (j, thr, gain)
     return best
+
+
+def reference_build(X, y, params, pick) -> list[tuple]:
+    """The node columns of a tree grown on every row by a preorder recursion.
+
+    The reference for the batched grower: one node per _best_cuts call, and
+    pick() draws a node's candidate features before its subtrees grow, so the
+    draws follow preorder.
+    """
+    nodes = []  # [feature, threshold, right, n, mean, sse] per node
+    XT = np.ascontiguousarray(X.T)
+
+    def split(idx, depth):
+        ysub = y[idx]
+        mean, sse = node_sse(ysub)
+        node = [-1, np.nan, -1, int(idx.size), mean, sse]
+        nodes.append(node)
+        if idx.size < 2 * params.min_leaf:
+            return
+        if params.max_depth is not None and depth >= params.max_depth:
+            return
+        features = pick()
+        c, thr, gain = _best_cuts(XT[features[:, None], idx][None], (ysub - mean)[None],
+                                  np.array([idx.size]), params.min_leaf)
+        if not gain[0] > 0.0:
+            return
+        f, t = int(features[c[0]]), float(thr[0])
+        node[:2] = f, t
+        go_left = X[idx, f] < t
+        split(idx[go_left], depth + 1)
+        node[2] = len(nodes)
+        split(idx[~go_left], depth + 1)
+
+    split(np.arange(len(y)), 0)
+    return list(zip(*nodes))
 
 
 def ecdf(sample, t) -> float:

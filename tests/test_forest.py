@@ -15,9 +15,9 @@ from charterseg.forest import (
 from charterseg.seeding import derive_seed, make_rng
 from charterseg.study import write_importance_table
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
-from charterseg.tree import TreeParams, export_json, grow
+from charterseg.tree import RegressionTree, TreeParams, _build_many, export_json, grow
 
-from helpers import make_matrix, random_matrix
+from helpers import make_matrix, random_matrix, reference_build
 
 
 def identity_bootstrap(rng, n):
@@ -59,6 +59,61 @@ def test_forest_determinism():
                for x, y in zip(a.bootstrap_indices, b.bootstrap_indices))
     c = grow_forest(mat, ForestParams(n_trees=12, min_leaf=5), seed=124)
     assert any(export_json(x) != export_json(y) for x, y in zip(a.trees, c.trees))
+
+
+def one_by_one(mat, n_trees, mtry, params, seed, bootstrap=None):
+    """Each tree's bootstrap, then its tree by the preorder recursion, one tree at a time."""
+    n, m = mat.n_rows, mat.n_features
+    trees, boots = [], []
+    for t in range(n_trees):
+        rng = make_rng(derive_seed(seed, t))
+        boot = bootstrap(rng, n) if bootstrap is not None else rng.integers(0, n, size=n)
+        columns = reference_build(mat.scores[boot], mat.response[boot], params,
+                                  lambda: np.sort(rng.choice(m, size=mtry, replace=False)))
+        trees.append(RegressionTree(*columns, mat.feature_names, params))
+        boots.append(boot)
+    return trees, boots
+
+
+def test_lockstep_forest_equals_trees_grown_one_by_one():
+    # The trees advance together, one preorder node each per step; every
+    # tree must still draw its bootstrap and its candidates from its own
+    # generator in its own preorder. max_depth is reached through
+    # _build_many, since forest trees grow unbounded.
+    rng = make_rng(44)
+    for trial in range(24):
+        n, m = int(rng.integers(2, 120)), int(rng.integers(1, 7))
+        X = rng.integers(1, 6, size=(n, m)).astype(float)
+        mat = make_matrix(X, np.round(X[:, 0] + rng.normal(size=n), 1))
+        bootstrap = identity_bootstrap if trial % 4 == 0 else None
+        for mtry in sorted({1, min(2, m), max(1, m // 3), m}):
+            for min_leaf in (1, 2, 5):
+                if n < min_leaf:
+                    continue
+                want, want_boots = one_by_one(mat, 4, mtry, TreeParams(min_leaf), trial,
+                                              bootstrap)
+                forest = grow_forest(mat, ForestParams(4, mtry, min_leaf), seed=trial,
+                                     bootstrap=bootstrap)
+                assert [export_json(t) for t in forest.trees] == [export_json(t) for t in want]
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(forest.bootstrap_indices, want_boots))
+                params = TreeParams(min_leaf, max_depth=3)
+                want, boots = one_by_one(mat, 4, mtry, params, trial, bootstrap)
+                rngs = [make_rng(derive_seed(trial, t)) for t in range(4)]
+                for r in rngs:  # the bootstrap draws come first
+                    bootstrap(r, n) if bootstrap is not None else r.integers(0, n, size=n)
+                picks = [lambda r=r: np.sort(r.choice(m, size=mtry, replace=False))
+                         for r in rngs]
+                got = _build_many(mat.scores, mat.response, boots, params, picks)
+                assert [export_json(RegressionTree(*c, mat.feature_names, params))
+                        for c in got] == [export_json(t) for t in want]
+    # Tree t does not depend on how many trees grow beside it.
+    mat = signal_matrix(seed=8, n=200, noise_features=5)
+    big = grow_forest(mat, ForestParams(n_trees=12, mtry=2, min_leaf=3), seed=8)
+    small = grow_forest(mat, ForestParams(n_trees=5, mtry=2, min_leaf=3), seed=8)
+    for t in range(5):
+        assert export_json(big.trees[t]) == export_json(small.trees[t])
+        assert np.array_equal(big.bootstrap_indices[t], small.bootstrap_indices[t])
 
 
 def test_forest_default_mtry():
@@ -216,8 +271,8 @@ def reference_importance(forest, mat, seed):
 
 def test_stacked_importance_equals_one_routing_call_per_feature():
     # Tree 2 trains on every row, so it has no OOB row. The other trees'
-    # OOB sets hold about n / e rows, so their m + 1 copies span several
-    # routing calls of at most n rows each.
+    # OOB sets hold about n / e rows, and each tree routes their m + 1
+    # copies, about 2.6n rows here, in one call.
     calls = []
 
     def one_tree_sees_all(rng, n):

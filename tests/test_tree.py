@@ -24,7 +24,6 @@ from charterseg.tree import (
     SplitRule,
     TreeParams,
     _buckets,
-    _build,
     _build_many,
     _fold_penalties,
     _pruned_predictions,
@@ -52,6 +51,7 @@ from helpers import (
     make_matrix,
     parse_dot,
     random_matrix,
+    reference_build,
     reference_collapses,
     reference_cost_complexity_sequence,
     reference_predict,
@@ -298,9 +298,9 @@ def tie_heavy_matrix(rng, low=2):
 
 
 def test_grow_matches_the_preorder_recursion():
-    # grow builds level by level over padded blocks; the forest recursion
-    # _build scores one node at a time. With every feature a candidate at
-    # every node, the two must give the same tree to the bit.
+    # grow builds level by level over padded blocks; the reference recursion
+    # scores one node at a time. With every feature a candidate at every
+    # node, the two must give the same tree to the bit.
     rng = make_rng(41)
     for _ in range(200):
         mat = tie_heavy_matrix(rng)
@@ -309,8 +309,8 @@ def test_grow_matches_the_preorder_recursion():
                        for md in (None, 3)):
             if mat.n_rows < params.min_leaf:
                 continue
-            recursive = RegressionTree(*_build(mat.scores, mat.response, params,
-                                               lambda: everything),
+            recursive = RegressionTree(*reference_build(mat.scores, mat.response, params,
+                                                        lambda: everything),
                                        mat.feature_names, params)
             assert export_json(grow(mat, params)) == export_json(recursive)
 
@@ -332,18 +332,32 @@ def test_fold_trees_of_one_batch_equal_trees_grown_alone():
                 export_json(alone)
 
 
+def level_buckets(sizes, n_rows):
+    """The bucket slices of the level-wise grower, which scores every feature."""
+    start, out = 0, []
+    while start < sizes.size:
+        end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
+        end = min(end, start + max(1, n_rows // int(sizes[end - 1])))
+        out.append(slice(start, end))
+        start = end
+    return out
+
+
 def test_buckets_hold_sizes_within_twice_the_smallest_and_no_more_cells_than_x():
     rng = make_rng(43)
     for _ in range(100):
-        n_rows = int(rng.integers(2, 500))
+        n_rows, m = int(rng.integers(2, 500)), int(rng.integers(1, 20))
         sizes = np.sort(rng.integers(2, n_rows + 1, size=int(rng.integers(1, 60))))
-        covered = []
-        for part in _buckets(sizes, n_rows):
-            block = sizes[part]
-            assert block.size >= 1 and block[-1] <= 2 * block[0]
-            assert block.size <= max(1, n_rows // block[-1])
-            covered.extend(range(part.start, part.stop))
-        assert covered == list(range(sizes.size))
+        # With all m features as candidates, the slices are the level-wise ones.
+        assert list(_buckets(sizes, n_rows * m, m)) == level_buckets(sizes, n_rows)
+        for width in range(1, m + 1):
+            covered = []
+            for part in _buckets(sizes, n_rows * m, width):
+                block = sizes[part]
+                assert block.size >= 1 and block[-1] <= 2 * block[0]
+                assert block.size <= max(1, n_rows * m // (width * block[-1]))
+                covered.extend(range(part.start, part.stop))
+            assert covered == list(range(sizes.size))
 
 
 def test_grow_row_permutation_invariance():
