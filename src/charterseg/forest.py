@@ -4,9 +4,10 @@ Each tree grows unpruned on a bootstrap resample, drawing a fresh random
 feature subset of size mtry at every node in preorder. Tree t seeds its own
 generator from a 64-bit mix of the master seed and t, so a forest is
 reproducible independent of how many workers grew it. All trees grow in
-lockstep in one batched call, each from its bootstrap rows of the shared
-matrix. Permutation importance routes a tree's OOB rows and all their
-permuted copies through the tree in one call.
+lockstep in one call of the tree factory, each from its bootstrap rows of
+the shared matrix. Out-of-bag prediction and permutation importance share
+one walk over the trees with out-of-bag rows; importance routes a tree's OOB
+rows and all their permuted copies through the tree in one call.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
         Forest holding every tree and its bootstrap multiset.
     """
     n, m = matrix.n_rows, matrix.n_features
-    if n < params.min_leaf:
-        raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
     mtry = params.resolve_mtry(m)
     tree_params = TreeParams(min_leaf=params.min_leaf, max_depth=None)
     rngs = [make_rng(derive_seed(seed, t)) for t in range(params.n_trees)]
@@ -76,10 +75,8 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
         # Sorted so tie-breaking matches single-tree growth when mtry == m.
         return lambda: np.sort(rng.choice(m, size=mtry, replace=False))
 
-    columns = _build_many(matrix.scores, matrix.response, boots, tree_params,
-                          [picker(rng) for rng in rngs])
-    return Forest(tuple(RegressionTree(*c, matrix.feature_names, tree_params) for c in columns),
-                  tuple(boots))
+    trees = _build_many(matrix, boots, tree_params, [picker(rng) for rng in rngs])
+    return Forest(tuple(trees), tuple(boots))
 
 
 @dataclass(frozen=True)
@@ -96,15 +93,17 @@ class OobResult:
     always_in_bag: np.ndarray
 
 
-def _oob_mask(boot: np.ndarray, n: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[boot] = False
-    return mask
-
-
-def _check_rows(forest: Forest, matrix: ScoredMatrix) -> None:
-    if matrix.n_rows != forest.trees[0].total_n:
+def _oob_trees(forest: Forest, matrix: ScoredMatrix):
+    """(t, tree t, its out-of-bag rows) for each tree with out-of-bag rows."""
+    n = matrix.n_rows
+    if n != forest.trees[0].total_n:
         raise ConfigError("matrix row count differs from the forest's training rows")
+    for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
+        out = np.ones(n, dtype=bool)
+        out[boot] = False
+        oob = np.flatnonzero(out)
+        if oob.size:
+            yield t, tree, oob
 
 
 def _oob_result(sums: np.ndarray, counts: np.ndarray, y: np.ndarray) -> OobResult:
@@ -120,14 +119,9 @@ def _oob_result(sums: np.ndarray, counts: np.ndarray, y: np.ndarray) -> OobResul
 
 def oob_predict(forest: Forest, matrix: ScoredMatrix) -> OobResult:
     """Average each row's predictions over the trees that did not train on it."""
-    _check_rows(forest, matrix)
-    n = matrix.n_rows
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=int)
-    for tree, boot in zip(forest.trees, forest.bootstrap_indices):
-        oob = np.flatnonzero(_oob_mask(boot, n))
-        if oob.size == 0:
-            continue
+    sums = np.zeros(matrix.n_rows)
+    counts = np.zeros(matrix.n_rows, dtype=int)
+    for _, tree, oob in _oob_trees(forest, matrix):
         sums[oob] += tree.predict_batch(matrix.scores[oob])
         counts[oob] += 1
     return _oob_result(sums, counts, matrix.response)
@@ -160,17 +154,13 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
     (one seeded draw per tree and feature, independent of worker count) and
     the MSE increase recorded; deltas average over trees.
     """
-    _check_rows(forest, matrix)
     n, m = matrix.n_rows, matrix.n_features
     X, y = matrix.scores, matrix.response
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=int)
     deltas = []
-    for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
-        oob = np.flatnonzero(_oob_mask(boot, n))
+    for t, tree, oob in _oob_trees(forest, matrix):
         k = oob.size
-        if k == 0:
-            continue
         Xo, yo = X[oob], y[oob]
         rng = make_rng(derive_seed(seed, t))
         # Copy 0 shuffles no feature and copy f + 1 shuffles feature f; one

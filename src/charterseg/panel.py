@@ -86,8 +86,14 @@ class Panel:
         return len(self.rows)
 
 
+# The largest magnitude of a nonzero numeric cell, and the inverse of the
+# smallest. Every ratio and Q then lies within 2 * CELL_BOUND ** 2, so sums of
+# their squares stay finite for any panel that fits in memory.
+CELL_BOUND = 1e50
+
+
 def _parse_cell(text: str, line: int, column: str) -> float:
-    """A numeric cell as a finite float; a blank cell is NaN."""
+    """A numeric cell as a float that is 0 or of magnitude within CELL_BOUND; blank is NaN."""
     text = text.strip()
     if not text:
         return NAN
@@ -97,6 +103,9 @@ def _parse_cell(text: str, line: int, column: str) -> float:
         value = NAN
     if not math.isfinite(value):  # nan, inf and 1e999 would pass as data
         raise ParseError(f"expected a finite number, got {text!r}", line=line, column=column)
+    if value and not 1 / CELL_BOUND <= abs(value) <= CELL_BOUND:
+        raise ParseError(f"expected 0 or a magnitude within [{1 / CELL_BOUND:g}, "
+                         f"{CELL_BOUND:g}], got {text!r}", line=line, column=column)
     return value
 
 
@@ -134,7 +143,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
         SchemaError: a required column is missing from the header.
         ParseError: the file is not UTF-8, a record is not valid CSV (an
             unclosed quote, a field over the csv module's size limit), or a
-            non-blank cell fails numeric parsing.
+            non-blank cell is not a finite number within CELL_BOUND.
         DuplicateRowError: the same (bank_id, year) appears twice.
     """
     schema = schema or {}
@@ -163,19 +172,15 @@ def load_panel(path, schema: dict[str, str] | None = None,
     if missing:
         raise SchemaError(f"{path}: missing required columns {missing}")
 
+    # Each field's cell position; an absent optional column lies past every record.
+    at = [index.get(colname[f], math.inf) for f in ALL_FIELDS]
+    numeric_columns = [colname[f] for f in REQUIRED_FIELDS + OPTIONAL_FIELDS]
     for line_no, record in records:
         if not record:  # a blank line holds no record
             continue
-        def cell(fname: str) -> str:
-            col = colname[fname]
-            i = index.get(col)
-            if i is None or i >= len(record):
-                return ""
-            return record[i]
-
-        bank_id = cell("bank_id").strip()
-        country = cell("country").strip()
-        year_text = cell("year").strip()
+        width = len(record)
+        cells = [record[i] if i < width else "" for i in at]
+        bank_id, country, year_text = (c.strip() for c in cells[:3])
         row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
         if not bank_id or not country or not year_text:
             exclusions.append(Exclusion(row_id, "missing bank_id, country, or year"))
@@ -188,8 +193,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
             raise ParseError(f"expected an integer year within int64, got {year_text!r}",
                              line=line_no, column=colname["year"])
 
-        values = [_parse_cell(cell(f), line_no, colname[f])
-                  for f in REQUIRED_FIELDS + OPTIONAL_FIELDS]
+        values = [_parse_cell(c, line_no, col) for c, col in zip(cells[3:], numeric_columns)]
         missing_field = next((f for f, v in zip(REQUIRED_FIELDS, values) if math.isnan(v)),
                              None)
         if missing_field is not None:

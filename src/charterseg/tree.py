@@ -3,18 +3,18 @@
 Splits minimise within-node sum of squared errors. Candidate thresholds sit
 at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
-the fitted partition exactly. Every tree grows on one batched grower, as in
-SLIQ and SPRINT: the nodes of a step that may split are packed by size into
-padded blocks, and each block is sorted and scored in one pass. grow and
-cv_prune take a whole depth level per step, so cv_prune grows its full tree
-and every fold tree together. Forest trees advance in lockstep, each one
-preorder node per step, so each draws its candidate features in its own
-preorder. best_split is the one-node call of the same scorer. Pruning follows
-the weakest-link sequence with
-k-fold cross-validated selection of the complexity penalty, read off two
-per-node arrays: the penalty at which each node folds and the least of its
-ancestors'. CV routes each test row once through a fold tree and reads its
-prediction at every candidate penalty off the row's path.
+the fitted partition exactly. Every tree comes from one batched factory,
+_build_many, as in SLIQ and SPRINT: the nodes of a step that may split are
+packed by size into padded blocks, and each block is sorted and scored in one
+pass. grow and cv_prune take a whole depth level per step, so cv_prune grows
+its full tree and every fold tree together. Forest trees advance in lockstep,
+each one preorder node per step, so each draws its candidate features in its
+own preorder. best_split is the one-node call of the same scorer. Pruning
+follows the weakest-link sequence with k-fold cross-validated selection of
+the complexity penalty, read off two per-node arrays: the penalty at which
+each node folds and the least of its ancestors'. CV routes each test row
+once through a fold tree and reads its prediction at every candidate penalty
+off the row's path.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def _buckets(sizes: np.ndarray, cells: int, width: int):
         start = end
 
 
-def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams,
-                picks=None) -> list[list[tuple]]:
-    """The node columns of one tree per root (its rows of X, in order), each in preorder.
+def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
+                picks=None) -> list[RegressionTree]:
+    """One tree per root (its rows of matrix, in order), grown in one batched pass.
 
     The trees grow in steps. Each step packs the nodes it takes that may
     split, bucketed by size, into padded (node, candidate, row) blocks, each
@@ -240,18 +240,22 @@ def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams,
     indices, a step takes each tree's next node in preorder that may split
     and calls its tree's pick there, so every tree draws its candidates in
     preorder, as a recursion growing it alone would; trees sharing no
-    generator grow as they would one by one.
+    generator grow as they would one by one. A matrix of fewer than min_leaf
+    rows raises EmptyModelError.
     """
-    columns, kids = [], []  # per node, in the order made
+    X, y = matrix.scores, matrix.response
+    if X.shape[0] < params.min_leaf:
+        raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {X.shape[0]}")
+    # Per node, in the order made. Until the layout below, a split's third
+    # column holds its left child's place in this list; its right child is next.
+    columns = []
 
     def make(idx, depth):
         columns.append([-1, np.nan, -1, int(idx.size), *node_sse(y[idx])])
-        kids.append(None)
         return len(columns) - 1, idx, depth
 
     # Per tree, its pending (node, rows, depth); the right child goes on first.
-    stacks = [[make(idx, 0)] for idx in roots]
-    tops = [stack[0][0] for stack in stacks]
+    stacks = [[make(idx, 0)] for idx in roots]  # tree t's root is node t
     padded_XT = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])  # (feature, row), pads +inf
     padded_y = np.append(y, 0.0)
     everything = np.arange(X.shape[1])
@@ -284,22 +288,23 @@ def _build_many(X: np.ndarray, y: np.ndarray, roots, params: TreeParams,
             for (i, idx, depth, _, stack), f, cut, g in zip(block, feature.tolist(), thr.tolist(),
                                                             gain.tolist()):
                 if g > 0.0:
-                    columns[i][:2] = f, cut
                     go_left = X[idx, f] < cut
                     left, right = make(idx[go_left], depth + 1), make(idx[~go_left], depth + 1)
-                    kids[i] = left[0], right[0]
+                    columns[i][:3] = f, cut, left[0]
                     stack += right, left
 
-    def preorder(i, nodes):
-        nodes.append(columns[i])
-        if kids[i] is not None:
-            preorder(kids[i][0], nodes)
-            columns[i][2] = len(nodes)
-            preorder(kids[i][1], nodes)
-        return nodes
-
-    trees = [list(zip(*preorder(top, []))) for top in tops]
-    del preorder  # it refers to itself: break the cycle, or the node lists outlive the call
+    trees = []
+    for t in range(len(stacks)):  # lay each tree out in preorder
+        nodes, pending = [], [(t, None)]  # (node, the split whose right child it is)
+        while pending:
+            i, parent = pending.pop()
+            if parent is not None:
+                parent[2] = len(nodes)
+            node = columns[i]
+            if node[2] >= 0:
+                pending += (node[2] + 1, node), (node[2], None)
+            nodes.append(node)
+        trees.append(RegressionTree(*zip(*nodes), matrix.feature_names, params))
     return trees
 
 
@@ -310,16 +315,7 @@ def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionT
     gain, and both children keep min_leaf rows. max_depth, when set, caps the
     depth (0 means a single leaf).
     """
-    return _grow_many(matrix, [np.arange(matrix.n_rows)], params)[0]
-
-
-def _grow_many(matrix: ScoredMatrix, roots, params: TreeParams) -> list[RegressionTree]:
-    """One tree per root, a row index array into matrix, grown in one batched pass."""
-    n = matrix.n_rows
-    if n < params.min_leaf:
-        raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {n}")
-    return [RegressionTree(*columns, matrix.feature_names, params)
-            for columns in _build_many(matrix.scores, matrix.response, roots, params)]
+    return _build_many(matrix, [np.arange(matrix.n_rows)], params)[0]
 
 
 def _fold_penalties(tree: RegressionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +449,7 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
         raise ConfigError(f"cannot split {n} rows into {k} folds")
 
     folds = np.array_split(make_rng(seed).permutation(n), k)
-    full, *fold_trees = _grow_many(
+    full, *fold_trees = _build_many(
         matrix, [np.arange(n), *(np.setdiff1d(np.arange(n), test) for test in folds)], params)
     trace = cost_complexity_sequence(full)
     if not trace.alphas:
@@ -468,16 +464,10 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
         cv[:, fi] = np.mean((preds - matrix.response[test_idx]) ** 2, axis=1)
 
     means = cv.mean(axis=1)
-    best = 0
-    for i in range(len(evals)):
-        if means[i] <= means[best]:
-            best = i
+    best = np.flatnonzero(means == means.min())[-1]  # ties go to the larger penalty
     if rule == "one_se":
         se = float(np.std(cv[best], ddof=1) / np.sqrt(k))
-        limit = means[best] + se
-        for i in range(len(evals)):
-            if means[i] <= limit:
-                best = i
+        best = np.flatnonzero(means <= means[best] + se)[-1]
     chosen = float(evals[best])
     pruned = prune_at(full, chosen)
     return pruned, PruneTrace(alphas, trace.subtree_sizes, tuple(evals), cv, chosen, rule)

@@ -104,9 +104,8 @@ def test_lockstep_forest_equals_trees_grown_one_by_one():
                     bootstrap(r, n) if bootstrap is not None else r.integers(0, n, size=n)
                 picks = [lambda r=r: np.sort(r.choice(m, size=mtry, replace=False))
                          for r in rngs]
-                got = _build_many(mat.scores, mat.response, boots, params, picks)
-                assert [export_json(RegressionTree(*c, mat.feature_names, params))
-                        for c in got] == [export_json(t) for t in want]
+                got = _build_many(mat, boots, params, picks)
+                assert [export_json(t) for t in got] == [export_json(t) for t in want]
     # Tree t does not depend on how many trees grow beside it.
     mat = signal_matrix(seed=8, n=200, noise_features=5)
     big = grow_forest(mat, ForestParams(n_trees=12, mtry=2, min_leaf=3), seed=8)
@@ -114,6 +113,14 @@ def test_lockstep_forest_equals_trees_grown_one_by_one():
     for t in range(5):
         assert export_json(big.trees[t]) == export_json(small.trees[t])
         assert np.array_equal(big.bootstrap_indices[t], small.bootstrap_indices[t])
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_forest_needs_min_leaf_rows(n):
+    # Drawing a bootstrap of zero rows does not fail by itself; growth must.
+    mat = make_matrix(np.ones((n, 2)), np.zeros(n))
+    with pytest.raises(EmptyModelError, match=f"need at least min_leaf=5 rows, got {n}"):
+        grow_forest(mat, ForestParams(n_trees=3, min_leaf=5))
 
 
 def test_forest_default_mtry():

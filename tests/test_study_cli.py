@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -583,6 +584,38 @@ def test_cli_fuzzed_config_exits_0_1_or_2(fuzz_config, command, edits):
                        "--trees", "3"])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Magnitudes past panel.CELL_BOUND either way (a subnormal among them) and
+# the in-range extremes, which the bundle must still carry as finite numbers.
+_MAGNITUDES = [1e308, -1e308, 1e-320, -1e-320, 1e51, -1e51, 1e-51, 1e50, -1e50, 1e-50, 0.0]
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.integers(1, 120), st.integers(3, len(HEADER) - 1),
+                          st.sampled_from(_MAGNITUDES)), min_size=1, max_size=4))
+def test_cli_study_on_extreme_cells_exits_0_1_or_2_with_finite_bundle(fuzz_config, edits):
+    # A huge, tiny or subnormal cell used to reach the bundle as inf with exit 0.
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = Path(fuzz_config["data"]["path"]).read_text(encoding="utf-8").splitlines()
+        for row, column, value in edits:
+            cells = lines[row].split(",")
+            cells[column] = repr(value)
+            lines[row] = ",".join(cells)
+        panel = Path(tmp) / "p.csv"
+        panel.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = replaced(fuzz_config, ("data", "path"), str(panel))
+        cfg = write_config(Path(tmp) / "c.json", doc)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["study", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        written = "".join(p.read_text(encoding="utf-8")
+                          for p in sorted((Path(tmp) / "o").rglob("*")) if p.is_file())
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not re.search(r"\b(inf|nan)\b", written, re.IGNORECASE)
 
 
 def test_cli_subsample_names_sharing_a_file_name_exit_2_before_reading_the_panel(

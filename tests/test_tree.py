@@ -325,11 +325,10 @@ def test_fold_trees_of_one_batch_equal_trees_grown_alone():
         roots = [np.arange(mat.n_rows)] + [
             np.setdiff1d(np.arange(mat.n_rows), test)
             for test in np.array_split(rng.permutation(mat.n_rows), 5)]
-        batch = _build_many(mat.scores, mat.response, roots, params)
-        for rows, columns in zip(roots, batch):
+        batch = _build_many(mat, roots, params)
+        for rows, tree in zip(roots, batch):
             alone = grow(make_matrix(mat.scores[rows], mat.response[rows]), params)
-            assert export_json(RegressionTree(*columns, mat.feature_names, params)) == \
-                export_json(alone)
+            assert export_json(tree) == export_json(alone)
 
 
 def level_buckets(sizes, n_rows):
