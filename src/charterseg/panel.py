@@ -254,9 +254,9 @@ class ProxyFrame:
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise num/den with non-positive or zero denominators giving NaN."""
+    """Elementwise num/den with non-positive denominators giving NaN."""
     out = np.full(num.shape, NAN)
-    ok = np.isfinite(num) & np.isfinite(den) & (den != 0.0)
+    ok = np.isfinite(num) & np.isfinite(den) & (den > 0.0)
     out[ok] = num[ok] / den[ok]
     return out
 
@@ -266,8 +266,8 @@ def compute_raw_proxies(panel: Panel) -> ProxyFrame:
 
     Rows violating hard positivity requirements (nta, total_assets, deposits
     positive; loans non-negative; Q positive) are excluded and logged. Within
-    surviving rows, a proxy whose own denominator is zero or whose inputs are
-    missing is NaN; such rows drop out later only if that proxy is active.
+    surviving rows, a proxy whose denominator is not positive or whose inputs
+    are missing is NaN; such rows drop out later only if that proxy is active.
     """
     rows = panel.rows
     if not len(rows):

@@ -5,16 +5,17 @@ at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
 the fitted partition exactly. Every tree comes from one batched factory,
 _build_many, as in SLIQ and SPRINT: the nodes of a step that may split are
-packed by size into padded blocks, and each block is sorted and scored in one
-pass. grow and cv_prune take a whole depth level per step, so cv_prune grows
-its full tree and every fold tree together. Forest trees advance in lockstep,
-each one preorder node per step, so each draws its candidate features in its
-own preorder. best_split is the one-node call of the same scorer. Pruning
-follows the weakest-link sequence with k-fold cross-validated selection of
-the complexity penalty, read off two per-node arrays: the penalty at which
-each node folds and the least of its ancestors'. CV routes each test row
-once through a fold tree and reads its prediction at every candidate penalty
-off the row's path.
+packed by size into padded blocks of X's value ranks, and each block is
+sorted as unique integer keys (rank, position) and scored in one pass. grow
+and cv_prune take a whole depth level per step, so cv_prune grows its full
+tree and every fold tree together. Forest trees advance in lockstep, each one
+preorder node per step, so each draws its candidate features in its own
+preorder. best_split is the one-node call of the same scorer. Pruning follows
+the weakest-link sequence with k-fold cross-validated selection of the
+complexity penalty, read off two per-node arrays: the penalty at which each
+node folds and the least of its ancestors'. CV routes each test row once
+through a fold tree and reads its prediction at every candidate penalty off
+the row's path.
 """
 
 from __future__ import annotations
@@ -137,43 +138,57 @@ def node_sse(responses) -> tuple[float, float]:
     return mean, float(d @ d)
 
 
-def _best_cuts(cols: np.ndarray, centred: np.ndarray, n: np.ndarray,
-               min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _code(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's (feature, row) int32 value ranks with a pad column, and the values (+inf for pads)."""
+    values, codes = np.unique(X, return_inverse=True)
+    padded = np.full((X.shape[1], X.shape[0] + 1), values.size, dtype=np.int32)
+    padded[:, :-1] = codes.reshape(X.shape).T
+    return padded, np.append(values, np.inf)
+
+
+def _best_cuts(codes: np.ndarray, centred: np.ndarray, n: np.ndarray, min_leaf: int,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best cut of each node in a padded block, scored in one pass.
 
-    cols is (node, candidate, L) feature values and centred is (node, L)
+    codes is (node, candidate, L) ranks into values and centred is (node, L)
     responses less the node's mean, for n[i] <= L rows of node i; every node
-    holds at least 2*min_leaf rows. Pads are +inf in cols, so they sort
-    last, and 0 in centred, so no prefix sum changes. With y centred,
-    cutting after sorted position i reduces SSE by sum_L^2/n_L + sum_R^2/n_R
-    - sum^2/n, which avoids the cancellation of large squared sums.
+    holds at least 2*min_leaf rows. Pads rank as +inf, the last value, and
+    are 0 in centred, so no prefix sum changes. Keys rank << b | position are
+    unique, so any sort gives the stable order by value. With y centred, a
+    cut after sorted position i reduces SSE by sum_L^2/n_L + sum_R^2/n_R -
+    sum^2/n, which avoids the cancellation of large squares.
 
-    Returns each node's (candidate position, threshold, gain); the gain is
-    -inf where no cut keeps min_leaf rows on both sides. The first maximum in
-    (candidate, cut) order wins: the lowest candidate, then the smallest
-    threshold.
+    Returns each node's (candidate position, threshold, gain), the gain -inf
+    where no cut keeps min_leaf rows a side. The first maximum in (candidate,
+    cut) order wins: the lowest candidate, then the smallest threshold.
     """
-    N, F, L = cols.shape
+    N, F, L = codes.shape
     if F == 0:
         return np.zeros(N, dtype=np.intp), np.full(N, np.nan), np.full(N, -np.inf)
-    order = np.argsort(cols, axis=2, kind="stable")
-    xs = cols.reshape(-1)[order + np.arange(0, N * F * L, L).reshape(N, F, 1)]
-    cum = np.cumsum(centred.reshape(-1)[order + np.arange(0, N * L, L).reshape(N, 1, 1)], axis=2)
+    b = (L - 1).bit_length()
+    key = np.left_shift(codes, b, dtype=np.int32 if values.size << b < 2 ** 31 else np.int64)
+    key |= np.arange(L, dtype=key.dtype)
+    key.sort(axis=2)
+    pos = key & ((1 << b) - 1)
+    key >>= b  # the sorted ranks
+    cum = np.cumsum(centred.reshape(-1)[pos + np.arange(0, N * L, L).reshape(N, 1, 1)], axis=2)
     total = cum[:, :, -1:]  # pads add 0: each column's own sum, as in a single-column search
     lo, hi = min_leaf - 1, L - min_leaf  # the cuts that leave min_leaf rows on the left
     sizes = np.arange(lo + 1, hi + 1)
     n = n.reshape(N, 1, 1)
     right = n - sizes
-    left_sum = cum[:, :, lo:hi]
-    # Pads make right 0 or less; those cuts are masked, so divide them by 1 instead.
-    gains = (left_sum ** 2 / sizes + (total - left_sum) ** 2 / np.maximum(right, 1)
-             - total ** 2 / n)
-    valid = (xs[:, :, lo + 1:hi + 1] > xs[:, :, lo:hi]) & (right >= min_leaf)
-    gains = np.where(valid, gains, -np.inf).reshape(N, -1)
+    # In place; pads make right 0 or less, so masked cuts divide by 1 instead.
+    gains = cum[:, :, lo:hi] ** 2 / sizes
+    right_sum = (total - cum[:, :, lo:hi]) ** 2
+    right_sum /= np.maximum(right, 1)
+    gains += right_sum
+    gains -= total ** 2 / n
+    gains[(key[:, :, lo + 1:hi + 1] == key[:, :, lo:hi]) | (right < min_leaf)] = -np.inf
+    gains = gains.reshape(N, -1)
     best = np.argmax(gains, axis=1)
     node = np.arange(N)
     c, j = np.divmod(best, hi - lo)
-    below, above = xs[node, c, lo + j], xs[node, c, lo + j + 1]
+    below, above = values[key[node, c, lo + j]], values[key[node, c, lo + j + 1]]
     thr = (below + above) / 2.0
     thr = np.where(thr <= below, above, thr)  # adjacent floats can round onto the left value
     return c, thr, gains[node, best]
@@ -194,33 +209,38 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
     Returns:
         (SplitRule, gain) with gain in raw SSE units, or None when no cut
         satisfies min_leaf on both sides with a positive gain. Ties break to
-        the lowest feature index, then the smallest threshold.
+        the lowest feature index, then the smallest threshold. A non-finite
+        X or y raises DegenerateInputError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DegenerateInputError("best_split needs finite X and y")
     n = X.shape[0]
     if n < 2 * min_leaf:
         return None
     features = np.arange(X.shape[1]) if feature_indices is None else np.asarray(feature_indices)
-    c, thr, gain = _best_cuts(X[:, features].T[None], (y - float(y.sum()) / n)[None],
-                              np.array([n]), min_leaf)
+    codes, values = _code(X[:, features])
+    c, thr, gain = _best_cuts(codes[None, :, :n], (y - float(y.sum()) / n)[None],
+                              np.array([n]), min_leaf, values)
     if not gain[0] > 0.0:
         return None
     return SplitRule(int(features[c[0]]), float(thr[0])), float(gain[0])
 
 
-def _buckets(sizes: np.ndarray, cells: int, width: int):
+_BLOCK_ROWS = 4  # padded rows per block over X's rows: a CV level in few blocks, small temporaries
+
+
+def _buckets(sizes: np.ndarray, rows: int):
     """Slices of ascending node sizes to pack together.
 
-    A bucket holds sizes within 2x of its smallest, and at most
-    cells // (width * L) nodes (but at least one) of padded length L with
-    width candidates each, so with cells = X.size no block holds more cells
-    than X.
+    A bucket holds sizes within 2x of its smallest and at most
+    max(1, rows // L) nodes of padded length L, whatever their width.
     """
     start = 0
     while start < sizes.size:
         end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
-        end = min(end, start + max(1, cells // (width * int(sizes[end - 1]))))
+        end = min(end, start + max(1, rows // int(sizes[end - 1])))
         yield slice(start, end)
         start = end
 
@@ -256,7 +276,7 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
 
     # Per tree, its pending (node, rows, depth); the right child goes on first.
     stacks = [[make(idx, 0)] for idx in roots]  # tree t's root is node t
-    padded_XT = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])  # (feature, row), pads +inf
+    padded_codes, values = _code(X)  # (feature, row); the pad column reads +inf
     padded_y = np.append(y, 0.0)
     everything = np.arange(X.shape[1])
     while True:
@@ -274,7 +294,7 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
             break
         able.sort(key=lambda node: node[1].size)
         sizes = np.array([node[1].size for node in able], dtype=np.intp)
-        for part in _buckets(sizes, X.size, len(able[0][3])):
+        for part in _buckets(sizes, _BLOCK_ROWS * X.shape[0]):
             block, n = able[part], sizes[part]
             pad = np.arange(n[-1]) >= n[:, None]
             at = np.full(pad.shape, X.shape[0])  # a pad reads the extra last row
@@ -282,8 +302,8 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
             means = np.array([columns[node[0]][4] for node in block])
             centred = np.where(pad, 0.0, padded_y[at] - means[:, None])
             feats = np.array([node[3] for node in block])
-            c, thr, gain = _best_cuts(padded_XT[feats[:, :, None], at[:, None, :]],
-                                      centred, n, params.min_leaf)
+            c, thr, gain = _best_cuts(padded_codes[feats[:, :, None], at[:, None, :]],
+                                      centred, n, params.min_leaf, values)
             feature = feats[np.arange(feats.shape[0]), c]
             for (i, idx, depth, _, stack), f, cut, g in zip(block, feature.tolist(), thr.tolist(),
                                                             gain.tolist()):

@@ -17,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from charterseg.rescale import ScoredMatrix
-from charterseg.tree import (RegressionTree, SplitRule, _best_cuts, export_json, import_json,
-                             node_sse)
+from charterseg.tree import (RegressionTree, SplitRule, _best_cuts, _code, export_json,
+                             import_json, node_sse)
 
 
 # The oracles' own tree form: nested frozen nodes, read from and written to
@@ -124,7 +124,7 @@ def reference_build(X, y, params, pick) -> list[tuple]:
     draws follow preorder.
     """
     nodes = []  # [feature, threshold, right, n, mean, sse] per node
-    XT = np.ascontiguousarray(X.T)
+    codes, values = _code(X)
 
     def split(idx, depth):
         ysub = y[idx]
@@ -136,8 +136,8 @@ def reference_build(X, y, params, pick) -> list[tuple]:
         if params.max_depth is not None and depth >= params.max_depth:
             return
         features = pick()
-        c, thr, gain = _best_cuts(XT[features[:, None], idx][None], (ysub - mean)[None],
-                                  np.array([idx.size]), params.min_leaf)
+        c, thr, gain = _best_cuts(codes[features[:, None], idx][None], (ysub - mean)[None],
+                                  np.array([idx.size]), params.min_leaf, values)
         if not gain[0] > 0.0:
             return
         f, t = int(features[c[0]]), float(thr[0])
@@ -149,6 +149,36 @@ def reference_build(X, y, params, pick) -> list[tuple]:
 
     split(np.arange(len(y)), 0)
     return list(zip(*nodes))
+
+
+def reference_best_cuts(cols, centred, n, min_leaf):
+    """The block scorer on float values: a stable argsort per (node, candidate).
+
+    cols is (node, candidate, L) feature values with +inf pads; the rest is
+    as in _best_cuts, which sorts integer keys of value ranks instead and
+    must return the same (candidate, threshold, gain) to the bit.
+    """
+    N, F, L = cols.shape
+    order = np.argsort(cols, axis=2, kind="stable")
+    xs = cols.reshape(-1)[order + np.arange(0, N * F * L, L).reshape(N, F, 1)]
+    cum = np.cumsum(centred.reshape(-1)[order + np.arange(0, N * L, L).reshape(N, 1, 1)], axis=2)
+    total = cum[:, :, -1:]
+    lo, hi = min_leaf - 1, L - min_leaf
+    sizes = np.arange(lo + 1, hi + 1)
+    n = n.reshape(N, 1, 1)
+    right = n - sizes
+    left_sum = cum[:, :, lo:hi]
+    gains = (left_sum ** 2 / sizes + (total - left_sum) ** 2 / np.maximum(right, 1)
+             - total ** 2 / n)
+    valid = (xs[:, :, lo + 1:hi + 1] > xs[:, :, lo:hi]) & (right >= min_leaf)
+    gains = np.where(valid, gains, -np.inf).reshape(N, -1)
+    best = np.argmax(gains, axis=1)
+    node = np.arange(N)
+    c, j = np.divmod(best, hi - lo)
+    below, above = xs[node, c, lo + j], xs[node, c, lo + j + 1]
+    thr = (below + above) / 2.0
+    thr = np.where(thr <= below, above, thr)
+    return c, thr, gains[node, best]
 
 
 def ecdf(sample, t) -> float:

@@ -376,6 +376,15 @@ def test_raw_proxies_zero_income_gives_nan():
     assert frame.column("expense_to_assets")[0] == pytest.approx(0.01)
 
 
+def test_raw_proxies_negative_income_gives_nan():
+    # A loss-making bank has no meaningful cost/income ratio; -2.0 would
+    # read as the most efficient bank under an increasing-risk proxy.
+    row = bank_year(non_interest_expense=20.0, income=-10.0)
+    frame = compute_raw_proxies(make_panel([row]))
+    assert math.isnan(frame.column("cost_income")[0])
+    assert frame.column("expense_to_assets")[0] == pytest.approx(0.02)
+
+
 def test_raw_proxies_empty_panel():
     with pytest.raises(EmptySubsampleError):
         compute_raw_proxies(Panel([]))

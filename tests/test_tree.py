@@ -23,8 +23,11 @@ from charterseg.tree import (
     RegressionTree,
     SplitRule,
     TreeParams,
+    _BLOCK_ROWS,
+    _best_cuts,
     _buckets,
     _build_many,
+    _code,
     _fold_penalties,
     _pruned_predictions,
     best_split,
@@ -51,6 +54,7 @@ from helpers import (
     make_matrix,
     parse_dot,
     random_matrix,
+    reference_best_cuts,
     reference_build,
     reference_collapses,
     reference_cost_complexity_sequence,
@@ -208,6 +212,83 @@ def test_gain_shift_and_scale_behavior():
     assert gain_scale == pytest.approx(4.0 * gain, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_split_rejects_non_finite_x(bad):
+    # Value ranks put NaN last, so a cut could land beside it; refuse instead.
+    X = np.array([[1.0], [2.0], [bad], [4.0]])
+    with pytest.raises(DegenerateInputError, match="finite"):
+        best_split(X, np.array([0.0, 0.0, 1.0, 1.0]), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_split_rejects_non_finite_y(bad):
+    X = np.array([[1.0], [2.0], [3.0], [4.0]])
+    with pytest.raises(DegenerateInputError, match="finite"):
+        best_split(X, np.array([0.0, bad, 1.0, 1.0]), 1)
+
+
+# ------------------------------------------------------------ block scorer
+
+
+def padded_block(rng, X, y, sizes, width):
+    """A block of nodes of the given sizes over random rows of X, padded to the largest.
+
+    Returns (float columns with +inf pads, their value ranks, centred
+    responses with 0 pads): the inputs of reference_best_cuts and _best_cuts.
+    """
+    L = int(sizes.max())
+    at = np.full((sizes.size, L), X.shape[0])  # a pad reads the extra last row
+    means = np.empty(sizes.size)
+    for i, size in enumerate(sizes):
+        at[i, :size] = rng.choice(X.shape[0], size=size, replace=False)
+        means[i] = node_sse(y[at[i, :size]])[0]
+    feats = np.sort(np.array([rng.choice(X.shape[1], size=width, replace=False)
+                              for _ in sizes]), axis=1)
+    padded_X = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])
+    codes, _ = _code(X)
+    pad = at == X.shape[0]
+    centred = np.where(pad, 0.0, np.append(y, 0.0)[at] - means[:, None])
+    return (padded_X[feats[:, :, None], at[:, None, :]], codes[feats[:, :, None], at[:, None, :]],
+            centred)
+
+
+def test_key_scorer_equals_the_float_scorer_on_tie_heavy_blocks():
+    rng = make_rng(47)
+    for _ in range(150):
+        min_leaf = int(rng.choice([1, 2, 5]))
+        n_rows, m = int(rng.integers(4 * min_leaf + 2, 90)), int(rng.integers(1, 6))
+        X = rng.integers(1, int(rng.integers(2, 7)), size=(n_rows, m)).astype(float)
+        y = np.round(X[:, 0] + rng.normal(size=n_rows), 1)
+        sizes = np.sort(rng.integers(2 * min_leaf, n_rows + 1, size=int(rng.integers(1, 8))))
+        cols, codes, centred = padded_block(rng, X, y, sizes, int(rng.integers(1, m + 1)))
+        _, values = _code(X)
+        got = _best_cuts(codes, centred, sizes, min_leaf, values)
+        want = reference_best_cuts(cols, centred, sizes, min_leaf)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_key_scorer_takes_int64_keys_when_int32_would_overflow():
+    # 2**21 + 1 values and L = 1025 (11 position bits): rank << 11 passes
+    # 2**31 for the top ranks, so int32 keys would wrap and misorder them.
+    rng = make_rng(48)
+    values = np.append(np.arange(2.0 ** 21), np.inf)
+    L, min_leaf = 1025, 2
+    sizes = np.array([400, 700, L])
+    ranks = np.concatenate([rng.choice(2 ** 21, size=20, replace=False), [0, 2 ** 21 - 1]])
+    codes = rng.choice(ranks, size=(sizes.size, 3, L)).astype(np.int32)
+    pad = np.arange(L) >= sizes[:, None]
+    codes[np.broadcast_to(pad[:, None, :], codes.shape)] = values.size - 1
+    centred = np.where(pad, 0.0, np.round(rng.normal(size=pad.shape), 1))
+    for i, size in enumerate(sizes):
+        centred[i, :size] -= node_sse(centred[i, :size])[0]
+    got = _best_cuts(codes, centred, sizes, min_leaf, values)
+    want = reference_best_cuts(values[codes], centred, sizes, min_leaf)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert np.all(got[2] > 0.0)
+
+
 # -------------------------------------------------------------------- grow
 
 
@@ -331,32 +412,35 @@ def test_fold_trees_of_one_batch_equal_trees_grown_alone():
             assert export_json(tree) == export_json(alone)
 
 
-def level_buckets(sizes, n_rows):
-    """The bucket slices of the level-wise grower, which scores every feature."""
-    start, out = 0, []
-    while start < sizes.size:
-        end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
-        end = min(end, start + max(1, n_rows // int(sizes[end - 1])))
-        out.append(slice(start, end))
-        start = end
-    return out
-
-
-def test_buckets_hold_sizes_within_twice_the_smallest_and_no_more_cells_than_x():
+def test_buckets_hold_sizes_within_twice_the_smallest_and_at_most_rows_over_l_nodes():
     rng = make_rng(43)
     for _ in range(100):
-        n_rows, m = int(rng.integers(2, 500)), int(rng.integers(1, 20))
+        n_rows = int(rng.integers(2, 500))
+        rows = int(rng.integers(1, 2 * _BLOCK_ROWS + 1)) * n_rows
         sizes = np.sort(rng.integers(2, n_rows + 1, size=int(rng.integers(1, 60))))
-        # With all m features as candidates, the slices are the level-wise ones.
-        assert list(_buckets(sizes, n_rows * m, m)) == level_buckets(sizes, n_rows)
-        for width in range(1, m + 1):
-            covered = []
-            for part in _buckets(sizes, n_rows * m, width):
-                block = sizes[part]
-                assert block.size >= 1 and block[-1] <= 2 * block[0]
-                assert block.size <= max(1, n_rows * m // (width * block[-1]))
-                covered.extend(range(part.start, part.stop))
-            assert covered == list(range(sizes.size))
+        covered = []
+        for part in _buckets(sizes, rows):
+            block = sizes[part]
+            assert block.size >= 1 and block[-1] <= 2 * block[0]
+            assert block.size <= max(1, rows // block[-1])
+            covered.extend(range(part.start, part.stop))
+        assert covered == list(range(sizes.size))
+
+
+def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
+    # The row cap packs the full tree's and the ten fold trees' nodes of a
+    # level into a few blocks: 91 calls score these 693 nodes. A cap of one
+    # tree's rows per block, n // L nodes, takes 179.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return _best_cuts(*args)
+
+    monkeypatch.setattr("charterseg.tree._best_cuts", counted)
+    mat = random_matrix(make_rng(49), n=890, m=6)
+    cv_prune(mat, TreeParams(min_leaf=10), k=10, seed=0)
+    assert (len(calls), sum(calls)) == (91, 693)
 
 
 def test_grow_row_permutation_invariance():
