@@ -3,15 +3,17 @@
 Each tree grows unpruned on a bootstrap resample, drawing a fresh random
 feature subset of size mtry at every node in preorder. Tree t seeds its own
 generator from a 64-bit mix of the master seed and t, so a forest is
-reproducible independent of how many workers grew it. All trees grow in
-lockstep in one call of the tree factory, each from its bootstrap rows of
-the shared matrix. Out-of-bag prediction and permutation importance share
+reproducible independent of how many workers grew it. Trees grow in
+lockstep in calls of the tree factory, each call as many consecutive trees
+as fit a row budget, each tree from its bootstrap rows of the shared
+matrix. Out-of-bag prediction and permutation importance share
 one walk over the trees with out-of-bag rows; importance routes a tree's OOB
 rows and all their permuted copies through the tree in one call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +23,12 @@ from .errors import ConfigError, EmptyModelError
 from .rescale import ScoredMatrix
 from .seeding import derive_seed, make_rng
 from .tree import RegressionTree, TreeParams, _build_many
+
+
+# Bootstrap rows grown per _build_many call: every tree of a call is in
+# flight at once, so this bounds a large forest's memory. At 890 rows a call
+# grows 147 trees.
+_FOREST_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -67,15 +75,18 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
     n, m = matrix.n_rows, matrix.n_features
     mtry = params.resolve_mtry(m)
     tree_params = TreeParams(min_leaf=params.min_leaf, max_depth=None)
-    rngs = [make_rng(derive_seed(seed, t)) for t in range(params.n_trees)]
-    boots = [np.asarray(bootstrap(rng, n) if bootstrap is not None else rng.integers(0, n, size=n))
-             for rng in rngs]
-
-    def picker(rng):
-        # Sorted so tie-breaking matches single-tree growth when mtry == m.
-        return lambda: np.sort(rng.choice(m, size=mtry, replace=False))
-
-    trees = _build_many(matrix, boots, tree_params, [picker(rng) for rng in rngs])
+    trees, boots = [], []
+    per_call = max(1, _FOREST_ROWS // max(n, 1))
+    for first in range(0, params.n_trees, per_call):
+        rngs = [make_rng(derive_seed(seed, t))
+                for t in range(first, min(first + per_call, params.n_trees))]
+        chunk = [np.asarray(bootstrap(rng, n) if bootstrap is not None
+                            else rng.integers(0, n, size=n)) for rng in rngs]
+        # In draw order: _build_many sorts each block's candidates, so ties
+        # break to the lowest feature index, as in single-tree growth when mtry == m.
+        picks = [functools.partial(rng.choice, m, mtry, False) for rng in rngs]
+        trees += _build_many(matrix, chunk, tree_params, picks)
+        boots += chunk
     return Forest(tuple(trees), tuple(boots))
 
 
@@ -171,8 +182,8 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
         pred = tree.predict_batch(stack.reshape(-1, m)).reshape(m + 1, k)
         sums[oob] += pred[0]
         counts[oob] += 1
-        mse = [float(np.mean((p - yo) ** 2)) for p in pred]
-        deltas.append(np.array(mse[1:]) - mse[0])
+        mse = np.mean((pred - yo) ** 2, axis=1)
+        deltas.append(mse[1:] - mse[0])
     base = _oob_result(sums, counts, y)  # raises unless some tree had out-of-bag rows
     d = np.array(deltas)
     raw = d.mean(axis=0)

@@ -5,12 +5,14 @@ at midpoints between consecutive distinct sorted feature values; rows route
 left when value < threshold and right otherwise, so training rows reproduce
 the fitted partition exactly. Every tree comes from one batched factory,
 _build_many, as in SLIQ and SPRINT: the nodes of a step that may split are
-packed by size into padded blocks of X's value ranks, and each block is
-sorted as unique integer keys (rank, position) and scored in one pass. grow
-and cv_prune take a whole depth level per step, so cv_prune grows its full
-tree and every fold tree together. Forest trees advance in lockstep, each one
-preorder node per step, so each draws its candidate features in its own
-preorder. best_split is the one-node call of the same scorer. Pruning follows
+packed by size into padded blocks of X's value ranks that waste at most n
+padded rows, and each block is sorted as unique integer keys (rank,
+position), scored in one pass and routed to its children in one gather.
+grow and cv_prune take a whole depth level per step, so cv_prune grows its
+full tree and every fold tree together. Forest trees advance in lockstep,
+each one preorder node per step, and more while a node's children cannot
+split, so each draws its candidate features in its own preorder.
+best_split is the one-node call of the same scorer. Pruning follows
 the weakest-link sequence with k-fold cross-validated selection of the
 complexity penalty, read off two per-node arrays: the penalty at which each
 node folds and the least of its ancestors'. CV routes each test row once
@@ -21,6 +23,7 @@ the row's path.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -131,11 +134,25 @@ class RegressionTree:
 def node_sse(responses) -> tuple[float, float]:
     """Mean and sum of squared errors around it for one node's responses."""
     y = np.asarray(responses, dtype=float)
-    if y.size == 0:
+    means, sses, _ = _run_sse(y, [y.size])
+    return means[0], sses[0]
+
+
+def _run_sse(y: np.ndarray, sizes: list[int]) -> tuple[list, list, list]:
+    """node_sse of each consecutive run of y, sizes[i] long.
+
+    Returns the runs' means, their SSEs and their (start, end). Per run: one
+    sum, whose division by the size is y.mean() to the bit at half the call
+    cost, and one dot of the centred run.
+    """
+    if 0 in sizes:
         raise DegenerateInputError("a node cannot be empty")
-    mean = float(y.sum()) / y.size  # y.mean() to the bit, at half the call cost
-    d = y - mean
-    return mean, float(d @ d)
+    ends = list(itertools.accumulate(sizes))
+    bounds = list(zip([0, *ends], ends))
+    means = np.array([np.add.reduce(y[a:b]) for a, b in bounds]) / sizes
+    centred = y - np.repeat(means, sizes)
+    sses = [float(np.dot(centred[a:b], centred[a:b])) for a, b in bounds]
+    return means.tolist(), sses, bounds
 
 
 def _code(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,16 +248,22 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
 _BLOCK_ROWS = 4  # padded rows per block over X's rows: a CV level in few blocks, small temporaries
 
 
-def _buckets(sizes: np.ndarray, rows: int):
-    """Slices of ascending node sizes to pack together.
+def _buckets(sizes: list[int], rows: int):
+    """Slices of ascending node sizes to pack together, given X's row count.
 
-    A bucket holds sizes within 2x of its smallest and at most
-    max(1, rows // L) nodes of padded length L, whatever their width.
+    A bucket takes the next size while its padded rows, its node count
+    times its largest size, stay within _BLOCK_ROWS * rows and exceed its
+    real rows by at most rows. It always holds at least one node.
     """
-    start = 0
-    while start < sizes.size:
-        end = int(np.searchsorted(sizes, 2 * sizes[start], side="right"))
-        end = min(end, start + max(1, rows // int(sizes[end - 1])))
+    cap, start = _BLOCK_ROWS * rows, 0
+    while start < len(sizes):
+        end, real = start + 1, sizes[start]
+        while end < len(sizes):
+            padded = (end + 1 - start) * sizes[end]
+            if padded > cap or padded - real - sizes[end] > rows:
+                break
+            real += sizes[end]
+            end += 1
         yield slice(start, end)
         start = end
 
@@ -249,19 +272,22 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
                 picks=None) -> list[RegressionTree]:
     """One tree per root (its rows of matrix, in order), grown in one batched pass.
 
-    The trees grow in steps. Each step packs the nodes it takes that may
-    split, bucketed by size, into padded (node, candidate, row) blocks, each
-    scored by one _best_cuts call. A child keeps its parent's row order, so
-    every node scores exactly as it would grown alone.
+    The trees grow in steps. Each step packs the nodes it takes, bucketed by
+    size, into padded (node, candidate, row) blocks, each scored by one
+    _best_cuts call, and routes the rows of a whole block to its children in
+    one gather. A child keeps its parent's row order, so every node scores
+    exactly as it would grown alone. Only nodes that may split are pending.
 
     With picks None, every feature is a candidate and a step takes every
     pending node: the trees grow one depth level at a time. With one pick
-    callable per root, each returning the same number of ascending feature
-    indices, a step takes each tree's next node in preorder that may split
-    and calls its tree's pick there, so every tree draws its candidates in
-    preorder, as a recursion growing it alone would; trees sharing no
-    generator grow as they would one by one. A matrix of fewer than min_leaf
-    rows raises EmptyModelError.
+    callable per root, each returning the same number of distinct feature
+    indices in any order, a step takes each tree's next pending node in
+    preorder, and the next after it while a taken node is too small for its
+    children to split, and calls the tree's pick at each, so every tree
+    draws its candidates in preorder, as a recursion growing it alone
+    would; trees sharing no generator grow as they would one by one. A block
+    sorts its candidates, so ties still break to the lowest feature index.
+    A matrix of fewer than min_leaf rows raises EmptyModelError.
     """
     X, y = matrix.scores, matrix.response
     if X.shape[0] < params.min_leaf:
@@ -270,48 +296,75 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
     # column holds its left child's place in this list; its right child is next.
     columns = []
 
-    def make(idx, depth):
-        columns.append([-1, np.nan, -1, int(idx.size), *node_sse(y[idx])])
-        return len(columns) - 1, idx, depth
+    def make(rows, sizes, depths):
+        """Per consecutive run of rows, sizes[i] long: a new node's column and,
+        if it may split at depths[i], its pending (rows, depth)."""
+        means, sses, bounds = _run_sse(y[rows], sizes)
+        return [([-1, np.nan, -1, b - a, mean, sse],
+                 (rows[a:b], depth) if splits(b - a, depth) else None)
+                for mean, sse, (a, b), depth in zip(means, sses, bounds, depths)]
 
-    # Per tree, its pending (node, rows, depth); the right child goes on first.
-    stacks = [[make(idx, 0)] for idx in roots]  # tree t's root is node t
-    padded_codes, values = _code(X)  # (feature, row); the pad column reads +inf
+    def splits(size, depth):
+        return size >= 2 * params.min_leaf and (params.max_depth is None
+                                                or depth < params.max_depth)
+
+    # Per tree, its pending nodes that may split, as (node, rows, depth); the
+    # right child goes on first. Tree t's root is node t.
+    stacks = []
+    for column, pending in make(np.concatenate(roots), [len(idx) for idx in roots],
+                                [0] * len(roots)):
+        columns.append(column)
+        stacks.append([(len(columns) - 1, *pending)] if pending else [])
+    codes, values = _code(X)  # (feature, row); the pad column reads +inf
     padded_y = np.append(y, 0.0)
+    stride = codes.shape[1]
+    codes = codes.reshape(-1)  # one flat index per (feature, row) gathers faster
     everything = np.arange(X.shape[1])
     while True:
         able = []  # (node, rows, depth, candidates, its tree's stack)
         for t, stack in enumerate(stacks):
+            if picks is None:
+                able += ((*node, everything, stack) for node in stack)
+                stack.clear()
+                continue
             while stack:
-                i, idx, depth = stack.pop()
-                if idx.size < 2 * params.min_leaf or (params.max_depth is not None
-                                                      and depth >= params.max_depth):
-                    continue  # a leaf
-                able.append((i, idx, depth, everything if picks is None else picks[t](), stack))
-                if picks is not None:
-                    break
+                node = stack.pop()
+                able.append((*node, picks[t](), stack))
+                if splits(node[1].size - params.min_leaf, node[2] + 1):
+                    break  # its children may split, and they come next in preorder
         if not able:
             break
         able.sort(key=lambda node: node[1].size)
-        sizes = np.array([node[1].size for node in able], dtype=np.intp)
-        for part in _buckets(sizes, _BLOCK_ROWS * X.shape[0]):
-            block, n = able[part], sizes[part]
-            pad = np.arange(n[-1]) >= n[:, None]
-            at = np.full(pad.shape, X.shape[0])  # a pad reads the extra last row
-            at[~pad] = np.concatenate([node[1] for node in block])
+        sizes = [node[1].size for node in able]
+        for part in _buckets(sizes, X.shape[0]):
+            block, n = able[part], np.array(sizes[part])
+            real = np.arange(n[-1]) < n[:, None]
+            at = np.full(real.shape, X.shape[0])  # a pad reads the extra last row
+            at[real] = rows = np.concatenate([node[1] for node in block])
             means = np.array([columns[node[0]][4] for node in block])
-            centred = np.where(pad, 0.0, padded_y[at] - means[:, None])
-            feats = np.array([node[3] for node in block])
-            c, thr, gain = _best_cuts(padded_codes[feats[:, :, None], at[:, None, :]],
+            centred = np.where(real, padded_y[at] - means[:, None], 0.0)
+            feats = np.sort([node[3] for node in block], axis=1)
+            c, thr, gain = _best_cuts(codes[(feats * stride)[:, :, None] + at[:, None, :]],
                                       centred, n, params.min_leaf, values)
-            feature = feats[np.arange(feats.shape[0]), c]
-            for (i, idx, depth, _, stack), f, cut, g in zip(block, feature.tolist(), thr.tolist(),
-                                                            gain.tolist()):
-                if g > 0.0:
-                    go_left = X[idx, f] < cut
-                    left, right = make(idx[go_left], depth + 1), make(idx[~go_left], depth + 1)
-                    columns[i][:3] = f, cut, left[0]
-                    stack += right, left
+            feature = feats[np.arange(len(block)), c]
+            keep = gain > 0.0  # the nodes that split
+            if not keep.all():
+                block = [node for node, k in zip(block, keep.tolist()) if k]
+                rows = rows[np.repeat(keep, n)]
+                n, feature, thr = n[keep], feature[keep], thr[keep]
+            go_left = X[rows, np.repeat(feature, n)] < np.repeat(thr, n)
+            left_n = np.add.reduceat(go_left, np.cumsum(n) - n, dtype=np.intp)
+            depths = [node[2] + 1 for node in block]
+            kids = make(rows[np.argsort(~go_left, kind="stable")],  # the lefts, then the rights
+                        [*left_n.tolist(), *(n - left_n).tolist()], depths * 2)
+            for (i, *_, stack), f, threshold, (left, to_left), (right, to_right) in zip(
+                    block, feature.tolist(), thr.tolist(), kids, kids[len(block):]):
+                columns[i][:3] = f, threshold, len(columns)
+                columns += left, right
+                if to_right:
+                    stack.append((len(columns) - 1, *to_right))
+                if to_left:
+                    stack.append((len(columns) - 2, *to_left))
 
     trees = []
     for t in range(len(stacks)):  # lay each tree out in preorder

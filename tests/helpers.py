@@ -16,7 +16,9 @@ from typing import Union
 
 import numpy as np
 
+from charterseg.forest import oob_predict
 from charterseg.rescale import ScoredMatrix
+from charterseg.seeding import derive_seed, make_rng
 from charterseg.tree import (RegressionTree, SplitRule, _best_cuts, _code, export_json,
                              import_json, node_sse)
 
@@ -179,6 +181,34 @@ def reference_best_cuts(cols, centred, n, min_leaf):
     thr = (below + above) / 2.0
     thr = np.where(thr <= below, above, thr)
     return c, thr, gains[node, best]
+
+
+def reference_importance(forest, mat, seed):
+    """permutation_importance computed one predict_batch and one MSE per tree and copy.
+
+    Returns (pct_inc_mse, raw_delta, stderr, oob_mse).
+    """
+    n, m = mat.n_rows, mat.n_features
+    base = oob_predict(forest, mat)
+    deltas = []
+    for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
+        oob = np.setdiff1d(np.arange(n), boot)
+        if oob.size == 0:
+            continue
+        Xo, yo = mat.scores[oob], mat.response[oob]
+        tree_mse = float(np.mean((tree.predict_batch(Xo) - yo) ** 2))
+        rng = make_rng(derive_seed(seed, t))
+        row = np.empty(m)
+        for f in range(m):
+            perm = rng.permutation(oob.size)
+            Xp = Xo.copy()
+            Xp[:, f] = Xo[perm, f]
+            row[f] = float(np.mean((tree.predict_batch(Xp) - yo) ** 2)) - tree_mse
+        deltas.append(row)
+    d = np.array(deltas)
+    raw = d.mean(axis=0)
+    stderr = d.std(axis=0, ddof=1) / np.sqrt(d.shape[0])
+    return 100.0 * raw / base.oob_mse, raw, stderr, base.oob_mse
 
 
 def ecdf(sample, t) -> float:

@@ -17,7 +17,7 @@ from charterseg.study import write_importance_table
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import RegressionTree, TreeParams, _build_many, export_json, grow
 
-from helpers import make_matrix, random_matrix, reference_build
+from helpers import make_matrix, random_matrix, reference_build, reference_importance
 
 
 def identity_bootstrap(rng, n):
@@ -113,6 +113,41 @@ def test_lockstep_forest_equals_trees_grown_one_by_one():
     for t in range(5):
         assert export_json(big.trees[t]) == export_json(small.trees[t])
         assert np.array_equal(big.bootstrap_indices[t], small.bootstrap_indices[t])
+
+
+def test_lockstep_forest_of_the_benchmark_shape_equals_trees_grown_one_by_one():
+    # Wide, mixed-size steps: 12 trees on 890 rows and 18 features, where a
+    # block packs nodes of many sizes and trees that advance more than one
+    # node per step.
+    rng = make_rng(45)
+    X = rng.uniform(1.0, 5.0, size=(890, 18))
+    X[:, ::3] = np.round(X[:, ::3] * 4.0) / 4.0  # ties within a node
+    mat = make_matrix(X, X[:, 0] - X[:, 1] ** 2 / 5.0 + rng.normal(0.0, 0.5, size=890))
+    want, want_boots = one_by_one(mat, 12, 6, TreeParams(5), 7)
+    forest = grow_forest(mat, ForestParams(12, 6, 5), seed=7)
+    assert [export_json(t) for t in forest.trees] == [export_json(t) for t in want]
+    assert all(np.array_equal(a, b) for a, b in zip(forest.bootstrap_indices, want_boots))
+
+
+def test_forest_grown_in_calls_of_a_row_budget_equals_one_call(monkeypatch):
+    # Each call of the tree factory grows as many consecutive trees as fit
+    # _FOREST_ROWS; every tree keeps its own generator and bootstrap.
+    mat = signal_matrix(seed=9, n=200, noise_features=5)
+    params = ForestParams(n_trees=12, mtry=2, min_leaf=3)
+    whole = grow_forest(mat, params, seed=9)
+    calls = []
+
+    def counted(matrix, roots, *args):
+        calls.append(len(roots))
+        return _build_many(matrix, roots, *args)
+
+    monkeypatch.setattr("charterseg.forest._FOREST_ROWS", 5 * mat.n_rows + 1)
+    monkeypatch.setattr("charterseg.forest._build_many", counted)
+    parts = grow_forest(mat, params, seed=9)
+    assert calls == [5, 5, 2]
+    assert [export_json(t) for t in parts.trees] == [export_json(t) for t in whole.trees]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(parts.bootstrap_indices, whole.bootstrap_indices))
 
 
 @pytest.mark.parametrize("n", [0, 4])
@@ -251,29 +286,20 @@ def test_importance_csv_round_trip(tmp_path):
     assert float(se) == report.stderr[0]
 
 
-def reference_importance(forest, mat, seed):
-    """permutation_importance computed one predict_batch per tree and feature."""
-    n, m = mat.n_rows, mat.n_features
-    base = oob_predict(forest, mat)
-    deltas = []
-    for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
-        oob = np.setdiff1d(np.arange(n), boot)
-        if oob.size == 0:
-            continue
-        Xo, yo = mat.scores[oob], mat.response[oob]
-        tree_mse = float(np.mean((tree.predict_batch(Xo) - yo) ** 2))
-        rng = make_rng(derive_seed(seed, t))
-        row = np.empty(m)
-        for f in range(m):
-            perm = rng.permutation(oob.size)
-            Xp = Xo.copy()
-            Xp[:, f] = Xo[perm, f]
-            row[f] = float(np.mean((tree.predict_batch(Xp) - yo) ** 2)) - tree_mse
-        deltas.append(row)
-    d = np.array(deltas)
-    raw = d.mean(axis=0)
-    stderr = d.std(axis=0, ddof=1) / np.sqrt(d.shape[0])
-    return 100.0 * raw / base.oob_mse, raw, stderr, base.oob_mse
+@pytest.mark.parametrize("seed, n, m", [(0, 60, 3), (1, 300, 6), (2, 890, 18)])
+def test_importance_equals_a_per_copy_reference(seed, n, m):
+    # One mean over each copy's OOB rows must equal that copy's own mean to
+    # the bit, also past numpy's 128-element pairwise summation block.
+    rng = make_rng(seed)
+    X = rng.uniform(1.0, 5.0, size=(n, m))
+    mat = make_matrix(X, X[:, 0] + rng.normal(0.0, 0.3, size=n))
+    forest = grow_forest(mat, ForestParams(n_trees=6, min_leaf=5), seed=seed)
+    report = permutation_importance(forest, mat, seed=seed)
+    pct, raw, stderr, oob_mse = reference_importance(forest, mat, seed)
+    assert np.array_equal(report.pct_inc_mse, pct)
+    assert np.array_equal(report.raw_delta, raw)
+    assert np.array_equal(report.stderr, stderr)
+    assert report.oob_mse == oob_mse
 
 
 def test_stacked_importance_equals_one_routing_call_per_feature():

@@ -18,6 +18,7 @@ from charterseg.errors import (
     EmptyModelError,
     ParseError,
 )
+from charterseg.forest import ForestParams, grow_forest
 from charterseg.seeding import make_rng
 from charterseg.tree import (
     RegressionTree,
@@ -412,25 +413,28 @@ def test_fold_trees_of_one_batch_equal_trees_grown_alone():
             assert export_json(tree) == export_json(alone)
 
 
-def test_buckets_hold_sizes_within_twice_the_smallest_and_at_most_rows_over_l_nodes():
+def test_buckets_pad_at_most_x_rows_and_hold_at_most_rows_over_l_nodes():
     rng = make_rng(43)
-    for _ in range(100):
+    for _ in range(200):
         n_rows = int(rng.integers(2, 500))
-        rows = int(rng.integers(1, 2 * _BLOCK_ROWS + 1)) * n_rows
-        sizes = np.sort(rng.integers(2, n_rows + 1, size=int(rng.integers(1, 60))))
+        rows = _BLOCK_ROWS * n_rows
+        sizes = np.sort(rng.integers(2, n_rows + 1, size=int(rng.integers(1, 60)))).tolist()
         covered = []
-        for part in _buckets(sizes, rows):
+        for part in _buckets(sizes, n_rows):
             block = sizes[part]
-            assert block.size >= 1 and block[-1] <= 2 * block[0]
-            assert block.size <= max(1, rows // block[-1])
+            padded = len(block) * block[-1]
+            assert len(block) >= 1 and part.step is None
+            assert len(block) <= max(1, rows // block[-1])
+            assert len(block) == 1 or padded - sum(block) <= n_rows
+            if part.stop < len(sizes):  # the next size would break a bound
+                grown = (len(block) + 1) * sizes[part.stop]
+                assert grown > rows or grown - sum(block) - sizes[part.stop] > n_rows
             covered.extend(range(part.start, part.stop))
-        assert covered == list(range(sizes.size))
+        assert covered == list(range(len(sizes)))
 
 
-def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
-    # The row cap packs the full tree's and the ten fold trees' nodes of a
-    # level into a few blocks: 91 calls score these 693 nodes. A cap of one
-    # tree's rows per block, n // L nodes, takes 179.
+def _count_best_cuts(monkeypatch):
+    """Record the node count of each _best_cuts call."""
     calls = []
 
     def counted(*args):
@@ -438,9 +442,29 @@ def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
         return _best_cuts(*args)
 
     monkeypatch.setattr("charterseg.tree._best_cuts", counted)
+    return calls
+
+
+def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
+    # The waste rule packs the full tree's and the ten fold trees' nodes of a
+    # level into a few blocks: 65 calls score these 693 nodes. Buckets of
+    # sizes within 2x of their smallest took 91, and a cap of one tree's rows
+    # per block, n // L nodes, took 179.
+    calls = _count_best_cuts(monkeypatch)
     mat = random_matrix(make_rng(49), n=890, m=6)
     cv_prune(mat, TreeParams(min_leaf=10), k=10, seed=0)
-    assert (len(calls), sum(calls)) == (91, 693)
+    assert (len(calls), sum(calls)) == (65, 693)
+
+
+def test_lockstep_forest_scores_its_steps_in_few_blocks(monkeypatch):
+    # A 12-tree forest of the benchmark's shape: 208 calls score its 1,694
+    # splittable nodes. A step takes each tree's next pending node and, while
+    # a taken node's children cannot split, the node after it. One node per
+    # tree per step, in buckets of sizes within 2x of their smallest, took 501.
+    calls = _count_best_cuts(monkeypatch)
+    mat = random_matrix(make_rng(50), n=890, m=18)
+    grow_forest(mat, ForestParams(n_trees=12, mtry=6, min_leaf=5), seed=0)
+    assert (len(calls), sum(calls)) == (208, 1694)
 
 
 def test_grow_row_permutation_invariance():
