@@ -7,8 +7,10 @@ reproducible independent of how many workers grew it. Trees grow in
 lockstep in calls of the tree factory, each call as many consecutive trees
 as fit a row budget, each tree from its bootstrap rows of the shared
 matrix. Out-of-bag prediction and permutation importance share
-one walk over the trees with out-of-bag rows; importance routes a tree's OOB
-rows and all their permuted copies through the tree in one call.
+one walk over the trees with out-of-bag rows. Importance routes a tree's OOB
+rows once, noting which features each row's path tests, then routes in one
+call only the permuted copies whose shuffled feature the row's path tests;
+shuffling any other feature cannot move the row from its leaf.
 """
 
 from __future__ import annotations
@@ -174,12 +176,22 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
         k = oob.size
         Xo, yo = X[oob], y[oob]
         rng = make_rng(derive_seed(seed, t))
-        # Copy 0 shuffles no feature and copy f + 1 shuffles feature f; one
-        # routing call takes all m + 1 copies.
-        stack = np.tile(Xo, (m + 1, 1, 1))
-        for f in range(m):
-            stack[f + 1, :, f] = Xo[rng.permutation(k), f]
-        pred = tree.predict_batch(stack.reshape(-1, m)).reshape(m + 1, k)
+        # Row pred[f + 1] is the prediction with feature f shuffled, pred[0]
+        # with none. Shuffling f moves only a row whose path tests f, so only
+        # those (f, row) copies are routed; every other entry is pred[0]'s.
+        pred = np.empty((m + 1, k))
+        tested = np.zeros((m, k), dtype=bool)
+        for rows, at in tree._levels(Xo):
+            pred[0, rows] = tree.mean[at]
+            split = tree.feature[at]
+            inner = split >= 0
+            tested[split[inner], rows[inner]] = True
+        pred[1:] = pred[0]
+        perms = np.array([rng.permutation(k) for _ in range(m)])
+        fi, ri = np.nonzero(tested)
+        copies = Xo[ri]
+        copies[np.arange(fi.size), fi] = Xo[perms[fi, ri], fi]
+        pred[fi + 1, ri] = tree.predict_batch(copies)
         sums[oob] += pred[0]
         counts[oob] += 1
         mse = np.mean((pred - yo) ** 2, axis=1)

@@ -10,6 +10,7 @@ market beta.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -140,7 +141,8 @@ def load_panel(path, schema: dict[str, str] | None = None,
         rows dropped over missing required cells, bad years, or the window.
 
     Raises:
-        SchemaError: a required column is missing from the header.
+        SchemaError: a required column is missing from the header, or a
+            column the panel reads appears in it twice.
         ParseError: the file is not UTF-8, a record is not valid CSV (an
             unclosed quote, a field over the csv module's size limit), or a
             non-blank cell is not a finite number within CELL_BOUND.
@@ -152,11 +154,13 @@ def load_panel(path, schema: dict[str, str] | None = None,
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
-    try:
-        text = data.decode("utf-8")
+    try:  # "utf-8-sig" drops one leading byte order mark, as Excel's CSV UTF-8 writes
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
+        # The error's offset omits the mark's bytes.
+        at = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})",
+                         line=data.count(b"\n", 0, at) + 1) from None
 
     rows: list[tuple] = []  # one tuple per kept row, in ALL_FIELDS order
     exclusions: list[Exclusion] = []
@@ -166,7 +170,11 @@ def load_panel(path, schema: dict[str, str] | None = None,
     header = next(records, None)
     if header is None:
         raise SchemaError(f"{path}: empty file, no header row")
-    index = {name.strip(): i for i, name in enumerate(header[1])}
+    names = [name.strip() for name in header[1]]
+    twice = next((colname[f] for f in ALL_FIELDS if names.count(colname[f]) > 1), None)
+    if twice is not None:
+        raise SchemaError(f"{path}: header line {header[0]} names column {twice!r} more than once")
+    index = {name: i for i, name in enumerate(names)}
     needed = KEY_FIELDS + REQUIRED_FIELDS
     missing = [colname[f] for f in needed if colname[f] not in index]
     if missing:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DegenerateInputError
 
@@ -83,6 +82,10 @@ def pearson(x, y) -> tuple[float, float]:
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
+    # Imported here, not at module level, so commands that never correlate
+    # (ingest, select) skip scipy's start-up time and memory.
+    from scipy.special import stdtr
+
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, min(1.0, p)

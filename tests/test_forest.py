@@ -286,6 +286,16 @@ def test_importance_csv_round_trip(tmp_path):
     assert float(se) == report.stderr[0]
 
 
+def assert_importance_equals_reference(forest, mat, seed):
+    report = permutation_importance(forest, mat, seed=seed)
+    pct, raw, stderr, oob_mse = reference_importance(forest, mat, seed)
+    assert np.array_equal(report.pct_inc_mse, pct)
+    assert np.array_equal(report.raw_delta, raw)
+    assert np.array_equal(report.stderr, stderr)
+    assert report.oob_mse == oob_mse
+    return report
+
+
 @pytest.mark.parametrize("seed, n, m", [(0, 60, 3), (1, 300, 6), (2, 890, 18)])
 def test_importance_equals_a_per_copy_reference(seed, n, m):
     # One mean over each copy's OOB rows must equal that copy's own mean to
@@ -294,18 +304,12 @@ def test_importance_equals_a_per_copy_reference(seed, n, m):
     X = rng.uniform(1.0, 5.0, size=(n, m))
     mat = make_matrix(X, X[:, 0] + rng.normal(0.0, 0.3, size=n))
     forest = grow_forest(mat, ForestParams(n_trees=6, min_leaf=5), seed=seed)
-    report = permutation_importance(forest, mat, seed=seed)
-    pct, raw, stderr, oob_mse = reference_importance(forest, mat, seed)
-    assert np.array_equal(report.pct_inc_mse, pct)
-    assert np.array_equal(report.raw_delta, raw)
-    assert np.array_equal(report.stderr, stderr)
-    assert report.oob_mse == oob_mse
+    assert_importance_equals_reference(forest, mat, seed)
 
 
-def test_stacked_importance_equals_one_routing_call_per_feature():
-    # Tree 2 trains on every row, so it has no OOB row. The other trees'
-    # OOB sets hold about n / e rows, and each tree routes their m + 1
-    # copies, about 2.6n rows here, in one call.
+def test_importance_equals_the_reference_when_a_tree_has_no_oob_row():
+    # Tree 2 trains on every row, so it has no OOB row and draws nothing;
+    # the trees after it keep their own seeded draws.
     calls = []
 
     def one_tree_sees_all(rng, n):
@@ -318,9 +322,62 @@ def test_stacked_importance_equals_one_routing_call_per_feature():
         forest = grow_forest(mat, ForestParams(n_trees=8, mtry=2, min_leaf=3), seed=seed,
                              bootstrap=one_tree_sees_all)
         assert np.unique(forest.bootstrap_indices[2]).size == mat.n_rows
-        report = permutation_importance(forest, mat, seed=seed)
-        pct, raw, stderr, oob_mse = reference_importance(forest, mat, seed)
-        assert np.array_equal(report.pct_inc_mse, pct)
-        assert np.array_equal(report.raw_delta, raw)
-        assert np.array_equal(report.stderr, stderr)
-        assert report.oob_mse == oob_mse
+        assert_importance_equals_reference(forest, mat, seed)
+
+
+def test_importance_draws_a_shuffle_for_a_feature_no_path_tests():
+    # Feature 0 is constant, so no tree splits on it and no copy shuffling
+    # it is routed. Its permutation is still drawn, or every later
+    # feature's shuffle would come from a different draw.
+    rng = make_rng(8)
+    n = 200
+    X = np.column_stack([np.full(n, 3.0), rng.uniform(1.0, 5.0, size=(n, 4))])
+    mat = make_matrix(X, X[:, 1] + rng.normal(0.0, 0.3, size=n))
+    forest = grow_forest(mat, ForestParams(n_trees=6, mtry=3, min_leaf=5), seed=8)
+    assert not any((tree.feature == 0).any() for tree in forest.trees)
+    report = assert_importance_equals_reference(forest, mat, 8)
+    assert report.raw_delta[0] == 0.0
+    assert report.raw_delta[1] > 0.0
+
+
+def test_importance_of_single_leaf_trees_is_zero():
+    # With 2 * min_leaf > n no tree splits, so no shuffle moves any row.
+    mat = signal_matrix(seed=9, n=9, noise_features=2)
+    forest = grow_forest(mat, ForestParams(n_trees=6, min_leaf=5), seed=9)
+    assert all(tree.n_leaves == 1 for tree in forest.trees)
+    report = assert_importance_equals_reference(forest, mat, 9)
+    assert not report.raw_delta.any()
+
+
+def test_importance_routes_each_oob_row_once_plus_one_copy_per_tested_pair(monkeypatch):
+    # A tree routes its k OOB rows once, then one copy of each (feature,
+    # row) pair whose root-to-leaf path tests the feature: shuffling any
+    # other feature cannot move the row.
+    mat = signal_matrix(seed=10, n=300, noise_features=5)
+    forest = grow_forest(mat, ForestParams(n_trees=8, mtry=2, min_leaf=5), seed=10)
+    expected = {}
+    for tree, boot in zip(forest.trees, forest.bootstrap_indices):
+        oob = np.setdiff1d(np.arange(mat.n_rows), boot)
+        pairs = 0
+        for x in mat.scores[oob]:
+            at, tested = 0, set()
+            while tree.feature[at] >= 0:
+                tested.add(int(tree.feature[at]))
+                left, right = tree.children(at)
+                at = left if x[tree.feature[at]] < tree.threshold[at] else right
+            pairs += len(tested)
+        expected[id(tree)] = oob.size + pairs
+    routed = {}
+    levels = RegressionTree._levels
+
+    def counting(tree, X):
+        routed[id(tree)] = routed.get(id(tree), 0) + X.shape[0]
+        return levels(tree, X)
+
+    monkeypatch.setattr(RegressionTree, "_levels", counting)
+    permutation_importance(forest, mat, seed=10)
+    assert routed == expected
+    # Fewer than the m + 1 copies of every OOB row that routing every
+    # shuffle would take.
+    assert sum(routed.values()) < (mat.n_features + 1) * sum(
+        mat.n_rows - np.unique(b).size for b in forest.bootstrap_indices)

@@ -191,6 +191,52 @@ def test_load_non_utf8_is_a_located_parse_error(tmp_path):
     assert err.value.line == 3
 
 
+def test_load_strips_one_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM, which used to read as
+    # part of the first column's name: "missing required columns ['bank_id']".
+    rows = [base_row(), base_row(bank_id="b2", deposits=""), base_row(bank_id="", year=2009),
+            base_row(bank_id="b3", year=2010)]
+    plain = load_panel(write_csv(tmp_path / "plain.csv", rows))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    panel = load_panel(path)
+    assert repr(panel.rows.tolist()) == repr(plain.rows.tolist())
+    assert panel.exclusions == plain.exclusions and len(panel.exclusions) == 2
+    assert panel.window == plain.window
+    assert panel.provenance == f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
+def test_load_non_utf8_after_a_byte_order_mark_names_its_line(tmp_path):
+    # The bad byte opens line 3. utf-8-sig's error offset omits the BOM's 3
+    # bytes, so counting lines up to it unshifted would stop before line 3.
+    text = panel_csv_text([base_row(), base_row(bank_id="É2")])
+    data = b"\xef\xbb\xbf" + text.encode("latin-1")
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    at = data.index("É".encode("latin-1"))
+    with pytest.raises(ParseError, match=f"at byte {at}") as err:
+        load_panel(path)
+    assert err.value.line == 3
+
+
+def test_load_rejects_a_read_column_named_twice(tmp_path):
+    # A second mve column used to replace the first without a word.
+    header = FULL_HEADER[:10] + ["mve"]
+    text = panel_csv_text([base_row()], header=header).replace("50.0\n", "50000.0\n")
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match="header line 1 names column 'mve' more than once"):
+        load_panel(path)
+    # Under a schema, the duplicated name is the mapped column's.
+    path.write_text(text.replace("mve", "market_value"), encoding="utf-8")
+    with pytest.raises(SchemaError, match="'market_value'"):
+        load_panel(path, schema={"mve": "market_value"})
+    # A column the panel does not read may repeat.
+    path.write_text(panel_csv_text([base_row()], header=FULL_HEADER[:10] + ["note", "note"]),
+                    encoding="utf-8")
+    assert len(load_panel(path)) == 1
+
+
 # A cell over the csv module's field size limit (131,072 characters) used to
 # escape as _csv.Error; a quote left open at the end of the file used to load.
 @pytest.mark.parametrize("cell, message", [

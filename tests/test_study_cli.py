@@ -670,26 +670,37 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
 _IMPORT_PROBE = """
 import json, sys
 from charterseg import cli
-rc = cli.main(["study", "--config", sys.argv[1], "--out", sys.argv[2]])
+rc = cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
+
+
+def import_probe(command, config, out) -> dict:
+    """Run one CLI command in a fresh interpreter; its exit code and loaded scipy modules."""
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, command, str(config),
+                           str(out)], cwd=out.parent, env=src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_cli_study_loads_only_scipy_special(study_env, tmp_path):
     # pearson's Student-t tail is scipy.special.stdtr; importing scipy.stats
     # for it would pull in optimize, linalg, sparse and spatial and more than
     # double the start-up time of every charterseg process.
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(study_env["config"]),
-                           str(tmp_path / "out")], cwd=tmp_path, env=src_env(),
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    probe = json.loads(done.stdout.splitlines()[-1])
+    probe = import_probe("study", study_env["config"], tmp_path / "out")
     assert probe["rc"] in (0, 1)
     assert (tmp_path / "out" / "tables").is_dir()
     assert "scipy.special" in probe["modules"]
     for heavy in ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
                   "scipy.spatial"):
         assert heavy not in probe["modules"]
+    # pearson imports scipy.special on its first call, so ingest, which
+    # correlates nothing, loads no scipy module at all.
+    probe = import_probe("ingest", study_env["config"], tmp_path / "ingest")
+    assert probe["rc"] == 0
+    assert (tmp_path / "ingest" / "summary.csv").is_file()
+    assert probe["modules"] == []
 
 
 def test_cli_grow(study_env, no_env_config, capsys, tmp_path):
