@@ -74,9 +74,8 @@ def extreme_leaves(tree: RegressionTree) -> tuple[LeafPath, LeafPath]:
 
     Mean ties break to the larger leaf, then the leftmost one.
     """
-    leaves = tree.leaves()
     lo, hi = extreme_leaf_indices(tree)
-    return _leaf_path(tree, int(leaves[lo])), _leaf_path(tree, int(leaves[hi]))
+    return _leaf_path(tree, lo), _leaf_path(tree, hi)
 
 
 def path_rows(matrix: ScoredMatrix, path: LeafPath) -> np.ndarray:
@@ -164,11 +163,6 @@ class ComparisonRow:
     lower_risk: Optional[str]  # "qmin" / "qmax" by raw direction, None without one
 
 
-@dataclass(frozen=True)
-class GroupComparison:
-    rows: tuple[ComparisonRow, ...]
-
-
 def significance_stars(p: float) -> str:
     if p <= 0.01:
         return "***"
@@ -180,7 +174,7 @@ def significance_stars(p: float) -> str:
 
 
 def group_comparison(min_vars: dict[str, np.ndarray], max_vars: dict[str, np.ndarray],
-                     directions: dict[str, Optional[str]]) -> GroupComparison:
+                     directions: dict[str, Optional[str]]) -> tuple[ComparisonRow, ...]:
     """Contrast raw variables between the Q^Min and Q^Max leaf populations.
 
     Args:
@@ -217,4 +211,4 @@ def group_comparison(min_vars: dict[str, np.ndarray], max_vars: dict[str, np.nda
         else:
             raise DegenerateInputError(f"bad direction {direction!r} for {name!r}")
         rows.append(ComparisonRow(name, ma, mb, d, p, significance_stars(p), lower))
-    return GroupComparison(tuple(rows))
+    return tuple(rows)

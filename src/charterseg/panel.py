@@ -141,8 +141,9 @@ def load_panel(path, schema: dict[str, str] | None = None,
         rows dropped over missing required cells, bad years, or the window.
 
     Raises:
-        SchemaError: a required column is missing from the header, or a
-            column the panel reads appears in it twice.
+        SchemaError: a required column is missing from the header, a
+            column the panel reads appears in it twice, or two fields read
+            one column.
         ParseError: the file is not UTF-8, a record is not valid CSV (an
             unclosed quote, a field over the csv module's size limit), or a
             non-blank cell is not a finite number within CELL_BOUND.
@@ -174,6 +175,11 @@ def load_panel(path, schema: dict[str, str] | None = None,
     twice = next((colname[f] for f in ALL_FIELDS if names.count(colname[f]) > 1), None)
     if twice is not None:
         raise SchemaError(f"{path}: header line {header[0]} names column {twice!r} more than once")
+    reader: dict[str, str] = {}  # column -> the first field reading it
+    for f in ALL_FIELDS:
+        if reader.setdefault(colname[f], f) != f:
+            raise SchemaError(f"{path}: fields {reader[colname[f]]!r} and {f!r} both read "
+                              f"column {colname[f]!r}")
     index = {name: i for i, name in enumerate(names)}
     needed = KEY_FIELDS + REQUIRED_FIELDS
     missing = [colname[f] for f in needed if colname[f] not in index]

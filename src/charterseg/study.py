@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tree as tree_mod
 from .analysis import (
-    GroupComparison,
+    ComparisonRow,
     LeafPath,
     alignment_verdicts,
     extreme_leaves,
@@ -68,7 +68,7 @@ class SubsampleResult:
     verdicts: tuple = ()  # (factor, verdict label) pairs in factor order
     summary: tuple = ()  # (variable, SummaryStats) pairs
     correlations: tuple = ()  # (factor, r, p) triples
-    comparison: Optional[GroupComparison] = None
+    comparison: Optional[tuple[ComparisonRow, ...]] = None
     exclusions: tuple = ()
 
 
@@ -112,15 +112,13 @@ def _run_selection(config: RunConfig, frame: ProxyFrame, reference: Optional[Pro
         matrix = build_scored_matrix(frame, block, reference)
         forest = grow_forest(matrix, config.forest, seed=derive_seed(seed, 1, *key))
         reports.append(permutation_importance(forest, matrix, seed=derive_seed(seed, 2, *key)))
-    if joint:
-        importance = reports[0]
-    else:
-        # There is no single forest, so the report carries no OOB MSE (NaN).
-        importance = ImportanceReport(
-            tuple(n for r in reports for n in r.feature_names),
-            np.concatenate([r.pct_inc_mse for r in reports]),
-            np.concatenate([r.raw_delta for r in reports]),
-            np.concatenate([r.stderr for r in reports]), float("nan"))
+    # Per group there is no single forest, so the report carries no OOB MSE (NaN).
+    importance = ImportanceReport(
+        tuple(n for r in reports for n in r.feature_names),
+        np.concatenate([r.pct_inc_mse for r in reports]),
+        np.concatenate([r.raw_delta for r in reports]),
+        np.concatenate([r.stderr for r in reports]),
+        reports[0].oob_mse if joint else float("nan"))
     return select_proxies(importance, specs), importance
 
 
@@ -168,7 +166,7 @@ def _correlation_table(matrix: ScoredMatrix) -> tuple:
 
 
 def _comparison_table(matrix: ScoredMatrix, frame: ProxyFrame, specs,
-                      qmin: LeafPath, qmax: LeafPath) -> Optional[GroupComparison]:
+                      qmin: LeafPath, qmax: LeafPath) -> Optional[tuple[ComparisonRow, ...]]:
     lo = path_rows(matrix, qmin)
     hi = path_rows(matrix, qmax)
     if not lo.any() or not hi.any():
@@ -394,11 +392,11 @@ def write_study(result: StudyResult, outdir) -> None:
                             "stars", "lower_risk"],
                            [[c.variable, _fmt(c.mean_min), _fmt(c.mean_max), _fmt(c.ks_d),
                              _fmt(c.p_value), c.stars, c.lower_risk or ""]
-                            for c in r.comparison.rows])
+                            for c in r.comparison])
                 lines.append("")
                 lines.append("| variable | mean Q^Min | mean Q^Max | KS D | p | lower risk |")
                 lines.append("| --- | --- | --- | --- | --- | --- |")
-                for c in r.comparison.rows:
+                for c in r.comparison:
                     lines.append(f"| {c.variable} | {c.mean_min:.4f} | {c.mean_max:.4f} "
                                  f"| {c.ks_d:.4f} | {c.p_value:.4g}{c.stars} "
                                  f"| {c.lower_risk or '-'} |")

@@ -11,7 +11,7 @@ true segmentation is known.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -66,20 +66,18 @@ class PlantedTreeSpec:
     root: PlantedNode
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
+    def nodes(self) -> Iterator[PlantedNode]:
+        """The planted nodes in preorder."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, PlantedSplit):
+                stack += node.right, node.left
+
     def feature_fields(self) -> tuple[str, ...]:
         """Planted fields in first-encounter preorder."""
-        out: list[str] = []
-
-        def walk(node):
-            if isinstance(node, PlantedLeaf):
-                return
-            if node.feature not in out:
-                out.append(node.feature)
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(dict.fromkeys(n.feature for n in self.nodes() if isinstance(n, PlantedSplit)))
 
     def grid_for(self, name: str) -> np.ndarray:
         return np.asarray(self.grids.get(name, DEFAULT_GRID), dtype=float)
@@ -101,17 +99,8 @@ class PlantedTreeSpec:
         return node.mean
 
     def leaf_means(self) -> tuple[float, ...]:
-        out: list[float] = []
-
-        def walk(node):
-            if isinstance(node, PlantedLeaf):
-                out.append(node.mean)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return tuple(out)
+        """Leaf means, left to right."""
+        return tuple(n.mean for n in self.nodes() if isinstance(n, PlantedLeaf))
 
 
 def _realize_fields(feature_values: dict[str, np.ndarray],

@@ -8,10 +8,11 @@ _build_many, as in SLIQ and SPRINT: the nodes of a step that may split are
 packed by size into padded blocks of X's value ranks that waste at most n
 padded rows, and each block is sorted as unique integer keys (rank,
 position), scored in one pass and routed to its children in one gather.
-grow and cv_prune take a whole depth level per step, so cv_prune grows its
-full tree and every fold tree together. Forest trees advance in lockstep,
-each one preorder node per step, and more while a node's children cannot
-split, so each draws its candidate features in its own preorder.
+Each step pops every tree's stack of pending nodes, and a tree that draws
+its candidate features stops after the first node whose children may
+split: forest trees advance in lockstep, each drawing in its own preorder,
+while grow and cv_prune drain their stacks, a depth level per step, so
+cv_prune grows its full tree and every fold tree together.
 best_split is the one-node call of the same scorer. Pruning follows
 the weakest-link sequence with k-fold cross-validated selection of the
 complexity penalty, read off two per-node arrays: the penalty at which each
@@ -272,22 +273,23 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
                 picks=None) -> list[RegressionTree]:
     """One tree per root (its rows of matrix, in order), grown in one batched pass.
 
-    The trees grow in steps. Each step packs the nodes it takes, bucketed by
-    size, into padded (node, candidate, row) blocks, each scored by one
-    _best_cuts call, and routes the rows of a whole block to its children in
-    one gather. A child keeps its parent's row order, so every node scores
-    exactly as it would grown alone. Only nodes that may split are pending.
+    The trees grow in steps. Each tree keeps a stack of its pending nodes,
+    those that may split, in preorder. A step pops every stack, each node
+    taking every feature as candidates when picks is None and its tree's
+    pick otherwise, and stops a tree after the first node whose children may
+    split when it picks. So without picks the trees grow a depth level per
+    step; with one pick callable per root, each returning the same number of
+    distinct feature indices in any order, every tree draws its candidates
+    in preorder, as a recursion growing it alone would, and trees sharing no
+    generator grow as they would one by one.
 
-    With picks None, every feature is a candidate and a step takes every
-    pending node: the trees grow one depth level at a time. With one pick
-    callable per root, each returning the same number of distinct feature
-    indices in any order, a step takes each tree's next pending node in
-    preorder, and the next after it while a taken node is too small for its
-    children to split, and calls the tree's pick at each, so every tree
-    draws its candidates in preorder, as a recursion growing it alone
-    would; trees sharing no generator grow as they would one by one. A block
-    sorts its candidates, so ties still break to the lowest feature index.
-    A matrix of fewer than min_leaf rows raises EmptyModelError.
+    A step packs the nodes it takes, bucketed by size, into padded (node,
+    candidate, row) blocks, each scored by one _best_cuts call, and routes
+    the rows of a whole block to its children in one gather. A child keeps
+    its parent's row order, so every node scores exactly as it would grown
+    alone. A block sorts its candidates, so ties still break to the lowest
+    feature index. A matrix of fewer than min_leaf rows raises
+    EmptyModelError.
     """
     X, y = matrix.scores, matrix.response
     if X.shape[0] < params.min_leaf:
@@ -323,14 +325,10 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
     while True:
         able = []  # (node, rows, depth, candidates, its tree's stack)
         for t, stack in enumerate(stacks):
-            if picks is None:
-                able += ((*node, everything, stack) for node in stack)
-                stack.clear()
-                continue
             while stack:
                 node = stack.pop()
-                able.append((*node, picks[t](), stack))
-                if splits(node[1].size - params.min_leaf, node[2] + 1):
+                able.append((*node, everything if picks is None else picks[t](), stack))
+                if picks is not None and splits(node[1].size - params.min_leaf, node[2] + 1):
                     break  # its children may split, and they come next in preorder
         if not able:
             break
@@ -547,14 +545,14 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
 
 
 def extreme_leaf_indices(tree: RegressionTree) -> tuple[int, int]:
-    """Preorder leaf positions of the minimum- and maximum-mean leaves.
+    """Node indices of the minimum- and maximum-mean leaves.
 
-    Ties break to the larger leaf, then the leftmost position.
+    Ties break to the larger leaf, then the leftmost.
     """
-    leaves = tree.leaves()
-    mean, n = tree.mean[leaves].tolist(), tree.n[leaves].tolist()
-    lo = min(range(len(leaves)), key=lambda i: (mean[i], -n[i]))
-    hi = max(range(len(leaves)), key=lambda i: (mean[i], n[i]))
+    mean, n = tree.mean.tolist(), tree.n.tolist()
+    leaves = tree.leaves().tolist()
+    lo = min(leaves, key=lambda i: (mean[i], -n[i]))
+    hi = max(leaves, key=lambda i: (mean[i], n[i]))
     return lo, hi  # min and max keep the first of equal keys
 
 
@@ -565,7 +563,7 @@ def export_dot(tree: RegressionTree, labels=None) -> str:
     Q^Max annotations.
     """
     names = list(labels) if labels is not None else list(tree.feature_names)
-    lo, hi = (int(tree.leaves()[k]) for k in extreme_leaf_indices(tree))
+    lo, hi = extreme_leaf_indices(tree)
     feature, threshold, right, n, mean = (a.tolist() for a in (
         tree.feature, tree.threshold, tree.right, tree.n, tree.mean))
 

@@ -169,7 +169,7 @@ def test_group_comparison_directions():
         {"up": hi, "down": hi, "free": hi},
         {"up": "increasing", "down": "decreasing", "free": None},
     )
-    rows = {r.variable: r for r in result.rows}
+    rows = {r.variable: r for r in result}
     # qmin's values are smaller everywhere.
     assert rows["up"].lower_risk == "qmin"
     assert rows["down"].lower_risk == "qmax"
@@ -184,7 +184,7 @@ def test_group_comparison_directions():
 def test_group_comparison_identical_groups():
     x = np.arange(30, dtype=float)
     result = group_comparison({"v": x}, {"v": x.copy()}, {"v": "increasing"})
-    row = result.rows[0]
+    row = result[0]
     assert row.ks_d == 0.0
     assert row.p_value == 1.0
     assert row.stars == ""
@@ -195,7 +195,7 @@ def test_group_comparison_skips_nan_and_validates():
     a = np.array([1.0, 2.0, np.nan])
     b = np.array([4.0, 5.0, 6.0])
     result = group_comparison({"v": a}, {"v": b}, {"v": None})
-    assert result.rows[0].mean_min == pytest.approx(1.5)
+    assert result[0].mean_min == pytest.approx(1.5)
     with pytest.raises(DegenerateInputError):
         group_comparison({"v": a}, {"w": b}, {})
     with pytest.raises(DegenerateInputError):

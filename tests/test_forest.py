@@ -269,6 +269,22 @@ def test_importance_normalisation_consistency():
     assert np.all(report.stderr >= 0.0)
 
 
+def test_importance_of_a_one_tree_forest_has_zero_stderr():
+    mat = signal_matrix(seed=8)
+    forest = grow_forest(mat, ForestParams(n_trees=1, min_leaf=5), seed=8)
+    report = permutation_importance(forest, mat, seed=8)
+    assert np.array_equal(report.stderr, np.zeros(mat.n_features))
+    assert report.raw_delta[0] > 0.0
+
+
+def test_importance_of_a_constant_response_is_an_empty_model():
+    mat = signal_matrix(seed=8)
+    flat = make_matrix(mat.scores, np.full(mat.n_rows, 1.25), mat.feature_names)
+    forest = grow_forest(flat, ForestParams(n_trees=4, min_leaf=5), seed=8)
+    with pytest.raises(EmptyModelError, match="forest OOB MSE is zero"):
+        permutation_importance(forest, flat, seed=8)
+
+
 def test_importance_csv_round_trip(tmp_path):
     mat = signal_matrix(seed=7)
     forest = grow_forest(mat, ForestParams(n_trees=10, min_leaf=5), seed=7)

@@ -237,6 +237,19 @@ def test_load_rejects_a_read_column_named_twice(tmp_path):
     assert len(load_panel(path)) == 1
 
 
+def test_load_rejects_two_fields_reading_one_column(tmp_path):
+    # bvl used to read the mve column too, so Tobin's Q took market value
+    # as the book value of liabilities.
+    path = write_csv(tmp_path / "p.csv", [base_row()])
+    with pytest.raises(SchemaError, match="fields 'mve' and 'bvl' both read column 'mve'"):
+        load_panel(path, schema={"bvl": "mve"})
+    with pytest.raises(SchemaError, match="fields 'mve' and 'bvl' both read column 'value'"):
+        load_panel(path, schema={"mve": "value", "bvl": "value"})
+    # Two fields may swap columns.
+    swapped = load_panel(path, schema={"mve": "bvl", "bvl": "mve"})
+    assert swapped.rows[0]["mve"] == base_row()["bvl"]
+
+
 # A cell over the csv module's field size limit (131,072 characters) used to
 # escape as _csv.Error; a quote left open at the end of the file used to load.
 @pytest.mark.parametrize("cell, message", [

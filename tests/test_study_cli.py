@@ -28,14 +28,15 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from charterseg.cli import main
-from charterseg.config import CONFIG_ENV_VAR, load_config, parse_config
+from charterseg.config import CONFIG_ENV_VAR, SubsampleSpec, load_config, parse_config
 from charterseg.errors import ConfigError
-from charterseg.panel import compute_raw_proxies, filter_subsample, load_panel, row_ids
+from charterseg.panel import (PROXY_FIELDS, SizeHalf, compute_raw_proxies, filter_subsample,
+                              load_panel, row_ids)
 from charterseg.rescale import (DEFAULT_PROXY_SPECS, ScoredMatrix, build_scored_matrix,
                                 complete_rows)
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
-from charterseg.study import run_study, write_study
+from charterseg.study import run_study, summary_table, write_study
 
 from helpers import json_paths, replaced
 from test_config import _EDGES, _WORDS
@@ -211,6 +212,45 @@ def test_study_degraded_subsamples(study_env):
     report = (out / "report.md").read_text(encoding="utf-8")
     assert "status: empty" in report and "status: no_tree" in report
     assert not (out / "trees" / "nineties.dot").exists()
+
+
+def test_study_subsample_fault_ends_that_subsample_only(study_env):
+    # parse_config refuses this criterion, so only a RunConfig built in
+    # Python reaches filter_subsample's SchemaError.
+    config = dataclasses.replace(
+        parse_config(fast_config(study_env["csv"], study_env["base"] / "unused")),
+        subsamples=(SubsampleSpec("small", SizeHalf("small")),
+                    SubsampleSpec("odd", SizeHalf("medium"))))
+    small, odd = run_study(config).results
+    assert small.status == "ok"
+    assert (odd.status, odd.reason) == ("no_tree",
+                                        "size half must be 'small' or 'large', got 'medium'")
+
+
+def with_beta(csv_path: Path, cell: str, path: Path) -> Path:
+    """A copy of the panel at csv_path with every beta cell (the last column) set to cell."""
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+    lines = [header] + [row.rsplit(",", 1)[0] + "," + cell for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_summary_table_skips_a_variable_with_no_finite_value(study_env, tmp_path):
+    panel = load_panel(with_beta(study_env["csv"], "", tmp_path / "no_beta.csv"))
+    summary = summary_table(compute_raw_proxies(panel))
+    assert [name for name, _ in summary] == [n for n in ("q",) + PROXY_FIELDS if n != "beta"]
+
+
+def test_study_correlations_skip_a_constant_factor(study_env, tmp_path):
+    csv_path = with_beta(study_env["csv"], "1.0", tmp_path / "flat_beta.csv")
+    out = tmp_path / "bundle"
+    result = run_study(parse_config(fast_config(csv_path, out, selection={"mode": "fixed"})))
+    full = result.results[0]
+    assert full.status == "ok"
+    assert [name for name, _, _ in full.correlations] == ["C", "A", "M", "E", "L"]
+    write_study(result, out)
+    with open(out / "tables" / "correlations_all.csv", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["factor", "C", "A", "M", "E", "L"]
 
 
 def test_study_fixed_selection_skips_forest(study_env):
@@ -468,6 +508,19 @@ def test_cli_ingest_non_utf8_exits_2(no_env_config, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_cli_study_two_fields_reading_one_column_exits_2(study_env, no_env_config, capsys,
+                                                         tmp_path):
+    out = tmp_path / "never"
+    doc = fast_config(study_env["csv"], out)
+    doc["data"]["columns"] = {"bvl": "mve"}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fields 'mve' and 'bvl' both read column 'mve'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell, message", [
     ("1" * 140_000, "field larger than field limit"),
     ('"1.5,1.5', "unexpected end of data"),
@@ -701,6 +754,18 @@ def test_cli_study_loads_only_scipy_special(study_env, tmp_path):
     assert probe["rc"] == 0
     assert (tmp_path / "ingest" / "summary.csv").is_file()
     assert probe["modules"] == []
+
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "charterseg"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")
+                                           if p.stem != "__init__"))
+def test_each_module_imports_alone(module, tmp_path):
+    # The package __init__ imports nothing, so no import order can hide a cycle.
+    done = subprocess.run([sys.executable, "-c", f"import charterseg.{module}"], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_grow(study_env, no_env_config, capsys, tmp_path):

@@ -65,6 +65,18 @@ def test_three_split_spec_fields_in_preorder(three_split_spec):
     assert sorted(np.unique(mat.response)) == sorted(three_split_spec.leaf_means())
 
 
+def test_nodes_walk_preorder_and_feed_fields_and_leaf_means():
+    inner = PlantedSplit("roa", 3.0, PlantedLeaf(0.8), PlantedLeaf(0.9))
+    spec = PlantedTreeSpec(root=PlantedSplit(
+        "capital_ratio", 2.5, inner,
+        PlantedSplit("capital_ratio", 4.0, PlantedLeaf(1.1), PlantedLeaf(1.2))))
+    nodes = list(spec.nodes())
+    assert len(nodes) == 7
+    assert nodes[:4] == [spec.root, inner, inner.left, inner.right]
+    assert spec.feature_fields() == ("capital_ratio", "roa")  # first encounter, once
+    assert spec.leaf_means() == (0.8, 0.9, 1.1, 1.2)
+
+
 def test_generator_rejects_bad_requests(stump_spec):
     with pytest.raises(ConfigError):
         generate_synthetic_panel(stump_spec, n=10, noise_sigma=0.0, seed=1)

@@ -739,11 +739,11 @@ def test_extreme_leaf_indices_tie_rules():
     left = consistent_internal(SplitRule(0, 2.0), Leaf(10, 1.0, 0.1), Leaf(30, 1.0, 0.1))
     root = consistent_internal(SplitRule(0, 3.0), left, Leaf(20, 2.0, 0.1))
     lo, hi = extreme_leaf_indices(build_tree(root, ("f0",)))
-    assert lo == 1  # n=30 beats n=10 on the tie
-    assert hi == 2
+    assert lo == 3  # node 3 (n=30) beats node 2 (n=10) on the tie
+    assert hi == 4
     even = consistent_internal(SplitRule(0, 2.0), Leaf(10, 1.0, 0.1), Leaf(10, 1.0, 0.1))
     lo, hi = extreme_leaf_indices(build_tree(even, ("f0",)))
-    assert (lo, hi) == (0, 0)
+    assert (lo, hi) == (1, 1)
 
 
 def test_export_dot_single_leaf():
