@@ -255,11 +255,7 @@ def _criterion(obj, key: str) -> Criterion:
         _expect_keys(obj, {"kind", "start", "end"}, key)
         if "start" not in obj or "end" not in obj:
             raise ConfigError(f"years criterion needs integer start and end: {obj!r}")
-        start = _integer(obj["start"], f"{key}.start")
-        end = _integer(obj["end"], f"{key}.end")
-        if start > end:
-            raise ConfigError(f"years criterion start {start} is after its end {end}")
-        return YearRange(start, end)
+        return YearRange(_integer(obj["start"], f"{key}.start"), _integer(obj["end"], f"{key}.end"))
     if kind == "countries":
         _expect_keys(obj, {"kind", "group", "codes"}, key)
         if "group" in obj:
@@ -269,15 +265,12 @@ def _criterion(obj, key: str) -> Criterion:
                 return Countries.non_pigs()
             raise ConfigError(f"country group must be pigs or non_pigs, got {obj['group']!r}")
         codes = obj.get("codes")
-        if not codes or not isinstance(codes, list):
+        if not isinstance(codes, list):
             raise ConfigError("countries criterion needs 'group' or a 'codes' list")
         return Countries(tuple(_string(c, f"{key}.codes") for c in codes))
     if kind == "size":
         _expect_keys(obj, {"kind", "half"}, key)
-        half = obj.get("half")
-        if half not in ("small", "large"):
-            raise ConfigError(f"size criterion needs half small or large, got {half!r}")
-        return SizeHalf(half)
+        return SizeHalf(obj.get("half"))
     raise ConfigError(f"unknown criterion kind {kind!r}")
 
 

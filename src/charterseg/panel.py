@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     DuplicateRowError,
     EmptySubsampleError,
@@ -325,10 +326,16 @@ class FullSample:
     """Identity criterion: keep every row."""
 
 
+# Each criterion checks its values where it is built, so a fault in a
+# RunConfig built in Python is a ConfigError, as it is from parse_config.
 @dataclass(frozen=True)
 class YearRange:
     start: int
     end: int
+
+    def __post_init__(self):
+        if self.start > self.end:
+            raise ConfigError(f"years criterion start {self.start} is after its end {self.end}")
 
 
 @dataclass(frozen=True)
@@ -337,6 +344,10 @@ class Countries:
 
     codes: tuple[str, ...]
     exclude: bool = False
+
+    def __post_init__(self):
+        if not self.codes:
+            raise ConfigError("countries criterion needs 'group' or a 'codes' list")
 
     @classmethod
     def pigs(cls) -> "Countries":
@@ -353,6 +364,10 @@ class SizeHalf:
 
     half: str  # "small" | "large"
 
+    def __post_init__(self):
+        if self.half not in ("small", "large"):
+            raise ConfigError(f"size criterion needs half small or large, got {self.half!r}")
+
 
 def filter_subsample(panel: Panel, criterion) -> Panel:
     """Select panel rows by year range, country group, or size half."""
@@ -364,8 +379,6 @@ def filter_subsample(panel: Panel, criterion) -> Panel:
     elif isinstance(criterion, Countries):
         keep = np.isin(rows["country"], criterion.codes) != criterion.exclude
     elif isinstance(criterion, SizeHalf):
-        if criterion.half not in ("small", "large"):
-            raise SchemaError(f"size half must be 'small' or 'large', got {criterion.half!r}")
         if not len(rows):
             raise EmptySubsampleError("cannot take a size half of an empty panel")
         assets = rows["total_assets"]

@@ -246,8 +246,9 @@ def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -
     Raises:
         ConfigError: jobs below 1, no panel and no config.data.path, or a
             config fault found inside a subsample; it ends the run.
-            Selection faults (mtry, proxy names, selection.fixed) are
-            already raised when the RunConfig is built.
+            Selection faults (mtry, proxy names, selection.fixed) and bad
+            criterion values are already raised when the RunConfig and its
+            criteria are built.
         EmptySubsampleError: the panel has no rows.
     """
     if jobs < 1:

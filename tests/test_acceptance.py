@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -27,7 +29,7 @@ from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import TreeParams, best_split, cv_prune, grow
 import helpers
 from helpers import Internal, Leaf, brute_force_best_split, brute_force_ks_d, random_matrix
-from test_study_cli import bundle_digests, fast_config, synth_panel_csv
+from test_study_cli import bundle_digests, fast_config, src_env, synth_panel_csv
 
 
 @contextmanager
@@ -299,22 +301,77 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         assert digests[0] == digests[2], "--jobs 8 differs from --jobs 1"
 
 
-@pytest.mark.parametrize("extra, digest", [
-    ({"rescale_scope": "full", "selection": {"mode": "rf", "forest_scope": "per_group"},
-      "tree": {"min_leaf": 5, "cv_folds": 5, "prune_rule": "one_se"}},
-     "cffdf662f5678a78c8dd0f60f52f3ae4266c6ec7783a990f64c3327ef394a2c0"),
-    ({"selection": {"mode": "fixed"},
-      "tree": {"min_leaf": 1, "max_depth": 8, "cv_folds": 5, "prune_rule": "min_cv"}},
-     "a7a6855ccdf311eea51654529329dfb892d1fbdc34a33fa537adbe8088b29ba5"),
-], ids=["rf_per_group_full_one_se", "fixed_deep"])
-def test_bundle_bytes_are_pinned(tmp_path, extra, digest):
-    """Small studies give the bundle bytes recorded when the digests were pinned.
+# Config overrides of fast_config and the digest each study's bundle must have.
+PINNED_STUDIES = {
+    "rf_per_group_full_one_se": (
+        {"rescale_scope": "full", "selection": {"mode": "rf", "forest_scope": "per_group"},
+         "tree": {"min_leaf": 5, "cv_folds": 5, "prune_rule": "one_se"}},
+        "cffdf662f5678a78c8dd0f60f52f3ae4266c6ec7783a990f64c3327ef394a2c0"),
+    "fixed_deep": (
+        {"selection": {"mode": "fixed"},
+         "tree": {"min_leaf": 1, "max_depth": 8, "cv_folds": 5, "prune_rule": "min_cv"}},
+        "a7a6855ccdf311eea51654529329dfb892d1fbdc34a33fa537adbe8088b29ba5"),
+}
 
-    The digest is the sha256 of the JSON of bundle_digests (path -> file sha256).
-    """
+
+def pinned_study(tmp_path, name):
+    """Panel and config of a pinned study; its --out, its config path and its digest."""
+    extra, digest = PINNED_STUDIES[name]
     csv_path = synth_panel_csv(tmp_path / "panel.csv")
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(fast_config(csv_path, out, **extra)), encoding="utf-8")
+    return out, cfg_path, digest
+
+
+def bundle_digest(out) -> str:
+    """The sha256 of the JSON of bundle_digests (path -> file sha256)."""
+    return hashlib.sha256(json.dumps(bundle_digests(out)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_STUDIES))
+def test_bundle_bytes_are_pinned(tmp_path, name):
+    """Small studies give the bundle bytes recorded when the digests were pinned."""
+    out, cfg_path, digest = pinned_study(tmp_path, name)
     assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert hashlib.sha256(json.dumps(bundle_digests(out)).encode()).hexdigest() == digest
+    assert bundle_digest(out) == digest
+
+
+_EXIT_PROBE = """
+import atexit, gc, json, sys
+
+freezes = []  # one entry per gc.freeze call; main registers gc.freeze by name
+freeze = gc.freeze
+gc.freeze = lambda: freezes.append(freeze())
+from charterseg import cli
+
+# Registered before main's hook, so it runs after that hook at exit.
+atexit.register(lambda: print(json.dumps({"freezes": len(freezes),
+                                          "frozen": gc.get_freeze_count()})))
+argv = ["study", "--config", sys.argv[1], "--out", sys.argv[2]]
+first = cli.main(argv)
+second = cli.main(argv)  # refused: --out holds the first run's bundle
+print(json.dumps({"rc": [first, second], "freezes": len(freezes),
+                  "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_cli_exit_loses_nothing(tmp_path):
+    """A CLI process freezes its objects at exit and still writes every byte.
+
+    The fixed_deep study runs through cli.main in a fresh interpreter, so the
+    gc.freeze hook runs at that interpreter's exit: the bundle keeps its pinned
+    digest, stdout is flushed after the hook, and two main calls hold one
+    registration, which runs once, at exit.
+    """
+    out, cfg_path, digest = pinned_study(tmp_path, "fixed_deep")
+    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE, str(cfg_path), str(out)],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *printed, in_main, at_exit = done.stdout.splitlines()
+    assert any(line.startswith("bundle written to") for line in printed)
+    assert "already exists" in done.stderr
+    assert json.loads(in_main) == {"rc": [0, 2], "freezes": 0, "frozen": 0}
+    at_exit = json.loads(at_exit)
+    assert at_exit["freezes"] == 1 and at_exit["frozen"] > 0
+    assert bundle_digest(out) == digest

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from charterseg.errors import (
     ChartersegError,
+    ConfigError,
     DegenerateInputError,
     DuplicateRowError,
     EmptySubsampleError,
@@ -505,10 +506,23 @@ def test_filter_empty_result():
 
 
 def test_filter_bad_criterion():
-    with pytest.raises(SchemaError):
-        filter_subsample(sample_panel(), SizeHalf("medium"))
+    # A bad size half fails where it is built; filter_subsample never sees it.
+    with pytest.raises(ConfigError, match="size criterion needs half small or large, "
+                                          "got 'medium'"):
+        SizeHalf("medium")
     with pytest.raises(SchemaError):
         filter_subsample(sample_panel(), "small")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: YearRange(2016, 2005), "years criterion start 2016 is after its end 2005"),
+    (lambda: Countries(()), "countries criterion needs 'group' or a 'codes' list"),
+], ids=["years", "countries"])
+def test_criteria_refuse_bad_values_when_built(build, message):
+    # A RunConfig built in Python fails as parse_config does, before any row is read.
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # ------------------------------------------------------------- summaries

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from charterseg.cli import main
 from charterseg.config import CONFIG_ENV_VAR, SubsampleSpec, load_config, parse_config
-from charterseg.errors import ConfigError
+from charterseg.errors import ConfigError, DegenerateInputError
 from charterseg.panel import (PROXY_FIELDS, SizeHalf, compute_raw_proxies, filter_subsample,
                               load_panel, row_ids)
 from charterseg.rescale import (DEFAULT_PROXY_SPECS, ScoredMatrix, build_scored_matrix,
@@ -214,17 +214,22 @@ def test_study_degraded_subsamples(study_env):
     assert not (out / "trees" / "nineties.dot").exists()
 
 
-def test_study_subsample_fault_ends_that_subsample_only(study_env):
-    # parse_config refuses this criterion, so only a RunConfig built in
-    # Python reaches filter_subsample's SchemaError.
+def test_study_subsample_fault_ends_that_subsample_only(study_env, monkeypatch):
+    # A data fault (not a config fault) in one subsample's filter ends only
+    # that subsample, as no_tree with the fault as its reason.
+    def filter_or_fail(panel, criterion):
+        if criterion == SizeHalf("large"):
+            raise DegenerateInputError("no usable rows in the large half")
+        return filter_subsample(panel, criterion)
+
+    monkeypatch.setattr("charterseg.study.filter_subsample", filter_or_fail)
     config = dataclasses.replace(
         parse_config(fast_config(study_env["csv"], study_env["base"] / "unused")),
         subsamples=(SubsampleSpec("small", SizeHalf("small")),
-                    SubsampleSpec("odd", SizeHalf("medium"))))
+                    SubsampleSpec("odd", SizeHalf("large"))))
     small, odd = run_study(config).results
     assert small.status == "ok"
-    assert (odd.status, odd.reason) == ("no_tree",
-                                        "size half must be 'small' or 'large', got 'medium'")
+    assert (odd.status, odd.reason) == ("no_tree", "no usable rows in the large half")
 
 
 def with_beta(csv_path: Path, cell: str, path: Path) -> Path:
