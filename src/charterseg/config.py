@@ -24,25 +24,31 @@ Schema (all keys optional unless noted):
 
 Criterion kinds: {"kind": "all"}, {"kind": "years", "start": Y, "end": Y},
 {"kind": "countries", "group": "pigs" | "non_pigs"} or {"kind": "countries",
-"codes": ["DE", ...]}, {"kind": "size", "half": "small" | "large"}.
+"codes": ["DE", ...]}, {"kind": "size", "half": "small" | "large"}. A
+countries criterion takes group or codes, never both.
 
-Every value must have its JSON type: "3" is not a number and 3 is not a
-string. Numbers must be finite (json.load reads Infinity and NaN). RunConfig
-checks the finished config, so faults in proxy selection (duplicate proxy
-names, a bad selection.fixed, an mtry wider than a forest) and two subsample
-names that map to one output file name are found before the panel is read.
+Each section is read from its dataclass's fields: their names are its keys,
+their types the JSON types of its values, and those without a default its
+required keys. "3" is not a number and 3 is not a string, and a bad list
+entry's error names its index (selection.fixed[1]). Numbers must be finite
+(json.load reads Infinity and NaN). DataConfig checks its window order and
+column field names when built, in Python as from JSON. RunConfig checks the
+finished config, so faults in proxy selection (duplicate proxy names, a bad
+selection.fixed, an mtry wider than a forest) and two subsample names that
+map to one output file name are found before the panel is read.
 
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .forest import ForestParams
@@ -70,6 +76,13 @@ class DataConfig:
     path: Optional[str] = None
     columns: Optional[dict[str, str]] = None
     window: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.columns is not None:  # a misspelt field would read as blank on every row
+            _expect_keys(self.columns, ALL_FIELDS, "data.columns")
+        if self.window is not None and self.window[0] > self.window[1]:
+            start, end = self.window
+            raise ConfigError(f"data.window start {start} is after its end {end}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +194,6 @@ def _expect_keys(obj: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _object(obj, fields: dict, where: str) -> dict:
-    """A config object as keyword arguments: each entry through its field's
-    converter, which is called as converter(value, dotted key)."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {obj!r}")
-    _expect_keys(obj, fields, where)
-    prefix = "" if where == "config" else f"{where}."
-    return {k: fields[k](v, prefix + k) for k, v in obj.items()}
-
-
 def _number(kind, value, key: str):
     """A finite JSON number as int or float; anything else, or a lossy conversion, names the key."""
     if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
@@ -207,122 +210,76 @@ def _number(kind, value, key: str):
     return out
 
 
-def _integer(value, key: str) -> int:
-    return _number(int, value, key)
-
-
 def _string(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _optional(convert):
-    """Converter that passes null through as None."""
-    return lambda value, key: None if value is None else convert(value, key)
+@functools.cache
+def _schema(cls) -> tuple[dict, list]:
+    """A config dataclass's JSON keys with their declared types, and the keys it requires."""
+    hints = get_type_hints(cls)
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return {f.name: hints[f.name] for f in fields(cls)}, required
 
 
-def _names(value, key: str) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise ConfigError(f"{key} must be a list of proxy names, got {value!r}")
-    return tuple(value)
-
-
-def _columns(value, key: str) -> dict[str, str]:
-    if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
-        raise ConfigError(f"{key} must map field names to column names, got {value!r}")
-    _expect_keys(value, ALL_FIELDS, key)  # a misspelt field would read as blank on every row
-    return value
-
-
-def _window(value, key: str) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{key} must be [start, end], got {value!r}")
-    start, end = _integer(value[0], key), _integer(value[1], key)
-    if start > end:
-        raise ConfigError(f"{key} start {start} is after its end {end}")
-    return start, end
+def _value(tp, value, key: str):
+    """A parsed JSON value as the type tp that a config field declares; a fault names the key."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is int or tp is float:
+        return _number(tp, value, key)
+    if tp is str:
+        return _string(value, key)
+    if tp is Criterion:
+        return _criterion(value, key)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _value(args[0], value, key)
+    if origin is tuple and args[-1] is not Ellipsis:  # the (start, end) pair
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{key} must be [start, end], got {value!r}")
+        return tuple(_value(t, v, key) for t, v in zip(args, value))
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
+            raise ConfigError(f"{key} must map field names to column names, got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    types, required = _schema(tp)
+    _expect_keys(value, types, key)
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"{key} missing key {missing[0]!r}")
+    prefix = "" if key == "config" else f"{key}."
+    return tp(**{k: _value(types[k], v, prefix + k) for k, v in value.items()})
 
 
 def _criterion(obj, key: str) -> Criterion:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{key} must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
-    if kind == "all":
-        _expect_keys(obj, {"kind"}, key)
-        return FullSample()
-    if kind == "years":
-        _expect_keys(obj, {"kind", "start", "end"}, key)
-        if "start" not in obj or "end" not in obj:
-            raise ConfigError(f"years criterion needs integer start and end: {obj!r}")
-        return YearRange(_integer(obj["start"], f"{key}.start"), _integer(obj["end"], f"{key}.end"))
-    if kind == "countries":
-        _expect_keys(obj, {"kind", "group", "codes"}, key)
-        if "group" in obj:
-            if obj["group"] == "pigs":
-                return Countries.pigs()
-            if obj["group"] == "non_pigs":
-                return Countries.non_pigs()
-            raise ConfigError(f"country group must be pigs or non_pigs, got {obj['group']!r}")
-        codes = obj.get("codes")
-        if not isinstance(codes, list):
-            raise ConfigError("countries criterion needs 'group' or a 'codes' list")
-        return Countries(tuple(_string(c, f"{key}.codes") for c in codes))
-    if kind == "size":
-        _expect_keys(obj, {"kind", "half"}, key)
-        return SizeHalf(obj.get("half"))
-    raise ConfigError(f"unknown criterion kind {kind!r}")
-
-
-_PROXY_FIELDS = {"name": _string, "group": _string, "raw_field": _string, "direction": _string,
-                 "mode": _string,
-                 "threshold": _optional(lambda value, key: _number(float, value, key))}
-
-
-def _proxy(obj, key: str) -> ProxySpec:
-    kw = _object(obj, _PROXY_FIELDS, key)
-    missing = [k for k in _PROXY_FIELDS if k != "threshold" and k not in kw]
-    if missing:
-        raise ConfigError(f"{key} missing key {missing[0]!r}")
-    return ProxySpec(**kw)
-
-
-def _subsample(obj, key: str) -> SubsampleSpec:
-    if not isinstance(obj, dict) or "name" not in obj or "criterion" not in obj:
-        raise ConfigError(f"subsample needs name and criterion: {obj!r}")
-    return SubsampleSpec(**_object(obj, {"name": _string, "criterion": _criterion,
-                                         "min_leaf": _optional(_integer)}, key))
-
-
-def _section(cls, fields: dict):
-    """Converter for a config object that builds cls from its fields."""
-    return lambda obj, key: cls(**_object(obj, fields, key))
-
-
-def _items(convert):
-    """Converter for a list whose entries each go through convert."""
-    def items(value, key):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-        return tuple(convert(x, f"{key}[{i}]") for i, x in enumerate(value))
-    return items
-
-
-_CONFIG_FIELDS = {
-    "data": _section(DataConfig, {"path": _optional(_string), "columns": _optional(_columns),
-                                  "window": _optional(_window)}),
-    "proxies": _items(_proxy),
-    "rescale_scope": _string,
-    "subsamples": _items(_subsample),
-    "tree": _section(TreeConfig, {"min_leaf": _integer, "max_depth": _optional(_integer),
-                                  "cv_folds": _integer, "prune_rule": _string}),
-    "forest": _section(ForestParams, {"n_trees": _integer, "mtry": _optional(_integer),
-                                      "min_leaf": _integer}),
-    "selection": _section(SelectionConfig, {"mode": _string, "fixed": _names,
-                                            "forest_scope": _string}),
-    "seed": _integer,
-    "out": _string,
-}
+    rest = {k: v for k, v in obj.items() if k != "kind"}
+    for name, cls in (("all", FullSample), ("years", YearRange), ("size", SizeHalf)):
+        if kind == name:  # not a dict lookup: a kind may be an unhashable list
+            return _value(cls, rest, key)
+    if kind != "countries":
+        raise ConfigError(f"unknown criterion kind {kind!r}")
+    # Countries.exclude is no JSON key: the pigs and non_pigs groups set it.
+    _expect_keys(rest, ["group"] if "group" in rest else ["codes"], key)
+    if "group" in rest:
+        if rest["group"] == "pigs":
+            return Countries.pigs()
+        if rest["group"] == "non_pigs":
+            return Countries.non_pigs()
+        raise ConfigError(f"country group must be pigs or non_pigs, got {rest['group']!r}")
+    if not isinstance(rest.get("codes"), list):
+        raise ConfigError("countries criterion needs 'group' or a 'codes' list")
+    return Countries(_value(tuple[str, ...], rest["codes"], f"{key}.codes"))
 
 
 def parse_config(doc) -> RunConfig:
@@ -331,7 +288,7 @@ def parse_config(doc) -> RunConfig:
     Unknown keys, values of the wrong JSON type and every check RunConfig
     makes end in a ConfigError that names the key.
     """
-    return RunConfig(**_object(doc, _CONFIG_FIELDS, "config"))
+    return _value(RunConfig, doc, "config")
 
 
 def load_config(path) -> RunConfig:

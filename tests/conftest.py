@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import pytest
 
@@ -8,6 +9,18 @@ from charterseg.synthetic import PlantedLeaf, PlantedSplit, PlantedTreeSpec, gen
 from charterseg.tree import import_json
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# hypothesis reports a failing property test through hypothesis.extra._patching,
+# which imports libcst, and libcst raises a DeprecationWarning as it loads. Under
+# the error::DeprecationWarning filter that import would end the session as an
+# INTERNALERROR, losing the falsifying example and every later test, so the
+# module is loaded here, once, with its warnings silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # an older hypothesis, or no libcst
+        pass
 
 
 @pytest.fixture

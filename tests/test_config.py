@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from charterseg.config import (
     CONFIG_ENV_VAR,
+    DataConfig,
     RunConfig,
     default_subsamples,
     load_config,
@@ -111,7 +112,8 @@ def test_country_group_criteria():
     ({"subsamples": []}, "non-empty"),
     ({"subsamples": [{"criterion": {"kind": "all"}}]}, "name"),
     ({"subsamples": [{"name": "a", "criterion": {"kind": "monthly"}}]}, "kind"),
-    ({"subsamples": [{"name": "a", "criterion": {"kind": "years"}}]}, "years"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "years"}}]},
+     "subsamples[0].criterion missing key 'start'"),
     ({"subsamples": [{"name": "a", "criterion": {"kind": "countries"}}]}, "codes"),
     ({"subsamples": [{"name": "a", "criterion":
       {"kind": "countries", "group": "brics"}}]}, "pigs"),
@@ -132,7 +134,7 @@ def test_country_group_criteria():
     ({"forest": "many"}, "forest must be an object"),
     ({"selection": None}, "selection must be an object"),
     ({"data": [1]}, "data must be an object"),
-    ({"subsamples": ["all"]}, "subsample needs name"),
+    ({"subsamples": ["all"]}, "subsamples[0] must be an object, got 'all'"),
     ({"tree": {"min_leaf": "abc"}}, "tree.min_leaf must be an integer"),
     ({"tree": {"max_depth": "deep"}}, "tree.max_depth must be an integer"),
     ({"tree": {"min_leaf": 0}}, "tree.min_leaf must be >= 1"),
@@ -148,7 +150,7 @@ def test_country_group_criteria():
     ({"subsamples": [{"name": "a", "criterion": {"kind": "all"}, "min_leaf": 0}]},
      "min_leaf must be >= 1"),
     ({"selection": {"fixed": "Capt"}}, "selection.fixed must be a list"),
-    ({"selection": {"fixed": ["Capt", 3]}}, "selection.fixed must be a list"),
+    ({"selection": {"fixed": ["Capt", 3]}}, "selection.fixed[1] must be a string, got 3"),
     ({"data": {"window": [2016, 2005]}}, "data.window start 2016 is after its end 2005"),
     ({"subsamples": [{"name": "a", "criterion": {"kind": "years", "start": 2016,
                                                  "end": 2005}}]},
@@ -173,7 +175,7 @@ def test_country_group_criteria():
      "subsamples[0].name must be a string, got 7"),
     ({"subsamples": [{"name": "a", "criterion": {"kind": "countries",
                                                  "codes": ["DE", 49]}}]},
-     "subsamples[0].criterion.codes must be a string, got 49"),
+     "subsamples[0].criterion.codes[1] must be a string, got 49"),
     ({"proxies": [{"name": "X", "group": "C", "raw_field": "capital_ratio",
                    "direction": "decreasing", "mode": None}]},
      "proxies[0].mode must be a string, got None"),
@@ -198,10 +200,26 @@ def test_country_group_criteria():
     ({"proxies": [{"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
                    "direction": "decreasing", "mode": "threshold",
                    "threshold": 1e308}]}, "Capt_x: threshold must lie within"),
+    # A countries criterion takes group or codes, never both; exclude is no JSON key.
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "countries", "group": "pigs",
+                                                 "codes": ["DE"]}}]},
+     "unknown keys in subsamples[0].criterion: ['codes']"),
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "countries", "codes": ["DE"],
+                                                 "exclude": True}}]},
+     "unknown keys in subsamples[0].criterion: ['exclude']"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"window": (2016, 2005)}, "data.window start 2016 is after its end 2005"),
+    ({"columns": {"betta": "Beta"}}, "unknown keys in data.columns: ['betta']"),
+])
+def test_data_config_built_in_python_is_checked(kwargs, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        DataConfig(**kwargs)
 
 
 def test_infinity_in_the_config_file_is_a_config_error(tmp_path):
@@ -294,7 +312,7 @@ _KEYS = ["data", "path", "columns", "window", "proxies", "name", "group", "raw_f
          "direction", "mode", "threshold", "rescale_scope", "subsamples", "criterion",
          "kind", "start", "end", "codes", "half", "min_leaf", "tree", "max_depth",
          "cv_folds", "prune_rule", "forest", "n_trees", "mtry", "selection", "fixed",
-         "forest_scope", "seed", "out"]
+         "forest_scope", "seed", "out", "exclude"]
 _WORDS = _KEYS + ["all", "years", "countries", "size", "pigs", "non_pigs", "small",
                   "large", "subsample", "full", "rf", "joint", "per_group", "min_cv",
                   "one_se", "increasing", "decreasing", "quantile", "Capt", "Capt_x",
