@@ -29,11 +29,12 @@ countries criterion takes group or codes, never both.
 
 Each section is read from its dataclass's fields: their names are its keys,
 their types the JSON types of its values, and those without a default its
-required keys. "3" is not a number and 3 is not a string, and a bad list
-entry's error names its index (selection.fixed[1]). Numbers must be finite
-(json.load reads Infinity and NaN). DataConfig checks its window order and
-column field names when built, in Python as from JSON. RunConfig checks the
-finished config, so faults in proxy selection (duplicate proxy names, a bad
+required keys. Values go through the typed readers of errors.py, as a tree
+document's do ("3" is no number, 30.0 no integer, and the Infinity and NaN
+that json.load reads are refused). A bad list entry's error names its index
+(selection.fixed[1]). DataConfig checks its window order and column field
+names when built, in Python as from JSON. RunConfig checks the finished
+config, so faults in proxy selection (duplicate proxy names, a bad
 selection.fixed, an mtry wider than a forest) and two subsample names that
 map to one output file name are found before the panel is read.
 
@@ -44,13 +45,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, json_number, json_object, json_string
 from .forest import ForestParams
 from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
@@ -79,7 +79,7 @@ class DataConfig:
 
     def __post_init__(self):
         if self.columns is not None:  # a misspelt field would read as blank on every row
-            _expect_keys(self.columns, ALL_FIELDS, "data.columns")
+            json_object(self.columns, "data.columns", ALL_FIELDS)
         if self.window is not None and self.window[0] > self.window[1]:
             start, end = self.window
             raise ConfigError(f"data.window start {start} is after its end {end}")
@@ -188,34 +188,6 @@ class RunConfig:
             self.forest.resolve_mtry(len(group) if joint else min(Counter(group.values()).values()))
 
 
-def _expect_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _number(kind, value, key: str):
-    """A finite JSON number as int or float; anything else, or a lossy conversion, names the key."""
-    if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    out = None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            out = kind(value)
-        except (ValueError, OverflowError):
-            pass
-    if out is None or out != value:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return out
-
-
-def _string(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
 @functools.cache
 def _schema(cls) -> tuple[dict, list]:
     """A config dataclass's JSON keys with their declared types, and the keys it requires."""
@@ -229,9 +201,9 @@ def _value(tp, value, key: str):
     """A parsed JSON value as the type tp that a config field declares; a fault names the key."""
     origin, args = get_origin(tp), get_args(tp)
     if tp is int or tp is float:
-        return _number(tp, value, key)
+        return json_number(tp, value, key)
     if tp is str:
-        return _string(value, key)
+        return json_string(value, key)
     if tp is Criterion:
         return _criterion(value, key)
     if origin is Union:  # Optional[X]
@@ -248,10 +220,8 @@ def _value(tp, value, key: str):
         if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
             raise ConfigError(f"{key} must map field names to column names, got {value!r}")
         return value
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, got {value!r}")
     types, required = _schema(tp)
-    _expect_keys(value, types, key)
+    json_object(value, key, types)
     missing = [k for k in required if k not in value]
     if missing:
         raise ConfigError(f"{key} missing key {missing[0]!r}")
@@ -270,7 +240,7 @@ def _criterion(obj, key: str) -> Criterion:
     if kind != "countries":
         raise ConfigError(f"unknown criterion kind {kind!r}")
     # Countries.exclude is no JSON key: the pigs and non_pigs groups set it.
-    _expect_keys(rest, ["group"] if "group" in rest else ["codes"], key)
+    json_object(rest, key, ["group"] if "group" in rest else ["codes"])
     if "group" in rest:
         if rest["group"] == "pigs":
             return Countries.pigs()

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its typed JSON readers.
+
+Both JSON inputs, the run config and an exported tree, read their values
+through json_number, json_string and json_object: an integer is a JSON
+integer (not a bool, not 30.0), a number is finite and exact as a float,
+and unknown keys are refused. A fault names its key.
+"""
+
+import math
 
 
 class ChartersegError(Exception):
@@ -43,3 +51,32 @@ class ConfigError(ChartersegError):
 
 class DegenerateInputError(ChartersegError, ValueError):
     """Numeric input outside a function's domain (empty, constant, zero variance)."""
+
+
+def json_number(kind, value, key: str, error=ConfigError):
+    """value as kind, int or float, if it is a JSON number of that type; a fault names the key."""
+    if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
+        raise error(f"{key} must be finite, got {value!r}")
+    try:  # a bool is no integer, and an integer a float rounds is no exact number
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and kind(value) == value
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise error(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def json_string(value, key: str, error=ConfigError) -> str:
+    if not isinstance(value, str):
+        raise error(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def json_object(value, key: str, allowed, error=ConfigError) -> dict:
+    """value if it is a JSON object whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise error(f"{key} must be an object, got {value!r}")
+    unknown = set(value) - set(allowed)
+    if unknown:  # keys set in Python may mix types, so they sort as text
+        raise error(f"unknown keys in {key}: {sorted(unknown, key=str)}")
+    return value

@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, EmptyModelError, ParseError
+from .errors import (ConfigError, DegenerateInputError, EmptyModelError, ParseError, json_number,
+                     json_object, json_string)
 from .rescale import ScoredMatrix
 from .seeding import make_rng
 
@@ -520,8 +521,10 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
         raise ConfigError(f"cannot split {n} rows into {k} folds")
 
     folds = np.array_split(make_rng(seed).permutation(n), k)
-    full, *fold_trees = _build_many(
-        matrix, [np.arange(n), *(np.setdiff1d(np.arange(n), test) for test in folds)], params)
+    train = np.ones((k, n), dtype=bool)  # row fi: fold fi's training rows
+    for fi, test in enumerate(folds):
+        train[fi, test] = False
+    full, *fold_trees = _build_many(matrix, [np.arange(n), *map(np.flatnonzero, train)], params)
     trace = cost_complexity_sequence(full)
     if not trace.alphas:
         return full, PruneTrace((), (1,), (0.0,), None, 0.0, rule)
@@ -603,84 +606,72 @@ def export_json(tree: RegressionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"tree {where} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _integer(obj: dict, key: str, where: str, low: int = 0, high: int = 2 ** 63) -> int:
-    """obj[key] as a JSON integer (not a bool) in [low, high); counts fit in int64."""
-    value = obj.get(key)
-    if isinstance(value, int) and not isinstance(value, bool) and low <= value < high:
-        return value
-    bound = f"in [{low}, {high})" if high < 2 ** 63 else f">= {low}"
-    raise ParseError(f"tree {where}.{key} must be an integer {bound}, got {value!r}")
-
-
-def _real(obj: dict, key: str, where: str) -> float:
-    """obj[key] as a finite JSON number (not a bool)."""
-    value = obj.get(key)
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ParseError(f"tree {where}.{key} must be a finite number, got {value!r}")
+def _in_range(value, key: str, low: int, high: int = 2 ** 63) -> int:
+    """value, a JSON integer, if it lies in [low, high); counts and depths fit in int64."""
+    out = json_number(int, value, key, ParseError)
+    if not low <= out < high:
+        raise ParseError(f"{key} must be in [{low}, {high}), got {out}")
+    return out
 
 
 def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
     """Append the nodes of a nested export_json subtree to nodes, in preorder."""
-    obj = _object(obj, where)
-    node = [-1, np.nan, -1, _integer(obj, "n", where), _real(obj, "mean", where),
-            _real(obj, "sse", where)]
-    if node[3] < 1:
-        raise ParseError(f"tree {where}.n must be at least 1, got {node[3]}")
+    inner = isinstance(obj, dict) and "split" in obj  # only a split has children
+    keys = ("n", "mean", "sse", "split", "left", "right") if inner else ("n", "mean", "sse")
+    obj = json_object(obj, where, keys, ParseError)
+    node = [-1, np.nan, -1, _in_range(obj.get("n"), f"{where}.n", 1),
+            json_number(float, obj.get("mean"), f"{where}.mean", ParseError),
+            json_number(float, obj.get("sse"), f"{where}.sse", ParseError)]
     if node[5] < 0:
-        raise ParseError(f"tree {where}.sse must not be negative, got {node[5]!r}")
+        raise ParseError(f"{where}.sse must not be negative, got {node[5]!r}")
     at = len(nodes)
     nodes.append(node)
-    if "split" not in obj:
+    if not inner:
         return
-    split = _object(obj["split"], f"{where}.split")
-    node[:2] = (_integer(split, "feature", f"{where}.split", high=n_features),
-                _real(split, "threshold", f"{where}.split"))
+    split = json_object(obj["split"], f"{where}.split", ("feature", "threshold"), ParseError)
+    node[:2] = (_in_range(split.get("feature"), f"{where}.split.feature", 0, n_features),
+                json_number(float, split.get("threshold"), f"{where}.split.threshold", ParseError))
     _read_node(obj.get("left"), f"{where}.left", n_features, nodes)
     node[2] = len(nodes)
     _read_node(obj.get("right"), f"{where}.right", n_features, nodes)
     left_n, right_n = nodes[at + 1][3], nodes[node[2]][3]
     if left_n + right_n != node[3]:
-        raise ParseError(f"tree {where}.n is {node[3]}, but its children hold "
-                         f"{left_n} + {right_n} rows")
+        raise ParseError(f"{where}.n is {node[3]}, but its children hold {left_n} + {right_n} rows")
 
 
 def import_json(text: str) -> RegressionTree:
     """Parse a tree produced by export_json; malformed input raises ParseError.
 
-    Counts and feature indices must be JSON integers, node statistics and
-    thresholds finite JSON numbers, and feature_names a list of strings. Every
-    node holds at least one row and an SSE of at least zero, the two children
-    of a split hold all of their parent's rows, and total_n is the root's n.
+    Values are read as the run config's are (errors.json_number and kin). The
+    version is 1, feature names are distinct, and only a split has children,
+    which hold all of its rows; every node holds a row or more and an SSE of
+    at least zero, and total_n is the root's n.
     """
     try:
-        doc = _object(json.loads(text), "document")
-        if doc.get("format") != "charterseg-tree":
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("format") != "charterseg-tree":
             raise ParseError("not a charterseg tree document")
+        json_object(doc, "tree document", ("format", "version", "feature_names", "total_n",
+                                           "params", "root"), ParseError)
+        _in_range(doc.get("version"), "tree document.version", 1, 2)  # export_json writes 1
         names = doc.get("feature_names")
-        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
-            raise ParseError(f"tree feature_names must be a list of strings, got {names!r}")
-        given = _object(doc.get("params"), "params")
-        max_depth = given.get("max_depth")
-        if max_depth is not None:
-            max_depth = _integer(given, "max_depth", "params")
-        params = TreeParams(_integer(given, "min_leaf", "params", low=1), max_depth)
-        total_n = _integer(doc, "total_n", "document")
+        if not isinstance(names, list):
+            raise ParseError(f"tree feature_names must be a list, got {names!r}")
+        names = tuple(json_string(name, f"tree feature_names[{i}]", ParseError)
+                      for i, name in enumerate(names))
+        if len(set(names)) < len(names):
+            raise ParseError(f"tree feature_names must not repeat a name, got {list(names)}")
+        given = json_object(doc.get("params"), "tree params", ("min_leaf", "max_depth"), ParseError)
+        depth = given.get("max_depth")
+        params = TreeParams(_in_range(given.get("min_leaf"), "tree params.min_leaf", 1),
+                            None if depth is None else _in_range(depth, "tree params.max_depth", 0))
+        total_n = json_number(int, doc.get("total_n"), "tree document.total_n", ParseError)
         nodes = []
-        _read_node(doc.get("root"), "root", len(names), nodes)
+        _read_node(doc.get("root"), "tree root", len(names), nodes)
     except ValueError as exc:  # a JSONDecodeError, or an integer over 4,300 digits
         raise ParseError(f"invalid tree JSON: {exc}") from None
     except RecursionError:
         raise ParseError("tree JSON nests too deeply") from None
     if total_n != nodes[0][3]:
         raise ParseError(f"tree document.total_n is {total_n}, but root.n is {nodes[0][3]}")
-    return RegressionTree(*zip(*nodes), tuple(names), params)
+    return RegressionTree(*zip(*nodes), names, params)

@@ -207,6 +207,9 @@ def test_country_group_criteria():
     ({"subsamples": [{"name": "a", "criterion": {"kind": "countries", "codes": ["DE"],
                                                  "exclude": True}}]},
      "unknown keys in subsamples[0].criterion: ['exclude']"),
+    # An integer is a JSON integer, as in a tree document: 30.0 used to read as 30.
+    ({"tree": {"min_leaf": 30.0}}, "tree.min_leaf must be an integer, got 30.0"),
+    ({"data": {"window": [2005, 2016.0]}}, "data.window must be an integer, got 2016.0"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -216,6 +219,8 @@ def test_bad_documents_are_config_errors(doc, fragment):
 @pytest.mark.parametrize("kwargs, fragment", [
     ({"window": (2016, 2005)}, "data.window start 2016 is after its end 2005"),
     ({"columns": {"betta": "Beta"}}, "unknown keys in data.columns: ['betta']"),
+    # Keys of two types used to end in sorted()'s TypeError.
+    ({"columns": {"betta": "Beta", 7: "Seven"}}, "unknown keys in data.columns: [7, 'betta']"),
 ])
 def test_data_config_built_in_python_is_checked(kwargs, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):

@@ -841,37 +841,63 @@ def stump_document():
 
 
 @pytest.mark.parametrize("path, value, fragment", [
-    (("total_n",), "10", "document.total_n must be an integer >= 0, got '10'"),
-    (("root", "n"), 2.7, "root.n must be an integer >= 0, got 2.7"),
-    (("root", "n"), 2 ** 63, "root.n must be an integer >= 0"),
-    (("root", "left", "mean"), "1", "root.left.mean must be a finite number, got '1'"),
-    (("root", "right", "sse"), float("inf"), "root.right.sse must be a finite number, got inf"),
-    (("root", "sse"), 10 ** 400, "root.sse must be a finite number"),
-    (("root", "split", "feature"), True, "root.split.feature must be an integer in [0, 2)"),
-    (("root", "split", "feature"), 2, "root.split.feature must be an integer in [0, 2), got 2"),
-    (("root", "split", "threshold"), "nan", "root.split.threshold must be a finite number"),
-    (("root", "split", "threshold"), float("nan"), "root.split.threshold must be a finite"),
-    (("root", "split"), [0, 2.0], "tree root.split must be an object, got list"),
-    (("root", "left"), None, "tree root.left must be an object, got NoneType"),
-    (("feature_names",), "ab", "feature_names must be a list of strings, got 'ab'"),
-    (("feature_names",), ["f0", 1], "feature_names must be a list of strings"),
+    (("total_n",), "10", "document.total_n must be an integer, got '10'"),
+    (("root", "n"), 2.7, "root.n must be an integer, got 2.7"),
+    (("root", "n"), 2 ** 63, "root.n must be in [1, 9223372036854775808), got 9223372036854775808"),
+    (("root", "left", "mean"), "1", "root.left.mean must be a number, got '1'"),
+    (("root", "right", "sse"), float("inf"), "root.right.sse must be finite, got inf"),
+    (("root", "sse"), 10 ** 400, "root.sse must be a number, got 1000"),
+    (("root", "split", "feature"), True, "root.split.feature must be an integer, got True"),
+    (("root", "split", "feature"), 2, "root.split.feature must be in [0, 2), got 2"),
+    (("root", "split", "threshold"), "nan", "root.split.threshold must be a number, got 'nan'"),
+    (("root", "split", "threshold"), float("nan"), "root.split.threshold must be finite, got nan"),
+    (("root", "split"), [0, 2.0], "tree root.split must be an object, got [0, 2.0]"),
+    (("root", "left"), None, "tree root.left must be an object, got None"),
+    (("feature_names",), "ab", "feature_names must be a list, got 'ab'"),
+    (("feature_names",), ["f0", 1], "feature_names[1] must be a string, got 1"),
     (("params",), [], "tree params must be an object"),
-    (("params", "min_leaf"), True, "params.min_leaf must be an integer >= 1, got True"),
-    (("params", "max_depth"), 1.5, "params.max_depth must be an integer >= 0, got 1.5"),
-    (("root", "left", "n"), 0, "root.left.n must be at least 1, got 0"),
+    (("params", "min_leaf"), True, "params.min_leaf must be an integer, got True"),
+    (("params", "max_depth"), 1.5, "params.max_depth must be an integer, got 1.5"),
+    (("root", "left", "n"), 0, "root.left.n must be in [1, 9223372036854775808), got 0"),
     (("root", "right", "n"), 50, "root.n is 10, but its children hold 5 + 50 rows"),
     (("root", "n"), 11, "root.n is 11, but its children hold 5 + 5 rows"),
     (("root", "left", "sse"), -3.0, "root.left.sse must not be negative, got -3.0"),
     (("total_n",), 2, "document.total_n is 2, but root.n is 10"),
+    # All of these but 5.0 used to load: unknown keys and a leaf's stray
+    # child were dropped, 2**63 + 1 was rounded to a float, and any version
+    # or repeated names were taken. 5.0 is here because the config took 30.0
+    # as the integer 30; now neither input does.
+    (("bogus",), 1, "unknown keys in tree document: ['bogus']"),
+    (("params", "max_dept"), 4, "unknown keys in tree params: ['max_dept']"),
+    (("root", "left", "weight"), 1.0, "unknown keys in tree root.left: ['weight']"),
+    (("root", "split", "op"), "<", "unknown keys in tree root.split: ['op']"),
+    (("root", "left", "left"), {"n": 5, "mean": 0.9, "sse": 0.1},
+     "unknown keys in tree root.left: ['left']"),
+    (("root", "left", "n"), 5.0, "tree root.left.n must be an integer, got 5.0"),
+    (("root", "mean"), 2 ** 63 + 1, "tree root.mean must be a number, got 9223372036854775809"),
+    (("version",), 2, "tree document.version must be in [1, 2), got 2"),
+    (("version",), "x", "tree document.version must be an integer, got 'x'"),
+    (("feature_names",), ["f0", "f0"],
+     "tree feature_names must not repeat a name, got ['f0', 'f0']"),
 ])
 def test_import_json_takes_only_values_of_their_json_type(path, value, fragment):
     # Each of these used to load, coerced: "10" as 10, 2.7 as 2, "1" as 1.0,
     # true as feature 1, "nan" as NaN and "ab" as the names ("a", "b"). The
-    # last four are well typed but break the tree's own invariants; they too
-    # used to load, and gave alphas and leaf shares out of range.
+    # children-sum, SSE and total_n cases are well typed but break the tree's
+    # own invariants; they too used to load, and gave alphas and leaf shares
+    # out of range.
     text = json.dumps(replaced(stump_document(), path, value))
     with pytest.raises(ParseError, match=re.escape(fragment)):
         import_json(text)
+
+
+def test_import_json_needs_a_version():
+    # A document without a version used to load.
+    doc = stump_document()
+    del doc["version"]
+    with pytest.raises(ParseError, match=re.escape("tree document.version must be an integer, "
+                                                   "got None")):
+        import_json(json.dumps(doc))
 
 
 def test_import_json_integer_too_long_to_read_is_a_parse_error():
