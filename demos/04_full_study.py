@@ -73,7 +73,7 @@ config = parse_config({
 })
 
 # -------------------------------------------------------------------- study
-result = run_study(config, jobs=2)
+result = run_study(config)
 shutil.rmtree(OUT_DIR, ignore_errors=True)  # write_study refuses to mix two runs' files
 write_study(result, OUT_DIR)
 

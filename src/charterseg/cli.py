@@ -25,7 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import CONFIG_ENV_VAR, RunConfig, SubsampleSpec, load_config
-from .errors import ChartersegError
+from .errors import ChartersegError, ConfigError
 from .panel import FullSample, compute_raw_proxies
 from .select import selection_to_spec_fragment
 from .study import (
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(seed=None, min_leaf=None, trees=None, rescale_scope=None)
     flags = {
         "--seed": dict(type=int, help="override config seed"),
-        "--jobs": dict(type=int, default=1, help="worker threads; results do not depend on this"),
+        "--jobs": dict(type=int, default=1, help="no effect: subsamples run in turn"),
         "--min-leaf": dict(type=int, help="override tree min_leaf"),
         "--trees": dict(type=int, help="override forest n_trees"),
         "--rescale-scope": dict(choices=("subsample", "full"),
@@ -169,7 +169,9 @@ def cmd_grow(cfg: RunConfig) -> int:
 
 
 def cmd_study(cfg: RunConfig, jobs: int) -> int:
-    result = run_study(cfg, jobs=jobs)
+    if jobs < 1:  # --jobs has no effect, but it still refuses what no worker count can be
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    result = run_study(cfg)
     write_study(result, cfg.out)
     _print_study_summary(result)
     print(f"bundle written to {cfg.out}")

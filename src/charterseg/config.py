@@ -50,10 +50,11 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, json_number, json_object, json_string
+from .errors import ConfigError, echo, json_number, json_object, json_string
 from .forest import ForestParams
 from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
+from .tree import TreeParams
 
 CONFIG_ENV_VAR = "CHARTERSEG_CONFIG"
 
@@ -68,7 +69,8 @@ class SubsampleSpec:
 
     def __post_init__(self):
         if self.min_leaf is not None and self.min_leaf < 1:
-            raise ConfigError(f"subsample {self.name!r} min_leaf must be >= 1, got {self.min_leaf}")
+            raise ConfigError(f"subsample {self.name!r} min_leaf must be >= 1, "
+                              f"got {echo(self.min_leaf)}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class DataConfig:
             json_object(self.columns, "data.columns", ALL_FIELDS)
         if self.window is not None and self.window[0] > self.window[1]:
             start, end = self.window
-            raise ConfigError(f"data.window start {start} is after its end {end}")
+            raise ConfigError(f"data.window start {echo(start)} is after its end {echo(end)}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,11 @@ class TreeConfig:
     prune_rule: str = "min_cv"
 
     def __post_init__(self):
-        if self.min_leaf < 1:
-            raise ConfigError(f"tree.min_leaf must be >= 1, got {self.min_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError(f"tree.max_depth must be >= 0, got {self.max_depth}")
+        TreeParams(self.min_leaf, self.max_depth)  # checks tree.min_leaf and tree.max_depth
         if self.prune_rule not in ("min_cv", "one_se"):
-            raise ConfigError(f"prune_rule must be min_cv or one_se, got {self.prune_rule!r}")
+            raise ConfigError(f"prune_rule must be min_cv or one_se, got {echo(self.prune_rule)}")
         if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+            raise ConfigError(f"cv_folds must be >= 2, got {echo(self.cv_folds)}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,10 @@ class SelectionConfig:
 
     def __post_init__(self):
         if self.mode not in ("rf", "fixed"):
-            raise ConfigError(f"selection mode must be rf or fixed, got {self.mode!r}")
+            raise ConfigError(f"selection mode must be rf or fixed, got {echo(self.mode)}")
         if self.forest_scope not in ("joint", "per_group"):
-            raise ConfigError(f"forest_scope must be joint or per_group, got {self.forest_scope!r}")
+            raise ConfigError("forest_scope must be joint or per_group, "
+                              f"got {echo(self.forest_scope)}")
 
 
 def default_subsamples() -> tuple[SubsampleSpec, ...]:
@@ -151,16 +151,16 @@ class RunConfig:
     def __post_init__(self):
         if self.rescale_scope not in ("subsample", "full"):
             raise ConfigError(
-                f"rescale_scope must be subsample or full, got {self.rescale_scope!r}")
+                f"rescale_scope must be subsample or full, got {echo(self.rescale_scope)}")
         if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ConfigError(f"seed must fit in 64 bits, got {echo(self.seed)}")
         if not self.proxies:
             raise ConfigError("proxies must be a non-empty list")
         if not self.subsamples:
             raise ConfigError("subsamples must be a non-empty list")
         names = [s.name for s in self.subsamples]
         if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate subsample names: {names}")
+            raise ConfigError(f"duplicate subsample names: {echo(names)}")
         by_slug = {}
         for name in names:
             first = by_slug.setdefault(_slug(name), name)
@@ -210,15 +210,15 @@ def _value(tp, value, key: str):
         return None if value is None else _value(args[0], value, key)
     if origin is tuple and args[-1] is not Ellipsis:  # the (start, end) pair
         if not (isinstance(value, list) and len(value) == 2):
-            raise ConfigError(f"{key} must be [start, end], got {value!r}")
+            raise ConfigError(f"{key} must be [start, end], got {echo(value)}")
         return tuple(_value(t, v, key) for t, v in zip(args, value))
     if origin is tuple:
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
+            raise ConfigError(f"{key} must be a list, got {echo(value)}")
         return tuple(_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     if origin is dict:
         if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
-            raise ConfigError(f"{key} must map field names to column names, got {value!r}")
+            raise ConfigError(f"{key} must map field names to column names, got {echo(value)}")
         return value
     types, required = _schema(tp)
     json_object(value, key, types)
@@ -231,14 +231,14 @@ def _value(tp, value, key: str):
 
 def _criterion(obj, key: str) -> Criterion:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{key} must be an object with a 'kind', got {obj!r}")
+        raise ConfigError(f"{key} must be an object with a 'kind', got {echo(obj)}")
     kind = obj["kind"]
     rest = {k: v for k, v in obj.items() if k != "kind"}
     for name, cls in (("all", FullSample), ("years", YearRange), ("size", SizeHalf)):
         if kind == name:  # not a dict lookup: a kind may be an unhashable list
             return _value(cls, rest, key)
     if kind != "countries":
-        raise ConfigError(f"unknown criterion kind {kind!r}")
+        raise ConfigError(f"unknown criterion kind {echo(kind)}")
     # Countries.exclude is no JSON key: the pigs and non_pigs groups set it.
     json_object(rest, key, ["group"] if "group" in rest else ["codes"])
     if "group" in rest:
@@ -246,7 +246,7 @@ def _criterion(obj, key: str) -> Criterion:
             return Countries.pigs()
         if rest["group"] == "non_pigs":
             return Countries.non_pigs()
-        raise ConfigError(f"country group must be pigs or non_pigs, got {rest['group']!r}")
+        raise ConfigError(f"country group must be pigs or non_pigs, got {echo(rest['group'])}")
     if not isinstance(rest.get("codes"), list):
         raise ConfigError("countries criterion needs 'group' or a 'codes' list")
     return Countries(_value(tuple[str, ...], rest["codes"], f"{key}.codes"))

@@ -3,10 +3,19 @@
 Both JSON inputs, the run config and an exported tree, read their values
 through json_number, json_string and json_object: an integer is a JSON
 integer (not a bool, not 30.0), a number is finite and exact as a float,
-and unknown keys are refused. A fault names its key.
+and unknown keys are refused. A fault names its key. A message shows a value
+read from outside the program (a JSON value, a CSV cell) through echo.
 """
 
 import math
+
+ECHO_LIMIT = 100  # a CSV cell may hold 131,072 characters, a JSON integer 4,300 digits
+
+
+def echo(value) -> str:
+    """repr(value) for a message; past ECHO_LIMIT characters it keeps only its two ends."""
+    text, cut = repr(value), ECHO_LIMIT // 2 - 2  # 48 characters, "...", the last 49
+    return text if len(text) <= ECHO_LIMIT else f"{text[:cut]}...{text[-cut - 1:]}"
 
 
 class ChartersegError(Exception):
@@ -25,7 +34,7 @@ class ParseError(ChartersegError):
         if line is not None:
             where.append(f"line {line}")
         if column is not None:
-            where.append(f"column {column!r}")
+            where.append(f"column {echo(column)}")
         if where:
             message = f"{message} ({', '.join(where)})"
         super().__init__(message)
@@ -56,27 +65,28 @@ class DegenerateInputError(ChartersegError, ValueError):
 def json_number(kind, value, key: str, error=ConfigError):
     """value as kind, int or float, if it is a JSON number of that type; a fault names the key."""
     if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
-        raise error(f"{key} must be finite, got {value!r}")
+        raise error(f"{key} must be finite, got {echo(value)}")
     try:  # a bool is no integer, and an integer a float rounds is no exact number
         ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and kind(value) == value
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
-        raise error(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        raise error(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                    f"got {echo(value)}")
     return kind(value)
 
 
 def json_string(value, key: str, error=ConfigError) -> str:
     if not isinstance(value, str):
-        raise error(f"{key} must be a string, got {value!r}")
+        raise error(f"{key} must be a string, got {echo(value)}")
     return value
 
 
 def json_object(value, key: str, allowed, error=ConfigError) -> dict:
     """value if it is a JSON object whose keys are all in allowed."""
     if not isinstance(value, dict):
-        raise error(f"{key} must be an object, got {value!r}")
+        raise error(f"{key} must be an object, got {echo(value)}")
     unknown = set(value) - set(allowed)
     if unknown:  # keys set in Python may mix types, so they sort as text
-        raise error(f"unknown keys in {key}: {sorted(unknown, key=str)}")
+        raise error(f"unknown keys in {key}: {echo(sorted(unknown, key=str))}")
     return value

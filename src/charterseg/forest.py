@@ -3,7 +3,7 @@
 Each tree grows unpruned on a bootstrap resample, drawing a fresh random
 feature subset of size mtry at every node in preorder. Tree t seeds its own
 generator from a 64-bit mix of the master seed and t, so a forest is
-reproducible independent of how many workers grew it. Trees grow in
+reproducible whichever trees grow together. Trees grow in
 lockstep in calls of the tree factory, each call as many consecutive trees
 as fit a row budget, each tree from its bootstrap rows of the shared
 matrix. Out-of-bag prediction and permutation importance share
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EmptyModelError
+from .errors import ConfigError, EmptyModelError, echo
 from .rescale import ScoredMatrix
 from .seeding import derive_seed, make_rng
 from .tree import RegressionTree, TreeParams, _build_many
@@ -41,16 +41,16 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
+            raise ConfigError(f"forest.n_trees must be >= 1, got {echo(self.n_trees)}")
         if self.mtry is not None and self.mtry < 1:
-            raise ConfigError(f"forest.mtry must be >= 1, got {self.mtry}")
+            raise ConfigError(f"forest.mtry must be >= 1, got {echo(self.mtry)}")
         if self.min_leaf < 1:
-            raise ConfigError(f"forest.min_leaf must be >= 1, got {self.min_leaf}")
+            raise ConfigError(f"forest.min_leaf must be >= 1, got {echo(self.min_leaf)}")
 
     def resolve_mtry(self, m: int) -> int:
         mtry = self.mtry if self.mtry is not None else max(m // 3, 1)
         if not 1 <= mtry <= m:
-            raise ConfigError(f"forest.mtry must be in [1, {m}], got {mtry}")
+            raise ConfigError(f"forest.mtry must be in [1, {m}], got {echo(mtry)}")
         return mtry
 
 
@@ -164,7 +164,7 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
     """Out-of-bag permutation importance with %IncMSE normalisation.
 
     Per tree, each feature column is shuffled within the tree's OOB rows
-    (one seeded draw per tree and feature, independent of worker count) and
+    (one seeded draw per tree and feature, independent of the order of draws) and
     the MSE increase recorded; deltas average over trees.
     """
     n, m = matrix.n_rows, matrix.n_features

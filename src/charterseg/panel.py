@@ -26,6 +26,7 @@ from .errors import (
     EmptySubsampleError,
     ParseError,
     SchemaError,
+    echo,
 )
 
 PIGS_COUNTRIES = ("ES", "GR", "IE", "PT")
@@ -104,26 +105,25 @@ def _parse_cell(text: str, line: int, column: str) -> float:
     except ValueError:
         value = NAN
     if not math.isfinite(value):  # nan, inf and 1e999 would pass as data
-        raise ParseError(f"expected a finite number, got {text!r}", line=line, column=column)
+        raise ParseError(f"expected a finite number, got {echo(text)}", line=line, column=column)
     if value and not 1 / CELL_BOUND <= abs(value) <= CELL_BOUND:
         raise ParseError(f"expected 0 or a magnitude within [{1 / CELL_BOUND:g}, "
-                         f"{CELL_BOUND:g}], got {text!r}", line=line, column=column)
+                         f"{CELL_BOUND:g}], got {echo(text)}", line=line, column=column)
     return value
 
 
-def _records(text: str, path):
-    """(first physical line, fields) per CSV record; a malformed record raises ParseError."""
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    end = 0
-    while True:
+def _records(data: bytes, path):
+    """(first physical line, fields) per CSV record of checked UTF-8 data, decoded a chunk
+    at a time (a StringIO holds 4 bytes per character); a malformed one raises ParseError."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as stream:
+        reader = csv.reader(stream, strict=True)
+        start = 1
         try:
-            record = next(reader)
-        except StopIteration:
-            return
+            for record in reader:
+                yield start, record
+                start = reader.line_num + 1
         except csv.Error as exc:
             raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
-        yield end + 1, record
-        end = reader.line_num
 
 
 def load_panel(path, schema: dict[str, str] | None = None,
@@ -157,7 +157,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
     try:  # "utf-8-sig" drops one leading byte order mark, as Excel's CSV UTF-8 writes
-        text = data.decode("utf-8-sig")
+        data.decode("utf-8-sig")  # only to find a bad byte; _records decodes as it reads
     except UnicodeDecodeError as exc:
         # The error's offset omits the mark's bytes.
         at = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
@@ -168,7 +168,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
     exclusions: list[Exclusion] = []
     seen: set[tuple[str, int]] = set()
 
-    records = _records(text, path)
+    records = _records(data, path)
     header = next(records, None)
     if header is None:
         raise SchemaError(f"{path}: empty file, no header row")
@@ -205,7 +205,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
         except ValueError:
             year = None
         if year is None or not -2 ** 63 <= year < 2 ** 63:  # PANEL_DTYPE holds years as int64
-            raise ParseError(f"expected an integer year within int64, got {year_text!r}",
+            raise ParseError(f"expected an integer year within int64, got {echo(year_text)}",
                              line=line_no, column=colname["year"])
 
         values = [_parse_cell(c, line_no, col) for c, col in zip(cells[3:], numeric_columns)]
@@ -220,7 +220,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
 
         key = (bank_id, year)
         if key in seen:
-            raise DuplicateRowError(f"duplicate bank-year {key} at line {line_no}")
+            raise DuplicateRowError(f"duplicate bank-year {echo(key)} at line {line_no}")
         seen.add(key)
         rows.append((bank_id, country, year, *values))
 
@@ -335,7 +335,8 @@ class YearRange:
 
     def __post_init__(self):
         if self.start > self.end:
-            raise ConfigError(f"years criterion start {self.start} is after its end {self.end}")
+            raise ConfigError(f"years criterion start {echo(self.start)} is after its end "
+                              f"{echo(self.end)}")
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ class SizeHalf:
 
     def __post_init__(self):
         if self.half not in ("small", "large"):
-            raise ConfigError(f"size criterion needs half small or large, got {self.half!r}")
+            raise ConfigError(f"size criterion needs half small or large, got {echo(self.half)}")
 
 
 def filter_subsample(panel: Panel, criterion) -> Panel:
@@ -388,7 +389,7 @@ def filter_subsample(panel: Panel, criterion) -> Panel:
         raise SchemaError(f"unknown subsample criterion {criterion!r}")
 
     if not keep.any():
-        raise EmptySubsampleError(f"criterion {criterion!r} matched no rows")
+        raise EmptySubsampleError(f"criterion {echo(criterion)} matched no rows")
     return Panel(rows[keep], provenance=panel.provenance, window=panel.window)
 
 

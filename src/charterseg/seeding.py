@@ -1,7 +1,7 @@
 """Deterministic seed derivation.
 
 Every stochastic component draws from its own generator seeded through
-``derive_seed``, so results never depend on scheduling or worker count.
+``derive_seed``, keyed by what it draws for, so results never depend on draw order.
 """
 
 import numpy as np

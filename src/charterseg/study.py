@@ -4,15 +4,14 @@ For each subsample: score the proxy catalog, pick one proxy per group by
 forest importance (or take a fixed list), grow and CV-prune a tree on the
 six scored factors, read off the extreme-Q leaves, alignment verdicts, and
 the supporting statistical tables. Results land in a deterministic bundle:
-report.md, tables/*.csv, trees/*.dot and trees/*.json. The same master seed
-produces byte-identical output regardless of worker count.
+report.md, tables/*.csv, trees/*.dot and trees/*.json. Subsamples run in config
+order, each seeded by its index: the same master seed gives byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -229,52 +228,39 @@ def _study_subsample(config: RunConfig, panel: Panel, reference: Optional[ProxyF
     )
 
 
-def run_study(config: RunConfig, panel: Optional[Panel] = None, jobs: int = 1) -> StudyResult:
-    """Run the segmentation study on every configured subsample.
+def run_study(config: RunConfig, panel: Optional[Panel] = None) -> StudyResult:
+    """Run the segmentation study on every configured subsample, in config order.
 
     Args:
         config: run configuration; config.data.path is read when no panel is
             passed in directly.
         panel: optional pre-loaded panel (tests, notebooks).
-        jobs: worker threads across subsamples; results are seeded per
-            subsample index, so output does not depend on this value.
 
     Returns:
         StudyResult in configuration order; degraded is True when any
         subsample ended without a tree.
 
     Raises:
-        ConfigError: jobs below 1, no panel and no config.data.path, or a
-            config fault found inside a subsample; it ends the run.
-            Selection faults (mtry, proxy names, selection.fixed) and bad
-            criterion values are already raised when the RunConfig and its
-            criteria are built.
+        ConfigError: no panel and no config.data.path, or a config fault found inside
+            a subsample; it ends the run. Selection faults (mtry, proxy names,
+            selection.fixed) and bad criterion values are raised when the config is built.
         EmptySubsampleError: the panel has no rows.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if panel is None:
         panel = load_configured_panel(config)
     if not len(panel.rows):
         raise EmptySubsampleError("panel has no rows")
     reference = compute_raw_proxies(panel) if config.rescale_scope == "full" else None
 
-    tasks = [(sub, derive_seed(config.seed, i)) for i, sub in enumerate(config.subsamples)]
-
-    def run_one(item):
-        sub, seed = item
+    results = []
+    for i, sub in enumerate(config.subsamples):
         try:
-            return _study_subsample(config, panel, reference, sub, seed)
+            result = _study_subsample(config, panel, reference, sub, derive_seed(config.seed, i))
         except ConfigError:
             raise
         except ChartersegError as exc:
-            return SubsampleResult(sub.name, "no_tree", reason=str(exc))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
+            result = SubsampleResult(sub.name, "no_tree", reason=str(exc))
+        results.append(result)
     return StudyResult(config, tuple(results))
 
 

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInputError, EmptyModelError, ParseError, json_number,
-                     json_object, json_string)
+from .errors import (ConfigError, DegenerateInputError, EmptyModelError, ParseError, echo,
+                     json_number, json_object, json_string)
 from .rescale import ScoredMatrix
 from .seeding import make_rng
 
@@ -49,11 +49,11 @@ class TreeParams:
     min_leaf: int = 30
     max_depth: Optional[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self):  # the checks of the config's tree section too
         if self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
+            raise ConfigError(f"tree.min_leaf must be >= 1, got {echo(self.min_leaf)}")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+            raise ConfigError(f"tree.max_depth must be >= 0, got {echo(self.max_depth)}")
 
 
 # The node arrays of a RegressionTree and their dtypes, in field order.
@@ -610,7 +610,7 @@ def _in_range(value, key: str, low: int, high: int = 2 ** 63) -> int:
     """value, a JSON integer, if it lies in [low, high); counts and depths fit in int64."""
     out = json_number(int, value, key, ParseError)
     if not low <= out < high:
-        raise ParseError(f"{key} must be in [{low}, {high}), got {out}")
+        raise ParseError(f"{key} must be in [{low}, {high}), got {echo(out)}")
     return out
 
 
@@ -623,7 +623,7 @@ def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
             json_number(float, obj.get("mean"), f"{where}.mean", ParseError),
             json_number(float, obj.get("sse"), f"{where}.sse", ParseError)]
     if node[5] < 0:
-        raise ParseError(f"{where}.sse must not be negative, got {node[5]!r}")
+        raise ParseError(f"{where}.sse must not be negative, got {echo(node[5])}")
     at = len(nodes)
     nodes.append(node)
     if not inner:
@@ -656,11 +656,11 @@ def import_json(text: str) -> RegressionTree:
         _in_range(doc.get("version"), "tree document.version", 1, 2)  # export_json writes 1
         names = doc.get("feature_names")
         if not isinstance(names, list):
-            raise ParseError(f"tree feature_names must be a list, got {names!r}")
+            raise ParseError(f"tree feature_names must be a list, got {echo(names)}")
         names = tuple(json_string(name, f"tree feature_names[{i}]", ParseError)
                       for i, name in enumerate(names))
         if len(set(names)) < len(names):
-            raise ParseError(f"tree feature_names must not repeat a name, got {list(names)}")
+            raise ParseError(f"tree feature_names must not repeat a name, got {echo(list(names))}")
         given = json_object(doc.get("params"), "tree params", ("min_leaf", "max_depth"), ParseError)
         depth = given.get("max_depth")
         params = TreeParams(_in_range(given.get("min_leaf"), "tree params.min_leaf", 1),
@@ -673,5 +673,5 @@ def import_json(text: str) -> RegressionTree:
     except RecursionError:
         raise ParseError("tree JSON nests too deeply") from None
     if total_n != nodes[0][3]:
-        raise ParseError(f"tree document.total_n is {total_n}, but root.n is {nodes[0][3]}")
+        raise ParseError(f"tree document.total_n is {echo(total_n)}, but root.n is {nodes[0][3]}")
     return RegressionTree(*zip(*nodes), names, params)

@@ -19,7 +19,7 @@ from charterseg.config import (
     load_config,
     parse_config,
 )
-from charterseg.errors import ChartersegError, ConfigError
+from charterseg.errors import ECHO_LIMIT, ChartersegError, ConfigError
 from charterseg.panel import Countries, FullSample, SizeHalf, YearRange
 from charterseg.rescale import DEFAULT_PROXY_SPECS
 from helpers import json_paths, replaced
@@ -225,6 +225,25 @@ def test_bad_documents_are_config_errors(doc, fragment):
 def test_data_config_built_in_python_is_checked(kwargs, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         DataConfig(**kwargs)
+
+
+_THRESHOLD_PROXY = {"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
+                    "direction": "decreasing", "mode": "threshold"}
+
+
+@pytest.mark.parametrize("doc, prefix", [
+    ({"seed": 10 ** 400}, "seed must fit in 64 bits, got "),
+    ({"proxies": [dict(_THRESHOLD_PROXY, threshold=10 ** 400)]},
+     "proxies[0].threshold must be a number, got "),
+    ({"tree": list(range(1000))}, "tree must be an object, got "),
+    ({"tree": {"prune_rule": "x" * 10_000}}, "prune_rule must be min_cv or one_se, got "),
+], ids=["huge_integer", "huge_number", "long_list_for_object", "long_string"])
+def test_refused_values_are_echoed_within_the_cap(doc, prefix):
+    # The 401 digits of 10**400 and the whole list or string used to be echoed.
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    message = str(info.value)
+    assert message.startswith(prefix) and len(message) <= len(prefix) + ECHO_LIMIT
 
 
 def test_infinity_in_the_config_file_is_a_config_error(tmp_path):

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from charterseg.errors import (
+    ECHO_LIMIT,
     ChartersegError,
     ConfigError,
     DegenerateInputError,
@@ -287,6 +289,62 @@ def test_load_year_outside_int64_is_a_located_parse_error(tmp_path):
         assert (err.value.line, err.value.column) == (3, "year")
     rows = [base_row(year=2 ** 63 - 1), base_row(bank_id="b2", year=-(2 ** 63))]
     assert load_panel(write_csv(tmp_path / "p.csv", rows)).window == (-(2 ** 63), 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("column, cell, prefix", [
+    ("mve", "x" * 10_000, "expected a finite number, got "),
+    ("year", "9" * 10_000, "expected an integer year within int64, got "),
+], ids=["mve", "year"])
+def test_load_echoes_a_long_cell_within_the_cap(tmp_path, column, cell, prefix):
+    # The whole cell used to be echoed; one can hold 131,072 characters.
+    rows = [base_row(), base_row(bank_id="b2", **{column: cell})]
+    with pytest.raises(ParseError) as err:
+        load_panel(write_csv(tmp_path / "p.csv", rows))
+    message = str(err.value)
+    where = f" (line 3, column {column!r})"
+    assert message.startswith(prefix) and message.endswith(where)
+    assert len(message) <= len(prefix) + ECHO_LIMIT + len(where)
+
+
+def test_load_panel_peak_memory_stays_within_six_file_sizes(tmp_path):
+    # Records are read from a stream that decodes a chunk at a time. An
+    # io.StringIO of the whole text, at 4 bytes per character, used to bring
+    # the traced peak to over 8 file sizes.
+    rng = np.random.default_rng(0)
+    values = rng.uniform(1.0, 1000.0, size=(3200, len(FULL_HEADER) - 3))
+    lines = [",".join(FULL_HEADER)] + [
+        ",".join([f"b{i // 10:04d}", "DE", str(2005 + i % 10)] + [repr(v) for v in row])
+        for i, row in enumerate(values.tolist())]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 1_000_000
+    tracemalloc.start()
+    try:
+        panel = load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(panel) == 3200
+    assert peak < 6 * size
+
+
+@pytest.mark.parametrize("offset", range(8189, 8195))
+def test_load_reads_a_crlf_across_the_stream_chunk_boundary_as_one_line_end(tmp_path, offset):
+    # The stream decodes 8,192 bytes at a time. A \r\n split across two
+    # chunks must still end one line, so later lines keep their numbers.
+    header = ",".join(FULL_HEADER[:10]) + "\r\n"
+    first = panel_csv_text([base_row(bank_id="b0")]).splitlines()[1]
+    pad = offset - len(header) - len(first)
+    rows = [base_row(bank_id="b0" + "x" * pad), base_row(bank_id="b2"),
+            base_row(bank_id="", year=2009)]
+    text = panel_csv_text(rows).replace("\n", "\r\n")
+    assert text.index("\r", len(header)) == offset
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    panel = load_panel(path)
+    assert [b[:2] for b in panel.rows["bank_id"]] == ["b0", "b2"]
+    assert [e.row_id for e in panel.exclusions] == ["line:4"]
 
 
 def test_panel_rows_are_read_only(tmp_path):

@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import venv
 from pathlib import Path
 
@@ -180,15 +181,6 @@ def test_study_rerun_is_byte_identical(study_env):
     write_study(run_study(config), out_b)
     a, b = bundle_digests(out_a), bundle_digests(out_b)
     assert a and a == b
-
-
-def test_study_worker_count_does_not_change_output(study_env):
-    config = load_config(study_env["config"])
-    out_a = study_env["base"] / "jobs1"
-    out_b = study_env["base"] / "jobs8"
-    write_study(run_study(config, jobs=1), out_a)
-    write_study(run_study(config, jobs=8), out_b)
-    assert bundle_digests(out_a) == bundle_digests(out_b)
 
 
 def test_study_degraded_subsamples(study_env):
@@ -819,6 +811,17 @@ def test_cli_study_rejects_jobs_below_one(study_env, no_env_config, capsys, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"jobs must be at least 1, got {jobs}" in err
     assert not out.exists()
+
+
+def test_cli_study_jobs_starts_no_thread(study_env, no_env_config, monkeypatch, tmp_path):
+    # --jobs is accepted and has no effect: the subsamples run in the calling thread.
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
+    assert main(["study", "--config", str(study_env["config"]), "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    assert started == []
 
 
 def test_full_scope_exclusions_are_the_subsample_own(no_env_config, capsys, tmp_path):

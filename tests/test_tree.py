@@ -891,6 +891,24 @@ def test_import_json_takes_only_values_of_their_json_type(path, value, fragment)
         import_json(text)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("root", "sse"), 10 ** 400,
+     "tree root.sse must be a number, got 1" + "0" * 47 + "..." + "0" * 49),
+    (("params",), list(range(1000)),
+     "tree params must be an object, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 1"
+     "...990, 991, 992, 993, 994, 995, 996, 997, 998, 999]"),
+    (("feature_names",), ["f0"] * 1000,
+     "tree feature_names must not repeat a name, got ['f0', 'f0', 'f0', 'f0', 'f0', 'f0', "
+     "'f0', 'f0',..., 'f0', 'f0', 'f0', 'f0', 'f0', 'f0', 'f0', 'f0']"),
+], ids=["huge_number", "long_list_for_object", "long_repeated_names"])
+def test_import_json_echoes_refused_values_within_the_cap(path, value, message):
+    # The 401 digits of 10**400 and every entry of a list used to be echoed:
+    # now the first 48 and the last 49 characters of the repr.
+    with pytest.raises(ParseError) as err:
+        import_json(json.dumps(replaced(stump_document(), path, value)))
+    assert str(err.value) == message
+
+
 def test_import_json_needs_a_version():
     # A document without a version used to load.
     doc = stump_document()
