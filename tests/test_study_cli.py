@@ -183,6 +183,17 @@ def test_study_rerun_is_byte_identical(study_env):
     assert a and a == b
 
 
+def test_study_worker_count_does_not_change_output(study_env, no_env_config, tmp_path):
+    # --jobs is accepted and has no effect on the bundle.
+    out_a = tmp_path / "jobs1"
+    out_b = tmp_path / "jobs8"
+    for out, jobs in ((out_a, "1"), (out_b, "8")):
+        assert main(["study", "--config", str(study_env["config"]), "--out", str(out),
+                     "--jobs", jobs]) == 0
+    a, b = bundle_digests(out_a), bundle_digests(out_b)
+    assert a and a == b
+
+
 def test_study_degraded_subsamples(study_env):
     doc = fast_config(study_env["csv"], study_env["base"] / "degraded")
     doc["subsamples"] = doc["subsamples"][:1] + [
