@@ -173,34 +173,28 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def group_comparison(min_vars: dict[str, np.ndarray], max_vars: dict[str, np.ndarray],
-                     directions: dict[str, Optional[str]]) -> tuple[ComparisonRow, ...]:
+def group_comparison(columns) -> tuple[ComparisonRow, ...]:
     """Contrast raw variables between the Q^Min and Q^Max leaf populations.
 
     Args:
-        min_vars / max_vars: variable name -> raw values for the rows in the
-            respective extreme leaf; both must share the same keys.
-        directions: raw risk direction per variable ("increasing" means a
-            bigger raw value is riskier); None for variables like Q that
-            carry no risk orientation.
+        columns: one (variable, qmin_values, qmax_values, direction) per
+            variable: its name, its raw values for the rows in each extreme
+            leaf, and its raw risk direction ("increasing" means a bigger raw
+            value is riskier), or None for variables like Q that carry no
+            risk orientation.
 
     Returns:
         One row per variable: group means, KS distance and p-value, the
         usual significance stars (10/5/1%), and which group looks less
         risky under the raw direction.
     """
-    if set(min_vars) != set(max_vars):
-        raise DegenerateInputError("both groups must provide the same variables")
     rows = []
-    for name in min_vars:
-        a = np.asarray(min_vars[name], dtype=float)
-        b = np.asarray(max_vars[name], dtype=float)
-        a = a[np.isfinite(a)]
-        b = b[np.isfinite(b)]
+    for name, a, b, direction in columns:
+        a, b = (np.asarray(v, dtype=float) for v in (a, b))
+        a, b = a[np.isfinite(a)], b[np.isfinite(b)]
         if a.size == 0 or b.size == 0:
             raise DegenerateInputError(f"variable {name!r} has an empty group")
         d, p = ks_two_sample(a, b)
-        direction = directions.get(name)
         ma, mb = float(a.mean()), float(b.mean())
         if direction is None or ma == mb:
             lower = None

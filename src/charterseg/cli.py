@@ -43,16 +43,6 @@ from .study import (
 )
 
 
-# The files and directories each command writes into --out. A command refuses
-# an --out that already holds one of them, so no output mixes two runs.
-OUTPUTS = {
-    "ingest": ("summary.csv", "exclusions.csv"),
-    "select": ("selection.csv", "selected_proxies.json", "importance.csv"),
-    "grow": STUDY_OUTPUTS,
-    "study": STUDY_OUTPUTS,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charterseg",
@@ -69,15 +59,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="override where score knots are computed"),
     }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, names in (
-        ("ingest", "load the panel, report row counts, write summary statistics", ()),
-        ("select", "pick one proxy per group on the full sample, as grow does",
-         ("--seed", "--trees")),
-        ("grow", "grow and prune a single tree on the full sample",
-         ("--seed", "--min-leaf", "--trees", "--rescale-scope")),
-        ("study", "run the full study over all configured subsamples", tuple(flags)),
+    # One row per command: its name, runner, help, flags, and the files and
+    # directories it writes into --out. A command refuses an --out that already
+    # holds one of its outputs, so no output mixes two runs.
+    for name, run, help_text, names, outputs in (
+        ("ingest", cmd_ingest, "load the panel, report row counts, write summary statistics",
+         (), ("summary.csv", "exclusions.csv")),
+        ("select", cmd_select, "pick one proxy per group on the full sample, as grow does",
+         ("--seed", "--trees"), ("selection.csv", "selected_proxies.json", "importance.csv")),
+        ("grow", cmd_grow, "grow and prune a single tree on the full sample",
+         ("--seed", "--min-leaf", "--trees", "--rescale-scope"), STUDY_OUTPUTS),
+        ("study", cmd_study, "run the full study over all configured subsamples",
+         tuple(flags), STUDY_OUTPUTS),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run, outputs=outputs)
         p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
                        help=f"run config JSON (default: ${CONFIG_ENV_VAR})")
         p.add_argument("--out", default=None,
@@ -105,7 +101,7 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
+def cmd_ingest(cfg: RunConfig, args) -> int:
     panel = load_configured_panel(cfg)
     frame = compute_raw_proxies(panel)
     out = Path(cfg.out)
@@ -119,7 +115,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_select(cfg: RunConfig) -> int:
+def cmd_select(cfg: RunConfig, args) -> int:
     chosen, importance = select_full_panel(cfg, load_configured_panel(cfg))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,7 +148,7 @@ def _print_study_summary(result) -> None:
         print(f"{r.name.ljust(name_width)}  {r.status:<8} {cells}")
 
 
-def cmd_grow(cfg: RunConfig) -> int:
+def cmd_grow(cfg: RunConfig, args) -> int:
     cfg = replace(cfg, subsamples=(SubsampleSpec("full", FullSample()),))
     result = run_study(cfg)
     write_study(result, cfg.out)
@@ -168,9 +164,9 @@ def cmd_grow(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_study(cfg: RunConfig, jobs: int) -> int:
-    if jobs < 1:  # --jobs has no effect, but it still refuses what no worker count can be
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+def cmd_study(cfg: RunConfig, args) -> int:
+    if args.jobs < 1:  # --jobs has no effect, but it still refuses what no worker count can be
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     result = run_study(cfg)
     write_study(result, cfg.out)
     _print_study_summary(result)
@@ -189,16 +185,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_run_config(args)
-        refuse_existing_outputs(cfg.out, OUTPUTS[args.command])
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "grow":
-            return cmd_grow(cfg)
-        if args.command == "study":
-            return cmd_study(cfg, args.jobs)
-        raise ChartersegError(f"unknown command {args.command!r}")
+        refuse_existing_outputs(cfg.out, args.outputs)
+        return args.run(cfg, args)
     except (ChartersegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,7 @@ from .tree import TreeParams
 
 CONFIG_ENV_VAR = "CHARTERSEG_CONFIG"
 
-Criterion = object  # FullSample | YearRange | Countries | SizeHalf
+Criterion = FullSample | YearRange | Countries | SizeHalf
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,11 @@ class SubsampleSpec:
     min_leaf: Optional[int] = None  # overrides tree.min_leaf for this subsample
 
     def __post_init__(self):
+        if not isinstance(self.criterion, Criterion):
+            raise ConfigError(f"subsample {echo(self.name)} criterion must be FullSample, "
+                              f"YearRange, Countries or SizeHalf, got {echo(self.criterion)}")
         if self.min_leaf is not None and self.min_leaf < 1:
-            raise ConfigError(f"subsample {self.name!r} min_leaf must be >= 1, "
+            raise ConfigError(f"subsample {echo(self.name)} min_leaf must be >= 1, "
                               f"got {echo(self.min_leaf)}")
 
 
@@ -165,12 +168,12 @@ class RunConfig:
         for name in names:
             first = by_slug.setdefault(_slug(name), name)
             if first != name:
-                raise ConfigError(f"subsample names {first!r} and {name!r} would both write "
-                                  f"files named {_slug(name)!r}")
+                raise ConfigError(f"subsample names {echo(first)} and {echo(name)} would both "
+                                  f"write files named {echo(_slug(name))}")
         proxy_names = [p.name for p in self.proxies]
         dupes = sorted({n for n in proxy_names if proxy_names.count(n) > 1})
         if dupes:
-            raise ConfigError(f"duplicate proxy names: {dupes}")
+            raise ConfigError(f"duplicate proxy names: {echo(dupes)}")
         group = {p.name: p.group for p in self.proxies}
         if self.selection.mode == "fixed":
             if not self.selection.fixed:
@@ -178,7 +181,7 @@ class RunConfig:
             seen = set()
             for name in self.selection.fixed:
                 if name not in group:
-                    raise ConfigError(f"selection.fixed names unknown proxy {name!r}")
+                    raise ConfigError(f"selection.fixed names unknown proxy {echo(name)}")
                 if group[name] in seen:
                     raise ConfigError(f"selection.fixed has two proxies for group {group[name]!r}")
                 seen.add(group[name])
@@ -238,7 +241,7 @@ def _criterion(obj, key: str) -> Criterion:
         if kind == name:  # not a dict lookup: a kind may be an unhashable list
             return _value(cls, rest, key)
     if kind != "countries":
-        raise ConfigError(f"unknown criterion kind {echo(kind)}")
+        raise ConfigError(f"{key}.kind must be all, years, countries or size, got {echo(kind)}")
     # Countries.exclude is no JSON key: the pigs and non_pigs groups set it.
     json_object(rest, key, ["group"] if "group" in rest else ["codes"])
     if "group" in rest:

@@ -175,17 +175,18 @@ def load_panel(path, schema: dict[str, str] | None = None,
     names = [name.strip() for name in header[1]]
     twice = next((colname[f] for f in ALL_FIELDS if names.count(colname[f]) > 1), None)
     if twice is not None:
-        raise SchemaError(f"{path}: header line {header[0]} names column {twice!r} more than once")
+        raise SchemaError(f"{path}: header line {header[0]} names column {echo(twice)} "
+                          "more than once")
     reader: dict[str, str] = {}  # column -> the first field reading it
     for f in ALL_FIELDS:
         if reader.setdefault(colname[f], f) != f:
             raise SchemaError(f"{path}: fields {reader[colname[f]]!r} and {f!r} both read "
-                              f"column {colname[f]!r}")
+                              f"column {echo(colname[f])}")
     index = {name: i for i, name in enumerate(names)}
     needed = KEY_FIELDS + REQUIRED_FIELDS
     missing = [colname[f] for f in needed if colname[f] not in index]
     if missing:
-        raise SchemaError(f"{path}: missing required columns {missing}")
+        raise SchemaError(f"{path}: missing required columns {echo(missing)}")
 
     # Each field's cell position; an absent optional column lies past every record.
     at = [index.get(colname[f], math.inf) for f in ALL_FIELDS]
@@ -231,21 +232,31 @@ def load_panel(path, schema: dict[str, str] | None = None,
                  exclusions=tuple(exclusions))
 
 
-# Raw proxy columns, in fixed reporting order. Directions (which way risk
-# moves in the raw value) live with the rescale specs, not here.
-PROXY_FIELDS = (
-    "capital_ratio",
-    "allowances_to_loans",
-    "provisions_to_loans",
-    "growth_gap",
-    "cost_income",
-    "expense_to_assets",
-    "roa",
-    "roe",
-    "loans_to_deposits",
-    "liquid_to_assets",
-    "beta",
-)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise num/den with non-positive denominators giving NaN."""
+    out = np.full(num.shape, NAN)
+    ok = np.isfinite(num) & np.isfinite(den) & (den > 0.0)
+    out[ok] = num[ok] / den[ok]
+    return out
+
+
+# Each raw proxy column's formula on the kept rows, in fixed reporting order.
+# Directions (which way risk moves in the raw value) live with the rescale
+# specs, not here.
+PROXY_FORMULAS = {
+    "capital_ratio": lambda r: r["equity"] / r["total_assets"],
+    "allowances_to_loans": lambda r: _ratio(r["loan_loss_allowances"], r["loans"]),
+    "provisions_to_loans": lambda r: _ratio(r["loan_loss_provisions"], r["loans"]),
+    "growth_gap": lambda r: r["loan_growth"] - r["gdp_growth"],
+    "cost_income": lambda r: _ratio(r["non_interest_expense"], r["income"]),
+    "expense_to_assets": lambda r: r["non_interest_expense"] / r["total_assets"],
+    "roa": lambda r: r["roa"],
+    "roe": lambda r: r["roe"],
+    "loans_to_deposits": lambda r: r["loans"] / r["deposits"],
+    "liquid_to_assets": lambda r: r["liquid_assets"] / r["total_assets"],
+    "beta": lambda r: r["beta"],
+}
+PROXY_FIELDS = tuple(PROXY_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -266,14 +277,6 @@ class ProxyFrame:
         if name not in self.columns:
             raise SchemaError(f"unknown proxy column {name!r}")
         return self.columns[name]
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise num/den with non-positive denominators giving NaN."""
-    out = np.full(num.shape, NAN)
-    ok = np.isfinite(num) & np.isfinite(den) & (den > 0.0)
-    out[ok] = num[ok] / den[ok]
-    return out
 
 
 def compute_raw_proxies(panel: Panel) -> ProxyFrame:
@@ -305,19 +308,7 @@ def compute_raw_proxies(panel: Panel) -> ProxyFrame:
         keep &= ~bad
 
     sub = rows[keep]
-    columns = {
-        "capital_ratio": sub["equity"] / sub["total_assets"],
-        "allowances_to_loans": _ratio(sub["loan_loss_allowances"], sub["loans"]),
-        "provisions_to_loans": _ratio(sub["loan_loss_provisions"], sub["loans"]),
-        "growth_gap": sub["loan_growth"] - sub["gdp_growth"],
-        "cost_income": _ratio(sub["non_interest_expense"], sub["income"]),
-        "expense_to_assets": sub["non_interest_expense"] / sub["total_assets"],
-        "roa": sub["roa"],
-        "roe": sub["roe"],
-        "loans_to_deposits": sub["loans"] / sub["deposits"],
-        "liquid_to_assets": sub["liquid_assets"] / sub["total_assets"],
-        "beta": sub["beta"],
-    }
+    columns = {name: formula(sub) for name, formula in PROXY_FORMULAS.items()}
     return ProxyFrame(rows=sub, q=q_all[keep], columns=columns, exclusions=tuple(exclusions))
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import panel as panel_mod
-from .errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
+from .errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError, echo
 from .panel import Exclusion, ProxyFrame, row_ids
 
 INCREASING = "increasing"  # raw value up -> risk up
@@ -35,7 +35,8 @@ THRESHOLD_BOUND = sys.float_info.max / 8
 
 def _check_threshold(u: float, where: str = "") -> None:
     if not abs(u) <= THRESHOLD_BOUND:  # NaN fails too
-        raise ConfigError(f"{where}threshold must lie within +-{THRESHOLD_BOUND:.6g}, got {u!r}")
+        raise ConfigError(f"{where}threshold must lie within +-{THRESHOLD_BOUND:.6g}, "
+                          f"got {echo(u)}")
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,21 @@ class ProxySpec:
     threshold: Optional[float] = None
 
     def __post_init__(self):
+        name = echo(self.name)
         if self.group not in GROUPS:
-            raise ConfigError(f"{self.name}: group must be one of {GROUPS}, got {self.group!r}")
+            raise ConfigError(f"{name}: group must be one of {GROUPS}, got {echo(self.group)}")
         if self.direction not in (INCREASING, DECREASING):
-            raise ConfigError(f"{self.name}: bad direction {self.direction!r}")
+            raise ConfigError(f"{name}: bad direction {echo(self.direction)}")
         if self.mode not in (QUANTILE, THRESHOLD):
-            raise ConfigError(f"{self.name}: bad mode {self.mode!r}")
+            raise ConfigError(f"{name}: bad mode {echo(self.mode)}")
         if self.mode == THRESHOLD and self.threshold is None:
-            raise ConfigError(f"{self.name}: threshold mode needs a threshold value")
+            raise ConfigError(f"{name}: threshold mode needs a threshold value")
         if self.mode == QUANTILE and self.threshold is not None:
-            raise ConfigError(f"{self.name}: quantile mode takes no threshold")
+            raise ConfigError(f"{name}: quantile mode takes no threshold")
         if self.threshold is not None:
-            _check_threshold(self.threshold, f"{self.name}: ")
+            _check_threshold(self.threshold, f"{name}: ")
         if self.raw_field not in panel_mod.PROXY_FIELDS:
-            raise SchemaError(f"{self.name}: unknown raw field {self.raw_field!r}")
+            raise SchemaError(f"{name}: unknown raw field {echo(self.raw_field)}")
 
 
 # Default proxy catalog. Benchmarks: 6% capital, 1.5% allowances, 1%

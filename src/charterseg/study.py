@@ -173,15 +173,10 @@ def _comparison_table(matrix: ScoredMatrix, frame: ProxyFrame, specs,
     idx = complete_rows(frame, specs)  # the frame rows behind the matrix rows
     lo_idx, hi_idx = idx[lo], idx[hi]
 
-    min_vars = {"Q": frame.q[lo_idx]}
-    max_vars = {"Q": frame.q[hi_idx]}
-    directions: dict[str, Optional[str]] = {"Q": None}
-    for spec in specs:
-        col = frame.columns[spec.raw_field]
-        min_vars[spec.name] = col[lo_idx]
-        max_vars[spec.name] = col[hi_idx]
-        directions[spec.name] = spec.direction
-    return group_comparison(min_vars, max_vars, directions)
+    raw = [("Q", frame.q, None)] + [(spec.name, frame.columns[spec.raw_field], spec.direction)
+                                    for spec in specs]
+    return group_comparison([(name, col[lo_idx], col[hi_idx], direction)
+                             for name, col, direction in raw])
 
 
 def _study_subsample(config: RunConfig, panel: Panel, reference: Optional[ProxyFrame],

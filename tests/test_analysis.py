@@ -164,11 +164,8 @@ def test_group_comparison_directions():
     rng = np.random.default_rng(31)
     lo = rng.normal(0.0, 1.0, 200)
     hi = rng.normal(3.0, 1.0, 200)
-    result = group_comparison(
-        {"up": lo, "down": lo, "free": lo},
-        {"up": hi, "down": hi, "free": hi},
-        {"up": "increasing", "down": "decreasing", "free": None},
-    )
+    result = group_comparison([("up", lo, hi, "increasing"), ("down", lo, hi, "decreasing"),
+                               ("free", lo, hi, None)])
     rows = {r.variable: r for r in result}
     # qmin's values are smaller everywhere.
     assert rows["up"].lower_risk == "qmin"
@@ -183,7 +180,7 @@ def test_group_comparison_directions():
 
 def test_group_comparison_identical_groups():
     x = np.arange(30, dtype=float)
-    result = group_comparison({"v": x}, {"v": x.copy()}, {"v": "increasing"})
+    result = group_comparison([("v", x, x.copy(), "increasing")])
     row = result[0]
     assert row.ks_d == 0.0
     assert row.p_value == 1.0
@@ -194,11 +191,9 @@ def test_group_comparison_identical_groups():
 def test_group_comparison_skips_nan_and_validates():
     a = np.array([1.0, 2.0, np.nan])
     b = np.array([4.0, 5.0, 6.0])
-    result = group_comparison({"v": a}, {"v": b}, {"v": None})
+    result = group_comparison([("v", a, b, None)])
     assert result[0].mean_min == pytest.approx(1.5)
     with pytest.raises(DegenerateInputError):
-        group_comparison({"v": a}, {"w": b}, {})
-    with pytest.raises(DegenerateInputError):
-        group_comparison({"v": np.array([np.nan])}, {"v": b}, {})
+        group_comparison([("v", np.array([np.nan]), b, None)])
     with pytest.raises(DegenerateInputError, match="direction"):
-        group_comparison({"v": a}, {"v": b}, {"v": "sideways"})
+        group_comparison([("v", a, b, "sideways")])

@@ -15,13 +15,14 @@ from charterseg.config import (
     CONFIG_ENV_VAR,
     DataConfig,
     RunConfig,
+    SubsampleSpec,
     default_subsamples,
     load_config,
     parse_config,
 )
 from charterseg.errors import ECHO_LIMIT, ChartersegError, ConfigError
 from charterseg.panel import Countries, FullSample, SizeHalf, YearRange
-from charterseg.rescale import DEFAULT_PROXY_SPECS
+from charterseg.rescale import DEFAULT_PROXY_SPECS, ProxySpec
 from helpers import json_paths, replaced
 
 
@@ -199,7 +200,7 @@ def test_country_group_criteria():
     # unlocated "scores must lie within [1, 5]".
     ({"proxies": [{"name": "Capt_x", "group": "C", "raw_field": "capital_ratio",
                    "direction": "decreasing", "mode": "threshold",
-                   "threshold": 1e308}]}, "Capt_x: threshold must lie within"),
+                   "threshold": 1e308}]}, "'Capt_x': threshold must lie within"),
     # A countries criterion takes group or codes, never both; exclude is no JSON key.
     ({"subsamples": [{"name": "a", "criterion": {"kind": "countries", "group": "pigs",
                                                  "codes": ["DE"]}}]},
@@ -210,6 +211,9 @@ def test_country_group_criteria():
     # An integer is a JSON integer, as in a tree document: 30.0 used to read as 30.
     ({"tree": {"min_leaf": 30.0}}, "tree.min_leaf must be an integer, got 30.0"),
     ({"data": {"window": [2005, 2016.0]}}, "data.window must be an integer, got 2016.0"),
+    # An unknown kind used to be named without its key.
+    ({"subsamples": [{"name": "a", "criterion": {"kind": "bogus"}}]},
+     "subsamples[0].criterion.kind must be all, years, countries or size, got 'bogus'"),
 ])
 def test_bad_documents_are_config_errors(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -244,6 +248,40 @@ def test_refused_values_are_echoed_within_the_cap(doc, prefix):
         parse_config(doc)
     message = str(info.value)
     assert message.startswith(prefix) and len(message) <= len(prefix) + ECHO_LIMIT
+
+
+_NAME = "n" * 10_000
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: parse_config({"subsamples": [{"name": _NAME, "criterion": {"kind": "all"},
+                                           "min_leaf": 0}]}), "min_leaf must be >= 1"),
+    (lambda: parse_config({"subsamples": [{"name": _NAME + " a", "criterion": {"kind": "all"}},
+                                          {"name": _NAME + "_a", "criterion": {"kind": "all"}}]}),
+     "would both write files named"),
+    (lambda: ProxySpec("p" * 5_000, "C", "capital_ratio", "decreasing", "threshold"),
+     "threshold mode needs a threshold value"),
+    (lambda: parse_config({"selection": {"mode": "fixed", "fixed": ["f" * 5_000]}}),
+     "selection.fixed names unknown proxy"),
+    (lambda: parse_config({"proxies": [dict(_THRESHOLD_PROXY, name="p" * 5_000, threshold=0.06)]
+                           * 2}), "duplicate proxy names"),
+    (lambda: SubsampleSpec(_NAME, "bogus"), "criterion must be FullSample"),
+], ids=["min_leaf", "slug_collision", "proxy_spec", "fixed", "duplicate_proxy", "criterion"])
+def test_long_names_are_echoed_within_the_cap(build, fragment):
+    # Names used as labels used to be echoed whole: 5,038 to 15,060 characters.
+    with pytest.raises(ConfigError) as info:
+        build()
+    message = str(info.value)
+    assert fragment in message and len(message) <= 4 * ECHO_LIMIT
+
+
+def test_a_subsample_criterion_of_another_kind_is_refused_when_built():
+    # A RunConfig built in Python used to run it, and the subsample ended
+    # no_tree with "unknown subsample criterion 'bogus'".
+    with pytest.raises(ConfigError, match=re.escape(
+            "subsample 'odd' criterion must be FullSample, YearRange, Countries or SizeHalf, "
+            "got 'bogus'")):
+        SubsampleSpec("odd", "bogus")
 
 
 def test_infinity_in_the_config_file_is_a_config_error(tmp_path):

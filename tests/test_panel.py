@@ -306,6 +306,24 @@ def test_load_echoes_a_long_cell_within_the_cap(tmp_path, column, cell, prefix):
     assert len(message) <= len(prefix) + ECHO_LIMIT + len(where)
 
 
+_COLUMN = "z" * 5_000
+
+
+@pytest.mark.parametrize("header, schema, fragment", [
+    (FULL_HEADER[:10] + [_COLUMN, _COLUMN], {"beta": _COLUMN}, "header line 1 names column "),
+    (FULL_HEADER[:10], {"roa": _COLUMN, "beta": _COLUMN},
+     "fields 'roa' and 'beta' both read column "),
+    (FULL_HEADER[:10], {"mve": _COLUMN}, "missing required columns "),
+], ids=["named_twice", "read_by_two_fields", "missing"])
+def test_load_echoes_a_long_column_name_within_the_cap(tmp_path, header, schema, fragment):
+    # The whole column name used to be echoed: 5,045 to 5,053 characters here.
+    path = write_csv(tmp_path / "p.csv", [base_row()], header=header)
+    with pytest.raises(SchemaError) as err:
+        load_panel(path, schema=schema)
+    message, prefix = str(err.value), f"{path}: {fragment}"
+    assert message.startswith(prefix) and len(message) <= len(prefix) + ECHO_LIMIT + 20
+
+
 def test_load_panel_peak_memory_stays_within_six_file_sizes(tmp_path):
     # Records are read from a stream that decodes a chunk at a time. An
     # io.StringIO of the whole text, at 4 bytes per character, used to bring

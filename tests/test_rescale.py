@@ -218,7 +218,7 @@ def test_threshold_beyond_the_bound_is_rejected(u):
     # -1e308 used to score every value inf, with an overflow warning.
     with pytest.raises(ConfigError, match="threshold must lie within"):
         threshold_rescale([0.1, 0.2, 0.3], "increasing", u)
-    with pytest.raises(ConfigError, match="Capt_x: threshold must lie within"):
+    with pytest.raises(ConfigError, match="'Capt_x': threshold must lie within"):
         ProxySpec("Capt_x", "C", "capital_ratio", "decreasing", "threshold", u)
 
 

@@ -426,10 +426,17 @@ def test_cli_study_refuses_an_out_holding_an_earlier_bundle(study_env, no_env_co
 
 
 @pytest.mark.parametrize("command, existing", [
+    ("ingest", "summary.csv"),
     ("ingest", "exclusions.csv"),
+    ("select", "selection.csv"),
+    ("select", "selected_proxies.json"),
     ("select", "importance.csv"),
+    ("grow", "report.md"),
+    ("grow", "tables"),
     ("grow", "trees"),
+    ("study", "report.md"),
     ("study", "tables"),
+    ("study", "trees"),
 ])
 def test_cli_refuses_an_out_holding_any_output_before_reading_the_panel(
         no_env_config, capsys, tmp_path, command, existing):
