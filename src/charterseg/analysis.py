@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, echo
 from .rescale import DECREASING, INCREASING, ScoredMatrix
 from .stats import ks_two_sample
 from .tree import RegressionTree, extreme_leaf_indices
@@ -31,6 +31,7 @@ VERDICT_LABELS = {ALIGNED: "Yes", MISALIGNED: "No", AMBIGUOUS: "Ambig", NO_EVIDE
 
 @dataclass(frozen=True)
 class PathStep:
+    node: int  # the split node's index in the tree
     feature: int
     name: str
     threshold: float
@@ -47,8 +48,7 @@ class LeafPath:
     n: int
     mean: float
     share: float
-    steps: tuple[PathStep, ...]
-    nodes: tuple[int, ...]  # the internal nodes passed, root first
+    steps: tuple[PathStep, ...]  # root first
 
     def describe(self) -> str:
         if not self.steps:
@@ -56,17 +56,12 @@ class LeafPath:
         return " -> ".join(s.describe() for s in self.steps)
 
 
-def leaf_share(tree: RegressionTree, leaf: int) -> float:
-    """Fraction of the training rows that ended in this leaf (a node index)."""
-    return int(tree.n[leaf]) / tree.total_n
-
-
 def _leaf_path(tree: RegressionTree, leaf: int) -> LeafPath:
     path, feature, threshold = tree.path(leaf), tree.feature.tolist(), tree.threshold.tolist()
-    steps = tuple(PathStep(feature[i], tree.feature_names[feature[i]], threshold[i],
+    steps = tuple(PathStep(i, feature[i], tree.feature_names[feature[i]], threshold[i],
                            "lt" if left else "ge") for i, left in path)
-    return LeafPath(leaf, int(tree.n[leaf]), float(tree.mean[leaf]), leaf_share(tree, leaf),
-                    steps, tuple(i for i, _ in path))
+    n = int(tree.n[leaf])
+    return LeafPath(leaf, n, float(tree.mean[leaf]), n / tree.total_n, steps)
 
 
 def extreme_leaves(tree: RegressionTree) -> tuple[LeafPath, LeafPath]:
@@ -110,7 +105,7 @@ class AlignmentVerdict:
         return VERDICT_LABELS[self.verdict]
 
 
-def alignment_verdicts(tree: RegressionTree, paths=None) -> dict[str, AlignmentVerdict]:
+def alignment_verdicts(tree: RegressionTree, paths) -> dict[str, AlignmentVerdict]:
     """Judge each factor by the split nodes along the extreme-leaf paths.
 
     A node splitting on factor X separates a low-risk side (score below the
@@ -121,15 +116,13 @@ def alignment_verdicts(tree: RegressionTree, paths=None) -> dict[str, AlignmentV
 
     Args:
         tree: pruned tree with per-node stats.
-        paths: the (Q^Min, Q^Max) paths; computed from the tree if omitted.
+        paths: the (Q^Min, Q^Max) paths, as extreme_leaves returns them.
 
     Returns:
         Verdict per feature name, every tree feature present.
     """
-    if paths is None:
-        paths = extreme_leaves(tree)
     evidence: dict[str, list[Evidence]] = {name: [] for name in tree.feature_names}
-    for i in dict.fromkeys(i for path in paths for i in path.nodes):
+    for i in dict.fromkeys(step.node for path in paths for step in path.steps):
         feature = int(tree.feature[i])
         name = tree.feature_names[feature]
         low, high = (float(tree.mean[child]) for child in tree.children(i))
@@ -193,7 +186,7 @@ def group_comparison(columns) -> tuple[ComparisonRow, ...]:
         a, b = (np.asarray(v, dtype=float) for v in (a, b))
         a, b = a[np.isfinite(a)], b[np.isfinite(b)]
         if a.size == 0 or b.size == 0:
-            raise DegenerateInputError(f"variable {name!r} has an empty group")
+            raise DegenerateInputError(f"variable {echo(name)} has an empty group")
         d, p = ks_two_sample(a, b)
         ma, mb = float(a.mean()), float(b.mean())
         if direction is None or ma == mb:
@@ -203,6 +196,6 @@ def group_comparison(columns) -> tuple[ComparisonRow, ...]:
         elif direction == DECREASING:
             lower = "qmin" if ma > mb else "qmax"
         else:
-            raise DegenerateInputError(f"bad direction {direction!r} for {name!r}")
+            raise DegenerateInputError(f"bad direction {echo(direction)} for {echo(name)}")
         rows.append(ComparisonRow(name, ma, mb, d, p, significance_stars(p), lower))
     return tuple(rows)

@@ -35,8 +35,9 @@ that json.load reads are refused). A bad list entry's error names its index
 (selection.fixed[1]). DataConfig checks its window order and column field
 names when built, in Python as from JSON. RunConfig checks the finished
 config, so faults in proxy selection (duplicate proxy names, a bad
-selection.fixed, an mtry wider than a forest) and two subsample names that
-map to one output file name are found before the panel is read.
+selection.fixed, an mtry wider than a forest), two subsample names that
+map to one output file name and a name too long for a file name are found
+before the panel is read.
 
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
@@ -119,19 +120,18 @@ class SelectionConfig:
                               f"got {echo(self.forest_scope)}")
 
 
-def default_subsamples() -> tuple[SubsampleSpec, ...]:
-    """Full sample, four periods, country groups, and size halves."""
-    return (
-        SubsampleSpec("eurozone", FullSample()),
-        SubsampleSpec("2005-2007", YearRange(2005, 2007)),
-        SubsampleSpec("2008-2009", YearRange(2008, 2009)),
-        SubsampleSpec("2010-2013", YearRange(2010, 2013)),
-        SubsampleSpec("2014-2016", YearRange(2014, 2016)),
-        SubsampleSpec("non_pigs", Countries.non_pigs()),
-        SubsampleSpec("pigs", Countries.pigs()),
-        SubsampleSpec("small", SizeHalf("small")),
-        SubsampleSpec("large", SizeHalf("large")),
-    )
+# Full sample, four periods, country groups, and size halves.
+DEFAULT_SUBSAMPLES = (
+    SubsampleSpec("eurozone", FullSample()),
+    SubsampleSpec("2005-2007", YearRange(2005, 2007)),
+    SubsampleSpec("2008-2009", YearRange(2008, 2009)),
+    SubsampleSpec("2010-2013", YearRange(2010, 2013)),
+    SubsampleSpec("2014-2016", YearRange(2014, 2016)),
+    SubsampleSpec("non_pigs", Countries.non_pigs()),
+    SubsampleSpec("pigs", Countries.pigs()),
+    SubsampleSpec("small", SizeHalf("small")),
+    SubsampleSpec("large", SizeHalf("large")),
+)
 
 
 def _slug(name: str) -> str:
@@ -144,7 +144,7 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     proxies: tuple[ProxySpec, ...] = DEFAULT_PROXY_SPECS
     rescale_scope: str = "subsample"  # "subsample" | "full"
-    subsamples: tuple[SubsampleSpec, ...] = field(default_factory=default_subsamples)
+    subsamples: tuple[SubsampleSpec, ...] = DEFAULT_SUBSAMPLES
     tree: TreeConfig = field(default_factory=TreeConfig)
     forest: ForestParams = field(default_factory=ForestParams)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
@@ -170,6 +170,10 @@ class RunConfig:
             if first != name:
                 raise ConfigError(f"subsample names {echo(first)} and {echo(name)} would both "
                                   f"write files named {echo(_slug(name))}")
+        for slug, name in by_slug.items():  # a slug is ASCII: one byte per character
+            if len(f"correlations_{slug}.csv") > 255:  # the longest file name it is in
+                raise ConfigError(f"subsample name {echo(name)} is too long for its file "
+                                  "names, which hold at most 255 bytes")
         proxy_names = [p.name for p in self.proxies]
         dupes = sorted({n for n in proxy_names if proxy_names.count(n) > 1})
         if dupes:

@@ -271,13 +271,6 @@ class ProxyFrame:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> np.ndarray:
-        if name == "q":
-            return self.q
-        if name not in self.columns:
-            raise SchemaError(f"unknown proxy column {name!r}")
-        return self.columns[name]
-
 
 def compute_raw_proxies(panel: Panel) -> ProxyFrame:
     """Derive Tobin's Q and the raw proxy ratios from a panel.
@@ -377,7 +370,7 @@ def filter_subsample(panel: Panel, criterion) -> Panel:
         med = float(np.median(assets))
         keep = assets < med if criterion.half == "small" else assets >= med
     else:
-        raise SchemaError(f"unknown subsample criterion {criterion!r}")
+        raise SchemaError(f"unknown subsample criterion {echo(criterion)}")
 
     if not keep.any():
         raise EmptySubsampleError(f"criterion {echo(criterion)} matched no rows")

@@ -141,7 +141,7 @@ def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
         return _quantile_increasing(v, ref)
     if direction == DECREASING:
         return _quantile_increasing(-v, -ref)
-    raise ConfigError(f"bad direction {direction!r}")
+    raise ConfigError(f"bad direction {echo(direction)}")
 
 
 def _threshold_increasing(v: np.ndarray, u: float, ref: np.ndarray) -> np.ndarray:
@@ -175,7 +175,7 @@ def threshold_rescale(values, direction: str, u: float, reference=None) -> np.nd
         return _threshold_increasing(v, float(u), ref)
     if direction == DECREASING:
         return _threshold_increasing(-v, -float(u), -ref)
-    raise ConfigError(f"bad direction {direction!r}")
+    raise ConfigError(f"bad direction {echo(direction)}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def complete_rows(frame: ProxyFrame, specs, exclusions: list | None = None) -> n
     keep = np.isfinite(frame.q)
     for fname in dict.fromkeys(s.raw_field for s in specs):
         if fname not in frame.columns:
-            raise SchemaError(f"raw field {fname!r} not in proxy frame")
+            raise SchemaError(f"raw field {echo(fname)} not in proxy frame")
         bad = ~np.isfinite(frame.columns[fname]) & keep
         if exclusions is not None:
             exclusions.extend(Exclusion(row_id, f"missing {fname}")
@@ -237,7 +237,7 @@ def build_scored_matrix(frame: ProxyFrame, specs,
         raise ConfigError("need at least one proxy spec")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate proxy names in spec set: {names}")
+        raise ConfigError(f"duplicate proxy names in spec set: {echo(names)}")
 
     exclusions = list(frame.exclusions)
     idx = complete_rows(frame, specs, exclusions)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, echo
 from .forest import ImportanceReport
 from .rescale import DEFAULT_PROXY_SPECS, GROUPS, ProxySpec
 
@@ -26,7 +26,7 @@ def select_proxies(importance: ImportanceReport,
     scores = importance.by_name()
     missing = [s.name for s in specs if s.name not in scores]
     if missing:
-        raise ConfigError(f"no importance for {missing}")
+        raise ConfigError(f"no importance for {echo(missing)}")
     best: dict[str, str] = {}
     for s in specs:
         if s.group not in best or scores[s.name] > scores[best[s.group]]:
@@ -47,10 +47,10 @@ def canonical_specs(chosen: dict[str, str], specs=DEFAULT_PROXY_SPECS) -> tuple[
             continue
         name = chosen[group]
         if name not in by_name:
-            raise ConfigError(f"unknown proxy {name!r} for group {group!r}")
+            raise ConfigError(f"unknown proxy {echo(name)} for group {group!r}")
         spec = by_name[name]
         if spec.group != group:
-            raise ConfigError(f"proxy {name!r} belongs to group {spec.group!r}, not {group!r}")
+            raise ConfigError(f"proxy {echo(name)} belongs to group {spec.group!r}, not {group!r}")
         out.append(replace(spec, name=group))
     if not out:
         raise ConfigError("no groups chosen")

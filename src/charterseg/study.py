@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import tree as tree_mod
 from .analysis import (
     ComparisonRow,
     LeafPath,
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .forest import ImportanceReport, grow_forest, permutation_importance
 from .panel import (
-    PROXY_FIELDS,
     Panel,
     ProxyFrame,
     compute_raw_proxies,
@@ -49,7 +47,7 @@ from .rescale import GROUPS, ScoredMatrix, build_scored_matrix, complete_rows
 from .seeding import derive_seed
 from .select import canonical_specs, select_proxies
 from .stats import pearson
-from .tree import RegressionTree, TreeParams, cv_prune, export_dot, export_json
+from .tree import PruneTrace, RegressionTree, TreeParams, cv_prune, export_dot, export_json
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class SubsampleResult:
     chosen: tuple[tuple[str, str], ...] = ()
     importance: Optional[ImportanceReport] = None
     tree: Optional[RegressionTree] = None
-    trace: Optional[tree_mod.PruneTrace] = None
+    trace: Optional[PruneTrace] = None
     qmin: Optional[LeafPath] = None
     qmax: Optional[LeafPath] = None
     verdicts: tuple = ()  # (factor, verdict label) pairs in factor order
@@ -144,8 +142,7 @@ def select_full_panel(config: RunConfig, panel: Panel):
 def summary_table(frame: ProxyFrame) -> tuple:
     """(variable, SummaryStats) for Q and every raw proxy with a finite value."""
     rows = []
-    for name in ("q",) + PROXY_FIELDS:
-        values = frame.column(name)
+    for name, values in [("q", frame.q), *frame.columns.items()]:
         values = values[np.isfinite(values)]
         if values.size == 0:
             continue

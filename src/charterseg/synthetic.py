@@ -15,7 +15,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, echo
 from .panel import PANEL_DTYPE, PROXY_FIELDS, Panel, compute_raw_proxies
 from .rescale import ScoredMatrix
 from .seeding import make_rng
@@ -85,12 +85,12 @@ class PlantedTreeSpec:
     def validate(self) -> None:
         for name in self.feature_fields():
             if name not in PROXY_FIELDS:
-                raise ConfigError(f"planted feature {name!r} is not a proxy field")
+                raise ConfigError(f"planted feature {echo(name)} is not a proxy field")
             g = self.grid_for(name)
             if g.size < 2 or (np.diff(g) <= 0).any():
-                raise ConfigError(f"grid for {name!r} must be ascending with >= 2 points")
+                raise ConfigError(f"grid for {echo(name)} must be ascending with >= 2 points")
             if g.min() < 1.0 or g.max() > 5.0:
-                raise ConfigError(f"grid for {name!r} must stay within [1, 5]")
+                raise ConfigError(f"grid for {echo(name)} must stay within [1, 5]")
 
     def route(self, values: dict[str, float]) -> float:
         node = self.root

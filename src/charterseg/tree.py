@@ -513,7 +513,7 @@ def cv_prune(matrix: ScoredMatrix, params: TreeParams = TreeParams(), k: int = 1
         (pruned tree, PruneTrace with CV results filled in).
     """
     if rule not in ("min_cv", "one_se"):
-        raise ConfigError(f"unknown pruning rule {rule!r}")
+        raise ConfigError(f"unknown pruning rule {echo(rule)}")
     n = matrix.n_rows
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
@@ -559,13 +559,12 @@ def extreme_leaf_indices(tree: RegressionTree) -> tuple[int, int]:
     return lo, hi  # min and max keep the first of equal keys
 
 
-def export_dot(tree: RegressionTree, labels=None) -> str:
+def export_dot(tree: RegressionTree) -> str:
     """Graphviz digraph: splits as "name < threshold", leaves as n and mean.
 
     Node i is named n{i}. The minimum- and maximum-mean leaves carry Q^Min /
     Q^Max annotations.
     """
-    names = list(labels) if labels is not None else list(tree.feature_names)
     lo, hi = extreme_leaf_indices(tree)
     feature, threshold, right, n, mean = (a.tolist() for a in (
         tree.feature, tree.threshold, tree.right, tree.n, tree.mean))
@@ -576,7 +575,7 @@ def export_dot(tree: RegressionTree, labels=None) -> str:
             tag = ("\\nQ^Min" if i == lo else "") + ("\\nQ^Max" if i == hi else "")
             label = f"n={n[i]}\\nQ={mean[i]:.3f}{tag}"
         else:
-            name = names[f].replace('"', r'\"')
+            name = tree.feature_names[f].replace('"', r'\"')
             label = f"{name} < {threshold[i]:.3f}"
         lines.append(f'  n{i} [label="{label}"];')
     for i, r in enumerate(right):

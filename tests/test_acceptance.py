@@ -21,15 +21,15 @@ import scipy.special
 from charterseg.analysis import alignment_verdicts, extreme_leaves
 from charterseg.cli import main
 from charterseg.forest import ForestParams, ImportanceReport, grow_forest, permutation_importance
-from charterseg.rescale import ScoredMatrix, quantile_rescale, threshold_rescale
+from charterseg.rescale import quantile_rescale, threshold_rescale
 from charterseg.seeding import derive_seed
 from charterseg.select import select_proxies
 from charterseg.stats import _kolmogorov_sf, ks_two_sample
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import TreeParams, best_split, cv_prune, grow
 import helpers
-from helpers import Internal, Leaf, brute_force_best_split, brute_force_ks_d, random_matrix
-from test_study_cli import bundle_digests, fast_config, src_env, synth_panel_csv
+from helpers import (Internal, Leaf, brute_force_best_split, brute_force_ks_d, bundle_digests,
+                     fast_config, make_matrix, random_matrix, src_env, synth_panel_csv)
 
 
 @contextmanager
@@ -40,11 +40,6 @@ def criterion(number: int, title: str):
         print(f"criterion {number:02d}: FAIL  {title}")
         raise
     print(f"criterion {number:02d}: PASS  {title}")
-
-
-def plain_matrix(X, y, names=None) -> ScoredMatrix:
-    names = names or tuple(f"f{j}" for j in range(X.shape[1]))
-    return ScoredMatrix(tuple(names), np.asarray(X, float), np.asarray(y, float))
 
 
 def test_criterion_01_split_oracle_equivalence():
@@ -148,7 +143,7 @@ def test_criterion_04_pruning_efficacy(three_split_spec):
             rng = np.random.default_rng(seed)
             X = rng.uniform(1.0, 5.0, size=(300, 3))
             y = rng.normal(0.0, 1.0, size=300)
-            fitted, _ = cv_prune(plain_matrix(X, y), TreeParams(min_leaf=30),
+            fitted, _ = cv_prune(make_matrix(X, y), TreeParams(min_leaf=30),
                                  k=10, rule="one_se", seed=derive_seed(seed, 2))
             singles += fitted.n_leaves == 1
         assert singles >= 16, f"single leaf in {singles}/20 noise fits"
@@ -159,7 +154,7 @@ def test_criterion_04_pruning_efficacy(three_split_spec):
                                              noise_sigma=0.005, seed=100 + seed)
             matrix = planted_matrix(panel, three_split_spec)
             perm = np.random.default_rng(derive_seed(seed, 3)).permutation(500)
-            train = plain_matrix(matrix.scores[perm[:350]], matrix.response[perm[:350]],
+            train = make_matrix(matrix.scores[perm[:350]], matrix.response[perm[:350]],
                                  matrix.feature_names)
             hold_x = matrix.scores[perm[350:]]
             hold_y = matrix.response[perm[350:]]
@@ -188,7 +183,7 @@ def test_criterion_05_forest_importance_sanity():
             y = np.where(signal < 3.0, 0.9, 1.2) + rng.normal(0.0, 0.05, n)
             X = np.column_stack([signal] + [rng.uniform(1.0, 5.0, size=n)
                                             for _ in range(3)])
-            matrix = plain_matrix(X, y, ("signal", "noise0", "noise1", "noise2"))
+            matrix = make_matrix(X, y, ("signal", "noise0", "noise1", "noise2"))
             forest = grow_forest(matrix, ForestParams(500, 2, 60), seed=derive_seed(seed, 5))
             report = permutation_importance(forest, matrix, seed=derive_seed(seed, 6))
             tops += int(np.argmax(report.pct_inc_mse)) == 0

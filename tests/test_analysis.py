@@ -15,13 +15,16 @@ from charterseg.analysis import (
     alignment_verdicts,
     extreme_leaves,
     group_comparison,
-    leaf_share,
     path_rows,
     significance_stars,
 )
 from charterseg.errors import DegenerateInputError, ParseError
 from charterseg.tree import SplitRule, TreeParams, export_json, grow, import_json
 from helpers import Leaf, build_tree, consistent_internal, make_matrix
+
+
+def verdicts_on_paths(tree):
+    return alignment_verdicts(tree, extreme_leaves(tree))
 
 
 def stump(lmean, rmean, feature=0, thr=3.0, n=10):
@@ -48,6 +51,7 @@ def test_stump_paths_and_shares():
     assert [s.side for s in qmin.steps] == ["lt"]
     assert [s.side for s in qmax.steps] == ["ge"]
     assert qmin.steps[0].name == "C"
+    assert qmin.steps[0].node == qmax.steps[0].node == 0
     assert qmin.share == 0.5
     assert qmin.describe() == "C < 3.000"
     assert qmax.describe() == "C >= 3.000"
@@ -70,10 +74,10 @@ def test_reference_tree_extremes(reference_tree):
 
 
 def test_leaf_share_requires_rows():
-    # leaf_share divides by the root's count; a document whose total_n
+    # A leaf's share divides by the root's count; a document whose total_n
     # disagrees with its root (0 over 3 rows) does not load.
     tree = build_tree(Leaf(3, 1.0, 0.0), ["C"])
-    assert leaf_share(tree, 0) == 1.0
+    assert extreme_leaves(tree)[0].share == 1.0
     doc = json.loads(export_json(tree))
     doc["total_n"] = 0
     with pytest.raises(ParseError, match=r"total_n is 0, but root\.n is 3"):
@@ -95,7 +99,7 @@ def test_path_rows_match_leaf_counts():
 
 def test_verdict_stump_aligned():
     # Low-risk (left) side has the higher mean Q: aligned evidence.
-    verdicts = alignment_verdicts(stump(1.2, 0.9))
+    verdicts = verdicts_on_paths(stump(1.2, 0.9))
     assert verdicts["C"].verdict == ALIGNED
     assert verdicts["C"].label == "Yes"
     assert verdicts["A"].verdict == NO_EVIDENCE
@@ -106,13 +110,13 @@ def test_verdict_stump_aligned():
 
 
 def test_verdict_stump_misaligned():
-    verdicts = alignment_verdicts(stump(0.9, 1.2))
+    verdicts = verdicts_on_paths(stump(0.9, 1.2))
     assert verdicts["C"].verdict == MISALIGNED
     assert verdicts["C"].label == "No"
 
 
 def test_verdict_tied_means_give_no_evidence():
-    verdicts = alignment_verdicts(stump(1.0, 1.0))
+    verdicts = verdicts_on_paths(stump(1.0, 1.0))
     assert verdicts["C"].verdict == NO_EVIDENCE
     assert verdicts["C"].evidence[0].aligned is None
 
@@ -123,7 +127,7 @@ def test_verdict_conflicting_nodes_are_ambiguous():
     root = consistent_internal(SplitRule(0, 3.0), inner, Leaf(20, 0.7, 0.0))
     tree = build_tree(root, ["C", "A"], min_leaf=1)
     # Root: left mean 0.9 > right 0.7 (aligned); inner: 0.8 < 1.0 (misaligned).
-    verdicts = alignment_verdicts(tree)
+    verdicts = verdicts_on_paths(tree)
     assert verdicts["C"].verdict == AMBIGUOUS
     assert verdicts["C"].label == "Ambig"
     assert len(verdicts["C"].evidence) == 2
@@ -139,12 +143,12 @@ def test_verdict_scope_all_sees_off_path_nodes():
         Leaf(10, 1.3, 0.0),
     )
     tree = build_tree(root, ["C", "A"], min_leaf=1)
-    on_path = alignment_verdicts(tree)
+    on_path = verdicts_on_paths(tree)
     assert on_path["A"].verdict == NO_EVIDENCE
 
 
 def test_reference_tree_verdicts(reference_tree):
-    verdicts = alignment_verdicts(reference_tree)
+    verdicts = verdicts_on_paths(reference_tree)
     assert {k: v.label for k, v in verdicts.items()} == {
         "C": "No", "A": "-", "M": "-", "E": "Yes", "L": "Yes", "S": "No",
     }

@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 
 from charterseg.config import (
     CONFIG_ENV_VAR,
+    DEFAULT_SUBSAMPLES,
     DataConfig,
     RunConfig,
     SubsampleSpec,
-    default_subsamples,
     load_config,
     parse_config,
 )
 from charterseg.errors import ECHO_LIMIT, ChartersegError, ConfigError
 from charterseg.panel import Countries, FullSample, SizeHalf, YearRange
-from charterseg.rescale import DEFAULT_PROXY_SPECS, ProxySpec
-from helpers import json_paths, replaced
+from charterseg.rescale import DEFAULT_PROXY_SPECS, ProxySpec, quantile_rescale
+from charterseg.select import canonical_specs
+from charterseg.tree import cv_prune
+from helpers import CONFIG_EDGES, CONFIG_KEYS, CONFIG_WORDS, json_paths, make_matrix, replaced
 
 
 def test_empty_document_gives_defaults():
@@ -40,7 +42,7 @@ def test_empty_document_gives_defaults():
 
 
 def test_default_subsamples_cover_nine_slices():
-    subs = default_subsamples()
+    subs = DEFAULT_SUBSAMPLES
     assert [s.name for s in subs] == [
         "eurozone", "2005-2007", "2008-2009", "2010-2013", "2014-2016",
         "non_pigs", "pigs", "small", "large",
@@ -275,6 +277,23 @@ def test_long_names_are_echoed_within_the_cap(build, fragment):
     assert fragment in message and len(message) <= 4 * ECHO_LIMIT
 
 
+_VALUE = "x" * 10_000
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: cv_prune(make_matrix([[1.0], [2.0]], [0.0, 1.0]), rule=_VALUE),
+     "unknown pruning rule "),
+    (lambda: quantile_rescale([1.0, 2.0], direction=_VALUE), "bad direction "),
+    (lambda: canonical_specs({"C": _VALUE}), "unknown proxy "),
+], ids=["cv_prune_rule", "quantile_direction", "canonical_specs_name"])
+def test_library_arguments_are_echoed_within_the_cap(call, fragment):
+    # A value passed in from Python used to be echoed whole: 10,000 characters and more.
+    with pytest.raises(ConfigError) as info:
+        call()
+    message = str(info.value)
+    assert fragment in message and len(message) <= 2 * ECHO_LIMIT
+
+
 def test_a_subsample_criterion_of_another_kind_is_refused_when_built():
     # A RunConfig built in Python used to run it, and the subsample ended
     # no_tree with "unknown subsample criterion 'bogus'".
@@ -370,16 +389,6 @@ def test_env_var_name_is_stable():
 
 _CONFIG_KEYS = {"data", "proxies", "rescale_scope", "subsamples", "tree", "forest",
                 "selection", "seed", "out"}
-_KEYS = ["data", "path", "columns", "window", "proxies", "name", "group", "raw_field",
-         "direction", "mode", "threshold", "rescale_scope", "subsamples", "criterion",
-         "kind", "start", "end", "codes", "half", "min_leaf", "tree", "max_depth",
-         "cv_folds", "prune_rule", "forest", "n_trees", "mtry", "selection", "fixed",
-         "forest_scope", "seed", "out", "exclude"]
-_WORDS = _KEYS + ["all", "years", "countries", "size", "pigs", "non_pigs", "small",
-                  "large", "subsample", "full", "rf", "joint", "per_group", "min_cv",
-                  "one_se", "increasing", "decreasing", "quantile", "Capt", "Capt_x",
-                  "Syst", "C", "E", "capital_ratio", "roa", "mve", "DE"]
-
 _BASE = {"data": {"path": "p.csv", "columns": {"mve": "MarketCap"}, "window": [2005, 2016]},
      "proxies": [dataclasses.asdict(s) for s in DEFAULT_PROXY_SPECS[:4]],
      "rescale_scope": "full",
@@ -399,21 +408,19 @@ def _replaced(path, value):
     return replaced(_BASE, path, value)
 
 
-_EDGES = [None, True, 0, -1, 2.5, 1e308, float("inf"), float("-inf"), float("nan"), 2 ** 64,
-          "3", " 12 ", "", [], {}, ["x"], {"kind": "all"}]
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 2 ** 65) | st.floats()
-            | st.sampled_from(_EDGES) | st.sampled_from(_WORDS) | st.text(max_size=4))
+            | st.sampled_from(CONFIG_EDGES) | st.sampled_from(CONFIG_WORDS) | st.text(max_size=4))
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner,
+                   | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=3), inner,
                                      max_size=5)),
     max_leaves=12)
 _PLACES = list(json_paths(_BASE))
 _DOCUMENTS = st.one_of(
     st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), _VALUES, max_size=6),
     # One value of a valid document replaced, by an edge case or by any value.
-    st.builds(_replaced, st.sampled_from(_PLACES), st.sampled_from(_EDGES)),
+    st.builds(_replaced, st.sampled_from(_PLACES), st.sampled_from(CONFIG_EDGES)),
     st.builds(_replaced, st.sampled_from(_PLACES), _VALUES),
 )
 
@@ -435,5 +442,5 @@ def test_parse_config_fuzz_raises_only_charterseg_errors(doc):
 
 
 def test_every_value_swapped_for_an_edge_case_raises_only_charterseg_errors():
-    for path, value in itertools.product(_PLACES, _EDGES):
+    for path, value in itertools.product(_PLACES, CONFIG_EDGES):
         _parses_or_raises_config_fault(_replaced(path, value))

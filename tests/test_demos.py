@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
@@ -19,8 +20,6 @@ def test_demo_runs(demo, tmp_path):
     # The demos write their outputs beside themselves, so each runs from a copy.
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr

@@ -25,7 +25,6 @@ from charterseg.errors import (
     SchemaError,
 )
 from charterseg.panel import (
-    ALL_FIELDS,
     Countries,
     FullSample,
     Panel,
@@ -39,15 +38,7 @@ from charterseg.panel import (
 )
 from charterseg.study import write_exclusions_table
 
-from helpers import panel_csv_text
-
-FULL_HEADER = [
-    "bank_id", "country", "year", "mve", "bvl", "nta", "equity",
-    "total_assets", "loans", "deposits", "loan_loss_allowances",
-    "loan_loss_provisions", "non_interest_expense", "income",
-    "liquid_assets", "roa", "roe", "loan_growth", "gdp_growth", "beta",
-]
-
+from helpers import FULL_HEADER, PANEL_BYTES, bank_year, make_panel, panel_csv_text
 
 def base_row(**overrides):
     row = {
@@ -381,31 +372,10 @@ def test_load_provenance_is_the_file_digest(tmp_path):
     assert load_panel(path).provenance == f"sha256:{want}"
 
 
-_CELLS = ["", " ", "1", "-2.5", "1e999", "nan", "inf", "x", "DE", "PT", "b1", "2008",
-          "20o8", '"', '"a', 'a"b', '"a""b"', '"1,2"', "\r", "\x00", ",", "1" * 140_000,
-          "99999999999999999999"]
-_CELL = st.sampled_from(_CELLS) | st.text(max_size=5)
-_HEADER = st.one_of(st.just(FULL_HEADER), st.lists(st.sampled_from(FULL_HEADER) | _CELL,
-                                                   max_size=12))
-# A row that loads under FULL_HEADER, with its year and up to two other cells
-# drawn: random rows almost never hold the keys and all seven required
-# numbers, so a fault met only by a kept row (a year beyond int64) needs it.
-_ROW = st.lists(_CELL, max_size=21) | st.builds(
-    lambda year, edits: [edits.get(i, c) for i, c in enumerate(["b1", "DE", year] + ["1"] * 17)],
-    st.integers(-2 ** 64, 2 ** 64).map(str),
-    st.dictionaries(st.integers(0, 19), _CELL, max_size=2))
-_CSV_TEXTS = st.builds(lambda header, rows, end: "\n".join(map(",".join, [header, *rows])) + end,
-                       _HEADER, st.lists(_ROW, max_size=5),
-                       st.sampled_from(["", "\n", "\r\n", '"']))
-_PANEL_BYTES = st.one_of(_CSV_TEXTS.map(str.encode), st.binary(max_size=60),
-                         st.builds(bytes.__add__, _CSV_TEXTS.map(str.encode),
-                                   st.binary(max_size=4)))
-
-
 @seed(20240611)
 @settings(max_examples=500, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_PANEL_BYTES, st.one_of(st.none(), st.just((2005, 2010))))
+@given(PANEL_BYTES, st.one_of(st.none(), st.just((2005, 2010))))
 def test_load_panel_fuzz_raises_only_charterseg_errors(data, window):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
@@ -415,22 +385,6 @@ def test_load_panel_fuzz_raises_only_charterseg_errors(data, window):
         except ChartersegError:
             return
     assert isinstance(panel, Panel)
-
-
-# ------------------------------------------------------- panel builders
-
-
-def make_panel(rows):
-    return Panel(list(rows), provenance="test", window=(2005, 2016))
-
-
-def bank_year(**overrides):
-    """One panel row as a tuple in ALL_FIELDS order; optional fields default to NaN."""
-    base = dict(bank_id="b1", country="DE", year=2008, mve=50.0, bvl=950.0,
-                nta=1000.0, equity=72.0, total_assets=1000.0, loans=500.0,
-                deposits=600.0)
-    base.update(overrides)
-    return tuple(base.get(f, math.nan) for f in ALL_FIELDS)
 
 
 # ------------------------------------------------------------- Tobin's Q
@@ -472,9 +426,9 @@ def test_raw_proxies_hand_values():
     row = bank_year(equity=7.2, total_assets=100.0, loans=100.0, deposits=100.0,
                     loan_growth=0.05, gdp_growth=0.05, mve=20.0, bvl=85.0, nta=100.0)
     frame = compute_raw_proxies(make_panel([row]))
-    assert frame.column("capital_ratio")[0] == pytest.approx(0.072, rel=1e-12)
-    assert frame.column("loans_to_deposits")[0] == 1.0
-    assert frame.column("growth_gap")[0] == 0.0
+    assert frame.columns["capital_ratio"][0] == pytest.approx(0.072, rel=1e-12)
+    assert frame.columns["loans_to_deposits"][0] == 1.0
+    assert frame.columns["growth_gap"][0] == 0.0
     assert frame.q[0] == pytest.approx(1.05, rel=1e-12)
     assert row_ids(frame.rows) == ("b1:2008",)
 
@@ -499,17 +453,17 @@ def test_raw_proxies_excludes_bad_rows():
 def test_raw_proxies_missing_optional_gives_nan_not_exclusion():
     frame = compute_raw_proxies(make_panel([bank_year()]))
     assert len(frame) == 1
-    assert math.isnan(frame.column("allowances_to_loans")[0])
-    assert math.isnan(frame.column("cost_income")[0])
-    assert math.isnan(frame.column("beta")[0])
+    assert math.isnan(frame.columns["allowances_to_loans"][0])
+    assert math.isnan(frame.columns["cost_income"][0])
+    assert math.isnan(frame.columns["beta"][0])
 
 
 def test_raw_proxies_zero_income_gives_nan():
     row = bank_year(non_interest_expense=10.0, income=0.0)
     frame = compute_raw_proxies(make_panel([row]))
-    assert math.isnan(frame.column("cost_income")[0])
+    assert math.isnan(frame.columns["cost_income"][0])
     # expense over assets is still defined
-    assert frame.column("expense_to_assets")[0] == pytest.approx(0.01)
+    assert frame.columns["expense_to_assets"][0] == pytest.approx(0.01)
 
 
 def test_raw_proxies_negative_income_gives_nan():
@@ -517,8 +471,8 @@ def test_raw_proxies_negative_income_gives_nan():
     # read as the most efficient bank under an increasing-risk proxy.
     row = bank_year(non_interest_expense=20.0, income=-10.0)
     frame = compute_raw_proxies(make_panel([row]))
-    assert math.isnan(frame.column("cost_income")[0])
-    assert frame.column("expense_to_assets")[0] == pytest.approx(0.02)
+    assert math.isnan(frame.columns["cost_income"][0])
+    assert frame.columns["expense_to_assets"][0] == pytest.approx(0.02)
 
 
 def test_raw_proxies_empty_panel():

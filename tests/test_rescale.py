@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from charterseg.config import default_subsamples
+from charterseg.config import DEFAULT_SUBSAMPLES
 from charterseg.errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
 from charterseg.panel import (
     PIGS_COUNTRIES,
@@ -27,8 +27,7 @@ from charterseg.rescale import (
 )
 from charterseg.select import canonical_specs
 
-from helpers import reference_threshold_rescale
-from test_panel import bank_year, make_panel
+from helpers import bank_year, make_matrix, make_panel, reference_threshold_rescale
 
 
 # -------------------------------------------------------- quantile_rescale
@@ -258,27 +257,18 @@ def test_default_specs_cover_groups():
 # ------------------------------------------------------------ ScoredMatrix
 
 
-def scored(scores, response=None, names=None):
-    scores = np.asarray(scores, dtype=float)
-    if response is None:
-        response = np.ones(scores.shape[0])
-    if names is None:
-        names = tuple(f"f{j}" for j in range(scores.shape[1]))
-    return ScoredMatrix(tuple(names), scores, np.asarray(response, float))
-
-
 def test_scored_matrix_validates_range():
     with pytest.raises(DegenerateInputError):
-        scored([[0.5], [2.0]])
+        make_matrix([[0.5], [2.0]], np.ones(2))
     with pytest.raises(DegenerateInputError):
-        scored([[5.5], [2.0]])
+        make_matrix([[5.5], [2.0]], np.ones(2))
 
 
 def test_scored_matrix_rejects_nan_scores():
     # NaN compares false with both bounds, so a min/max range check lets it through.
     with pytest.raises(DegenerateInputError, match=r"within \[1, 5\]"):
-        scored([[2.0], [np.nan]])
-    assert scored(np.empty((0, 2))).n_rows == 0
+        make_matrix([[2.0], [np.nan]], np.ones(2))
+    assert make_matrix(np.empty((0, 2)), np.ones(0)).n_rows == 0
 
 
 def test_scored_matrix_validates_shapes():
@@ -426,7 +416,7 @@ def test_reference_knots_match_full_panel_matrix(specs):
     full = build_scored_matrix(full_frame, specs)
     full_ids = row_ids(full_frame.rows[complete_rows(full_frame, specs)])
     knots_moved = False
-    for sub in default_subsamples():
+    for sub in DEFAULT_SUBSAMPLES:
         sub_panel = filter_subsample(panel, sub.criterion)
         sub_frame = compute_raw_proxies(sub_panel)
         got = build_scored_matrix(sub_frame, specs, full_frame)

@@ -7,7 +7,6 @@ import copy
 import csv
 import dataclasses
 import functools
-import hashlib
 import importlib.util
 import io
 import json
@@ -39,76 +38,8 @@ from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import run_study, summary_table, write_study
 
-from helpers import json_paths, replaced
-from test_config import _EDGES, _WORDS
-from test_panel import _PANEL_BYTES
-
-HEADER = [
-    "bank_id", "country", "year", "mve", "bvl", "nta", "equity",
-    "total_assets", "loans", "deposits", "loan_loss_allowances",
-    "loan_loss_provisions", "non_interest_expense", "income",
-    "liquid_assets", "roa", "roe", "loan_growth", "gdp_growth", "beta",
-]
-
-COUNTRIES = ("DE", "FR", "ES", "IT", "NL", "GR")
-
-
-def synth_panel_csv(path: Path, n_banks: int = 24, years=range(2005, 2015),
-                    seed: int = 0) -> Path:
-    """Panel where Q steps up once capital_ratio clears 0.07."""
-    rng = np.random.default_rng(seed)
-    lines = [",".join(HEADER)]
-    for b in range(n_banks):
-        for year in years:
-            ta = float(rng.uniform(800.0, 1200.0))
-            cap = float(rng.uniform(0.02, 0.12))
-            q = 0.95 + (0.2 if cap > 0.07 else 0.0) + float(rng.normal(0, 0.01))
-            loans = float(rng.uniform(0.4, 0.7)) * ta
-            row = {
-                "bank_id": f"b{b:03d}", "country": COUNTRIES[b % len(COUNTRIES)],
-                "year": year, "nta": ta, "bvl": 0.9 * ta,
-                "mve": q * ta - 0.9 * ta, "equity": cap * ta,
-                "total_assets": ta, "loans": loans,
-                "deposits": float(rng.uniform(0.5, 0.8)) * ta,
-                "loan_loss_allowances": float(rng.uniform(0.005, 0.03)) * loans,
-                "loan_loss_provisions": float(rng.uniform(0.001, 0.02)) * loans,
-                "non_interest_expense": float(rng.uniform(10.0, 30.0)),
-                "income": float(rng.uniform(30.0, 60.0)),
-                "liquid_assets": float(rng.uniform(0.1, 0.3)) * ta,
-                "roa": float(rng.uniform(0.002, 0.02)),
-                "roe": float(rng.uniform(0.02, 0.2)),
-                "loan_growth": float(rng.uniform(-0.05, 0.15)),
-                "gdp_growth": float(rng.uniform(-0.02, 0.04)),
-                "beta": float(rng.uniform(0.5, 1.5)),
-            }
-            lines.append(",".join(str(row[c]) for c in HEADER))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def fast_config(csv_path: Path, out: Path, **extra) -> dict:
-    doc = {
-        "data": {"path": str(csv_path)},
-        "subsamples": [
-            {"name": "all", "criterion": {"kind": "all"}},
-            {"name": "early", "criterion": {"kind": "years", "start": 2005,
-                                            "end": 2009}},
-        ],
-        "tree": {"min_leaf": 20, "cv_folds": 5, "prune_rule": "min_cv"},
-        "forest": {"n_trees": 16, "min_leaf": 5},
-        "seed": 7,
-        "out": str(out),
-    }
-    doc.update(extra)
-    return doc
-
-
-def bundle_digests(root: Path) -> dict[str, str]:
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
+from helpers import (CONFIG_EDGES, CONFIG_WORDS, FULL_HEADER, PANEL_BYTES, bundle_digests,
+                     fast_config, json_paths, replaced, src_env, synth_panel_csv)
 
 
 @pytest.fixture(scope="module")
@@ -503,7 +434,7 @@ def test_cli_selection_fault_exits_2_before_reading_the_panel(no_env_config, cap
 @pytest.mark.parametrize("scope", ["subsample", "full"])
 def test_cli_header_only_panel_exits_2(no_env_config, capsys, tmp_path, scope):
     panel = tmp_path / "empty.csv"
-    panel.write_text(",".join(HEADER) + "\n", encoding="utf-8")
+    panel.write_text(",".join(FULL_HEADER) + "\n", encoding="utf-8")
     out = tmp_path / "never"
     cfg = write_config(tmp_path / "c.json", fast_config(panel, out, rescale_scope=scope))
     assert main(["study", "--config", str(cfg)]) == 2
@@ -547,7 +478,7 @@ def test_cli_ingest_malformed_csv_exits_2(no_env_config, capsys, tmp_path, cell,
     panel = synth_panel_csv(tmp_path / "bad.csv", n_banks=2, years=range(2005, 2007))
     lines = panel.read_text(encoding="utf-8").splitlines()
     cells = lines[-1].split(",")
-    cells[HEADER.index("beta")] = cell
+    cells[FULL_HEADER.index("beta")] = cell
     panel.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
     cfg = write_config(tmp_path / "c.json", {"data": {"path": str(panel)},
                                              "out": str(tmp_path / "o")})
@@ -560,7 +491,7 @@ def test_cli_ingest_malformed_csv_exits_2(no_env_config, capsys, tmp_path, cell,
 @seed(20240611)
 @settings(max_examples=500, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_PANEL_BYTES)
+@given(PANEL_BYTES)
 def test_cli_ingest_fuzz_exits_0_or_2(data):
     # Any panel file ends in exit 0 or a located error and exit 2, never in
     # a traceback; --config is given, so the environment plays no part.
@@ -631,7 +562,7 @@ _NUMBERS = [-1, 0, 1, 2, 3, 5, 15, 60, 120, 10 ** 6, 2 ** 63, -0.5, 0.5, 1e-300,
             2004, 2005, 2008, 2014, 2015]
 _PICKS = st.integers(0, 10 ** 4)
 _EDITS = st.lists(st.tuples(_PICKS, st.sampled_from(["replace", "delete", "add"]),
-                            st.sampled_from([*_EDGES, *_WORDS]))
+                            st.sampled_from([*CONFIG_EDGES, *CONFIG_WORDS]))
                   | st.tuples(_PICKS, st.just("renumber"), st.sampled_from(_NUMBERS)),
                   min_size=1, max_size=3)
 
@@ -662,7 +593,7 @@ _MAGNITUDES = [1e308, -1e308, 1e-320, -1e-320, 1e51, -1e51, 1e-51, 1e50, -1e50, 
 @seed(20261019)
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.tuples(st.integers(1, 120), st.integers(3, len(HEADER) - 1),
+@given(st.lists(st.tuples(st.integers(1, 120), st.integers(3, len(FULL_HEADER) - 1),
                           st.sampled_from(_MAGNITUDES)), min_size=1, max_size=4))
 def test_cli_study_on_extreme_cells_exits_0_1_or_2_with_finite_bundle(fuzz_config, edits):
     # A huge, tiny or subnormal cell used to reach the bundle as inf with exit 0.
@@ -702,6 +633,30 @@ def test_cli_subsample_names_sharing_a_file_name_exit_2_before_reading_the_panel
     assert not out.exists()
 
 
+def test_cli_subsample_name_too_long_for_a_file_name_exits_2_before_reading_the_panel(
+        no_env_config, capsys, tmp_path):
+    # tables/correlations_<239 n>.csv is 256 bytes long: the study used to run
+    # every subsample, then fail writing it and leave a partial bundle behind.
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "long.json", fast_config(
+        tmp_path / "no_such_panel.csv", out,
+        subsamples=[{"name": "n" * 239, "criterion": {"kind": "all"}}]))
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is too long for its file names" in err
+    assert "no_such_panel" not in err
+    assert not out.exists()
+
+
+def test_cli_subsample_name_of_the_longest_file_name_runs(study_env, no_env_config, tmp_path):
+    name = "n" * 238  # tables/correlations_<name>.csv is 255 bytes long
+    out = tmp_path / "bundle"
+    cfg = write_config(tmp_path / "long.json", fast_config(
+        study_env["csv"], out, subsamples=[{"name": name, "criterion": {"kind": "all"}}]))
+    assert main(["study", "--config", str(cfg)]) == 0
+    assert (out / "tables" / f"correlations_{name}.csv").is_file()
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest", "--jobs", "3"],
     ["select", "--min-leaf", "3"],
@@ -716,13 +671,6 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(study_env, no_env_config
     assert done.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
     assert not out.exists()
-
-
-def src_env() -> dict[str, str]:
-    """The outer environment with this checkout's src/ first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 @pytest.mark.parametrize("module", ["charterseg", "charterseg.cli"])
@@ -855,7 +803,7 @@ def test_full_scope_exclusions_are_the_subsample_own(no_env_config, capsys, tmp_
             column, value = gaps[(row["bank_id"], row["year"])]
             row[column] = value
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=HEADER)
+        writer = csv.DictWriter(fh, fieldnames=FULL_HEADER)
         writer.writeheader()
         writer.writerows(rows)
 

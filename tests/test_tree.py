@@ -51,6 +51,7 @@ from helpers import (
     check_stats_consistency,
     consistent_internal,
     direct_sse,
+    internal_paths,
     json_paths,
     make_matrix,
     parse_dot,
@@ -329,14 +330,6 @@ def test_grow_max_depth_zero_and_one():
         assert isinstance(child, Leaf)
 
 
-def _walk_internal(node):
-    if isinstance(node, Leaf):
-        return
-    yield node
-    yield from _walk_internal(node.left)
-    yield from _walk_internal(node.right)
-
-
 def _walk_leaves(node):
     if isinstance(node, Leaf):
         yield node
@@ -355,7 +348,7 @@ def test_grow_invariants_on_random_data():
         check_stats_consistency(root(tree))
         for leaf in _walk_leaves(root(tree)):
             assert leaf.n >= params.min_leaf
-        for node in _walk_internal(root(tree)):
+        for _, node in internal_paths(root(tree)):
             assert node.n == node.left.n + node.right.n
             # positive gain was required to make the cut
             assert node.sse > node.left.sse + node.right.sse
@@ -682,13 +675,6 @@ def test_cv_prune_zero_gain_split_gives_no_negative_penalty():
             assert trace.cv_mse[ai, fi] == np.mean((pred - mat.response[test_idx]) ** 2)
 
 
-def node_paths(node, path=()):
-    """Left/right bits from the root to every node, in preorder."""
-    if isinstance(node, Leaf):
-        return [path]
-    return [path] + node_paths(node.left, path + (0,)) + node_paths(node.right, path + (1,))
-
-
 def test_schedule_breaks_ties_in_preorder():
     # a (depth 2, left) and b (depth 1, right) both cost exactly g = 20 to
     # collapse; preorder takes a first, where depth order would take b. Links
@@ -697,7 +683,8 @@ def test_schedule_breaks_ties_in_preorder():
     b = consistent_internal(SplitRule(0, 4.5), Leaf(10, 10.0, 1.0), Leaf(10, 12.0, 1.0))
     left = consistent_internal(SplitRule(0, 2.5), a, Leaf(20, 50.0, 1.0))
     tree = build_tree(consistent_internal(SplitRule(0, 3.5), left, b), ("f0",))
-    paths = node_paths(root(tree))
+    internal = np.flatnonzero(tree.right >= 0).tolist()  # in preorder, as internal_paths
+    paths = {i: path for i, (path, _) in zip(internal, internal_paths(root(tree)))}
     penalty, _ = _fold_penalties(tree)
     _, reference = reference_collapses(tree)
     running, want = -np.inf, {}
@@ -787,13 +774,6 @@ def test_export_dot_round_trip_structure(reference_tree):
         compare(node.right, kids[1])
 
     compare(root(reference_tree), "n0")
-
-
-def test_export_dot_custom_labels():
-    stump = consistent_internal(SplitRule(0, 2.0), Leaf(3, 0.9, 0.0), Leaf(4, 1.1, 0.0))
-    tree = build_tree(stump, ("f0",))
-    nodes, _ = parse_dot(export_dot(tree, labels=("Capital",)))
-    assert nodes["n0"].startswith("Capital < ")
 
 
 def test_json_round_trip_bit_exact():
