@@ -166,6 +166,12 @@ class RunConfig:
             raise ConfigError(f"duplicate subsample names: {echo(names)}")
         by_slug = {}
         for name in names:
+            if not _slug(name):  # it would write trees/.json under a bare heading
+                raise ConfigError(f"subsample name {echo(name)} is empty; it names the "
+                                  "subsample's files and its report heading")
+            if not name.isprintable():  # a line break would start a new report line
+                raise ConfigError(f"subsample name {echo(name)} holds a line break, tab or "
+                                  "other unprintable character")
             first = by_slug.setdefault(_slug(name), name)
             if first != name:
                 raise ConfigError(f"subsample names {echo(first)} and {echo(name)} would both "

@@ -3,7 +3,9 @@
 Each tree grows unpruned on a bootstrap resample, drawing a fresh random
 feature subset of size mtry at every node in preorder. Tree t seeds its own
 generator from a 64-bit mix of the master seed and t, so a forest is
-reproducible whichever trees grow together. Trees grow in
+reproducible whichever trees grow together. A tree draws its subsets in
+batches, one integers call per batch, equal to one rng.choice call per node
+for up to 10,000 features. Trees grow in
 lockstep in calls of the tree factory, each call as many consecutive trees
 as fit a row budget, each tree from its bootstrap rows of the shared
 matrix. Out-of-bag prediction and permutation importance share
@@ -15,7 +17,6 @@ shuffling any other feature cannot move the row from its leaf.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,9 @@ from .tree import RegressionTree, TreeParams, _build_many
 # flight at once, so this bounds a large forest's memory. At 890 rows a call
 # grows 147 trees.
 _FOREST_ROWS = 1 << 17
+
+# Candidate subsets a tree draws per integers call.
+_SUBSET_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,32 @@ class ForestParams:
         return mtry
 
 
+def _subset_bounds(m: int, mtry: int) -> np.ndarray:
+    """The exclusive bounds of rng.choice(m, mtry, replace=False)'s draws, per row of a batch.
+
+    For m <= 10,000 numpy's choice is Floyd's algorithm, one draw in [0, j]
+    for each j = m - mtry .. m - 1, then a shuffle, one draw in [0, i] for
+    each i = mtry - 1 .. 1. Above 10,000 it shuffles instead, so _subsets'
+    rows, still uniform and seeded, differ from its.
+    """
+    return np.tile(np.r_[m - mtry + 1:m + 1, mtry:1:-1], (_SUBSET_BATCH, 1))
+
+
+def _subsets(rng: np.random.Generator, m: int, mtry: int, bounds: np.ndarray):
+    """Yield, call by call, the sorted rows rng.choice(m, mtry, replace=False) returns.
+
+    One integers call over bounds (_subset_bounds(m, mtry)) makes the draws
+    of a batch of choice calls. The shuffle's draws only advance the
+    stream, as the rows come sorted.
+    """
+    while True:
+        rows = rng.integers(0, bounds)[:, :mtry].copy()
+        for p in range(1, mtry):  # Floyd: a value drawn before becomes m - mtry + p
+            rows[(rows[:, :p] == rows[:, p, None]).any(axis=1), p] = m - mtry + p
+        rows.sort(axis=1)
+        yield from rows
+
+
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[RegressionTree, ...]
@@ -63,6 +93,11 @@ class Forest:
 def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), seed: int = 0,
                 bootstrap=None) -> Forest:
     """Grow a seeded forest on a scored matrix.
+
+    Tree t draws its bootstrap, then its nodes' candidate subsets in
+    preorder, from its own generator. The subsets come in batches, equal to
+    one rng.choice(m, mtry, replace=False) call per node for m <= 10,000;
+    the rows a tree draws past its last node change nothing.
 
     Args:
         matrix: scored rows; needs at least min_leaf of them.
@@ -79,14 +114,15 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
     tree_params = TreeParams(min_leaf=params.min_leaf, max_depth=None)
     trees, boots = [], []
     per_call = max(1, _FOREST_ROWS // max(n, 1))
+    bounds = _subset_bounds(m, mtry)  # one array for every tree
     for first in range(0, params.n_trees, per_call):
         rngs = [make_rng(derive_seed(seed, t))
                 for t in range(first, min(first + per_call, params.n_trees))]
         chunk = [np.asarray(bootstrap(rng, n) if bootstrap is not None
                             else rng.integers(0, n, size=n)) for rng in rngs]
-        # In draw order: _build_many sorts each block's candidates, so ties
-        # break to the lowest feature index, as in single-tree growth when mtry == m.
-        picks = [functools.partial(rng.choice, m, mtry, False) for rng in rngs]
+        # Sorted, so ties break to the lowest feature index, as in single-tree
+        # growth when mtry == m.
+        picks = [_subsets(rng, m, mtry, bounds).__next__ for rng in rngs]
         trees += _build_many(matrix, chunk, tree_params, picks)
         boots += chunk
     return Forest(tuple(trees), tuple(boots))
@@ -164,8 +200,9 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
     """Out-of-bag permutation importance with %IncMSE normalisation.
 
     Per tree, each feature column is shuffled within the tree's OOB rows
-    (one seeded draw per tree and feature, independent of the order of draws) and
-    the MSE increase recorded; deltas average over trees.
+    (one seeded permuted call per tree, whose row f is the f-th of m
+    rng.permutation calls) and the MSE increase recorded; deltas average
+    over trees.
     """
     n, m = matrix.n_rows, matrix.n_features
     X, y = matrix.scores, matrix.response
@@ -187,7 +224,7 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
             inner = split >= 0
             tested[split[inner], rows[inner]] = True
         pred[1:] = pred[0]
-        perms = np.array([rng.permutation(k) for _ in range(m)])
+        perms = rng.permuted(np.tile(np.arange(k), (m, 1)), axis=1)
         fi, ri = np.nonzero(tested)
         copies = Xo[ri]
         copies[np.arange(fi.size), fi] = Xo[perms[fi, ri], fi]

@@ -7,7 +7,10 @@ import pytest
 
 from charterseg.errors import ConfigError, EmptyModelError
 from charterseg.forest import (
+    _SUBSET_BATCH,
     ForestParams,
+    _subset_bounds,
+    _subsets,
     grow_forest,
     oob_predict,
     permutation_importance,
@@ -127,6 +130,27 @@ def test_lockstep_forest_of_the_benchmark_shape_equals_trees_grown_one_by_one():
     forest = grow_forest(mat, ForestParams(12, 6, 5), seed=7)
     assert [export_json(t) for t in forest.trees] == [export_json(t) for t in want]
     assert all(np.array_equal(a, b) for a, b in zip(forest.bootstrap_indices, want_boots))
+
+
+def test_batched_subsets_equal_choice_call_by_call():
+    # grow_forest draws a batch of subsets per integers call; each must be
+    # the sorted subset numpy's choice draws at that call, and a batch must
+    # leave the stream where that many choice calls leave it. If numpy's
+    # choice changes, this fails before any pinned digest does.
+    calls = 2 * _SUBSET_BATCH + 5
+    for seed in (0, 1, 2):
+        for m in [*range(1, 21), 40]:
+            for mtry in sorted({1, min(2, m), max(m // 3, 1), max(m - 1, 1), m}):
+                rng, ref = make_rng(seed), make_rng(seed)
+                subsets = _subsets(rng, m, mtry, _subset_bounds(m, mtry))
+                for _ in range(calls):
+                    assert np.array_equal(next(subsets),
+                                          np.sort(ref.choice(m, mtry, replace=False)))
+                for _ in range(-calls % _SUBSET_BATCH):  # the rest of the last batch
+                    ref.choice(m, mtry, replace=False)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                if m == 1:  # choice(1, 1) draws nothing
+                    assert rng.bit_generator.state == make_rng(seed).bit_generator.state
 
 
 def test_forest_grown_in_calls_of_a_row_budget_equals_one_call(monkeypatch):
@@ -325,19 +349,27 @@ def test_importance_equals_a_per_copy_reference(seed, n, m):
 
 def test_importance_equals_the_reference_when_a_tree_has_no_oob_row():
     # Tree 2 trains on every row, so it has no OOB row and draws nothing;
-    # the trees after it keep their own seeded draws.
+    # trees 4 and 5 miss one and two rows, and a shuffle of one row draws
+    # nothing, as rng.permutation(1) does. The trees after them keep their
+    # own seeded draws.
     calls = []
+    missed = {3: 0, 5: 1, 6: 2}
 
-    def one_tree_sees_all(rng, n):
+    def few_out_of_bag(rng, n):
         calls.append(n)
-        return np.arange(n) if len(calls) == 3 else rng.integers(0, n, size=n)
+        if len(calls) not in missed:
+            return rng.integers(0, n, size=n)
+        boot = np.arange(n)
+        boot[n - missed[len(calls)]:] = 0
+        return boot
 
     for seed in (3, 4):
         calls.clear()
         mat = signal_matrix(seed=seed, n=150, noise_features=5)
         forest = grow_forest(mat, ForestParams(n_trees=8, mtry=2, min_leaf=3), seed=seed,
-                             bootstrap=one_tree_sees_all)
-        assert np.unique(forest.bootstrap_indices[2]).size == mat.n_rows
+                             bootstrap=few_out_of_bag)
+        for t, k in ((2, 0), (4, 1), (5, 2)):
+            assert mat.n_rows - np.unique(forest.bootstrap_indices[t]).size == k
         assert_importance_equals_reference(forest, mat, seed)
 
 

@@ -648,6 +648,26 @@ def test_cli_subsample_name_too_long_for_a_file_name_exits_2_before_reading_the_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, says", [
+    ("", "'' is empty"),
+    ("a\n# injected", "'a\\n# injected' holds a line break"),
+    ("a\u2028b", "holds a line break, tab or other unprintable character"),
+], ids=["empty", "line_break", "line_separator"])
+def test_cli_subsample_name_unfit_for_a_file_name_or_heading_exits_2_before_reading_the_panel(
+        no_env_config, capsys, tmp_path, name, says):
+    # The empty name used to write trees/.json under a bare "## " heading, and
+    # a line break to add a heading of its own to report.md.
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path / "names.json", fast_config(
+        tmp_path / "no_such_panel.csv", out,
+        subsamples=[{"name": name, "criterion": {"kind": "all"}}]))
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert "no_such_panel" not in err
+    assert not out.exists()
+
+
 def test_cli_subsample_name_of_the_longest_file_name_runs(study_env, no_env_config, tmp_path):
     name = "n" * 238  # tables/correlations_<name>.csv is 255 bytes long
     out = tmp_path / "bundle"
