@@ -52,6 +52,12 @@ class ProxySpec:
 
     def __post_init__(self):
         name = echo(self.name)
+        if not self.name:  # it would head an unnamed score column and report line
+            raise ConfigError(f"proxy name {name} is empty; it names a score column and "
+                              "the report's lines")
+        if not self.name.isprintable():  # a line break would start a new report line
+            raise ConfigError(f"proxy name {name} holds a line break, tab or other "
+                              "unprintable character")
         if self.group not in GROUPS:
             raise ConfigError(f"{name}: group must be one of {GROUPS}, got {echo(self.group)}")
         if self.direction not in (INCREASING, DECREASING):
@@ -105,11 +111,15 @@ def _samples(values, reference) -> tuple[np.ndarray, np.ndarray]:
     return v, ref
 
 
-def _quantile_increasing(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def _quantile_knots(refs: np.ndarray) -> np.ndarray:
+    """Min, Q1, median, Q3 and max of each column of refs, as a (5, columns) array."""
+    return np.quantile(refs, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+
+
+def _quantile_increasing(v: np.ndarray, knots: np.ndarray) -> np.ndarray:
     # Knots min, Q1, median, Q3, max of ref -> scores 1..5, linear inside each
     # piece. A value on a repeated knot takes the highest score touching it,
     # i.e. values inside a zero-width piece map to that piece's upper bound.
-    knots = np.quantile(ref, [0.0, 0.25, 0.5, 0.75, 1.0])
     if knots[0] == knots[4]:
         return np.full(v.shape, 3.0)
     idx = np.searchsorted(knots, v, side="right") - 1
@@ -121,6 +131,16 @@ def _quantile_increasing(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     frac = np.where(width > 0, (v[inner] - knots[i]) / np.where(width > 0, width, 1.0), 1.0)
     scores[inner] = base + frac
     return scores
+
+
+def _oriented(direction: str) -> float:
+    """1.0 for an increasing column and -1.0 for a decreasing one, whose values
+    are negated so that the highest score always marks the highest risk."""
+    if direction == INCREASING:
+        return 1.0
+    if direction == DECREASING:
+        return -1.0
+    raise ConfigError(f"bad direction {echo(direction)}")
 
 
 def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
@@ -137,11 +157,8 @@ def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
         Array of scores in [1, 5]; a constant reference scores 3.0 everywhere.
     """
     v, ref = _samples(values, reference)
-    if direction == INCREASING:
-        return _quantile_increasing(v, ref)
-    if direction == DECREASING:
-        return _quantile_increasing(-v, -ref)
-    raise ConfigError(f"bad direction {echo(direction)}")
+    sign = _oriented(direction)
+    return _quantile_increasing(sign * v, _quantile_knots(sign * ref[:, None])[:, 0])
 
 
 def _threshold_increasing(v: np.ndarray, u: float, ref: np.ndarray) -> np.ndarray:
@@ -171,11 +188,8 @@ def threshold_rescale(values, direction: str, u: float, reference=None) -> np.nd
     """
     _check_threshold(float(u))
     v, ref = _samples(values, reference)
-    if direction == INCREASING:
-        return _threshold_increasing(v, float(u), ref)
-    if direction == DECREASING:
-        return _threshold_increasing(-v, -float(u), -ref)
-    raise ConfigError(f"bad direction {echo(direction)}")
+    sign = _oriented(direction)
+    return _threshold_increasing(sign * v, sign * float(u), sign * ref)
 
 
 @dataclass(frozen=True)
@@ -245,14 +259,24 @@ def build_scored_matrix(frame: ProxyFrame, specs,
         raise EmptySubsampleError("no rows left after per-proxy exclusions")
     ref_idx = None if reference is None else complete_rows(reference, specs)
 
-    cols = []
-    for s in specs:
-        raw = frame.columns[s.raw_field][idx]
+    # Every column's checks first, in spec order; then the knots of each
+    # direction's quantile columns in one call.
+    signs = [_oriented(s.direction) for s in specs]
+    samples = []
+    for s, sign in zip(specs, signs):
         ref = None if ref_idx is None else reference.columns[s.raw_field][ref_idx]
-        if s.mode == QUANTILE:
-            cols.append(quantile_rescale(raw, s.direction, ref))
-        else:
-            cols.append(threshold_rescale(raw, s.direction, s.threshold, ref))
+        v, ref = _samples(frame.columns[s.raw_field][idx], ref)
+        samples.append((sign * v, sign * ref))
+    cols = [None] * len(specs)
+    for sign in (1.0, -1.0):
+        at = [i for i, s in enumerate(specs) if s.mode == QUANTILE and signs[i] == sign]
+        if at:
+            knots = _quantile_knots(np.column_stack([samples[i][1] for i in at]))
+            for j, i in enumerate(at):
+                cols[i] = _quantile_increasing(samples[i][0], knots[:, j])
+    for i, s in enumerate(specs):
+        if s.mode == THRESHOLD:
+            cols[i] = _threshold_increasing(samples[i][0], signs[i] * s.threshold, samples[i][1])
 
     return ScoredMatrix(
         feature_names=tuple(names),

@@ -7,7 +7,9 @@ the fitted partition exactly. Every tree comes from one batched factory,
 _build_many, as in SLIQ and SPRINT: the nodes of a step that may split are
 packed by size into padded blocks of X's value ranks that waste at most n
 padded rows, and each block is sorted as unique integer keys (rank,
-position), scored in one pass and routed to its children in one gather.
+position) and scored in one pass; one gather routes the step's splits to
+their children. Nodes are rows of one table of arrays, as in scikit-learn's
+tree builder, and are laid out in each tree's preorder only at the end.
 Each step pops every tree's stack of pending nodes, and a tree that draws
 its candidate features stops after the first node whose children may
 split: forest trees advance in lockstep, each drawing in its own preorder,
@@ -24,7 +26,6 @@ the row's path.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -136,25 +137,25 @@ class RegressionTree:
 def node_sse(responses) -> tuple[float, float]:
     """Mean and sum of squared errors around it for one node's responses."""
     y = np.asarray(responses, dtype=float)
-    means, sses, _ = _run_sse(y, [y.size])
-    return means[0], sses[0]
+    means, sses, _ = _run_sse(y, np.array([y.size]))
+    return float(means[0]), float(sses[0])
 
 
-def _run_sse(y: np.ndarray, sizes: list[int]) -> tuple[list, list, list]:
+def _run_sse(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """node_sse of each consecutive run of y, sizes[i] long.
 
-    Returns the runs' means, their SSEs and their (start, end). Per run: one
-    sum, whose division by the size is y.mean() to the bit at half the call
-    cost, and one dot of the centred run.
+    Returns the runs' means, their SSEs and their ends. Per run: one sum,
+    whose division by the size is y.mean() to the bit at half the call cost,
+    and one dot of the centred run.
     """
-    if 0 in sizes:
+    if not sizes.all():
         raise DegenerateInputError("a node cannot be empty")
-    ends = list(itertools.accumulate(sizes))
-    bounds = list(zip([0, *ends], ends))
-    means = np.array([np.add.reduce(y[a:b]) for a, b in bounds]) / sizes
+    ends = np.cumsum(sizes)
+    runs = list(map(slice, (ends - sizes).tolist(), ends.tolist()))
+    total, dot = np.add.reduce, np.dot
+    means = np.array([total(y[run]) for run in runs]) / sizes
     centred = y - np.repeat(means, sizes)
-    sses = [float(np.dot(centred[a:b], centred[a:b])) for a, b in bounds]
-    return means.tolist(), sses, bounds
+    return means, np.array([dot(c, c) for c in map(centred.__getitem__, runs)]), ends
 
 
 def _code(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,98 +287,140 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
 
     A step packs the nodes it takes, bucketed by size, into padded (node,
     candidate, row) blocks, each scored by one _best_cuts call, and routes
-    the rows of a whole block to its children in one gather. A child keeps
-    its parent's row order, so every node scores exactly as it would grown
-    alone. A block sorts its candidates, so ties still break to the lowest
-    feature index. A matrix of fewer than min_leaf rows raises
-    EmptyModelError.
+    the rows of all its splits to their children in one gather. A child
+    keeps its parent's row order, so every node scores exactly as it would
+    grown alone. A block sorts its candidates, so ties still break to the
+    lowest feature index. Nodes are rows of one table of arrays, and each
+    split a record of the step that made it; a node gets a stack entry only
+    if it may split. The layout then sizes every subtree and places every
+    node in its tree's preorder, a depth level at a time. A matrix of fewer
+    than min_leaf rows raises EmptyModelError.
     """
     X, y = matrix.scores, matrix.response
-    if X.shape[0] < params.min_leaf:
-        raise EmptyModelError(f"need at least min_leaf={params.min_leaf} rows, got {X.shape[0]}")
-    # Per node, in the order made. Until the layout below, a split's third
-    # column holds its left child's place in this list; its right child is next.
-    columns = []
+    min_leaf = params.min_leaf
+    if X.shape[0] < min_leaf:
+        raise EmptyModelError(f"need at least min_leaf={min_leaf} rows, got {X.shape[0]}")
+    cap = math.inf if params.max_depth is None else params.max_depth
+    rows = np.concatenate(roots)
+    sizes = np.array([len(idx) for idx in roots], dtype=np.intp)
+    # The node table: node i's row count, mean and SSE. Roots are nodes
+    # 0 .. T-1; a step's k splits make nodes top .. top + 2k - 1, the lefts,
+    # then the rights. Every non-root keeps min_leaf rows, so a root of r
+    # rows grows at most 2 * (r // min_leaf) - 1 nodes.
+    room = int(np.maximum(2 * (sizes // min_leaf) - 1, 1).sum())
+    n, mean, sse = np.empty(room, dtype=np.intp), np.empty(room), np.empty(room)
+    none = np.zeros(0, dtype=np.intp)
+    # Per step, its splits' nodes, features, thresholds and depths, and its
+    # top; the first entry makes no split, so a call without splits lays out too.
+    splits = [(none, none, np.zeros(0), none, 0)]
+    top = 0  # nodes made
 
-    def make(rows, sizes, depths):
-        """Per consecutive run of rows, sizes[i] long: a new node's column and,
-        if it may split at depths[i], its pending (rows, depth)."""
-        means, sses, bounds = _run_sse(y[rows], sizes)
-        return [([-1, np.nan, -1, b - a, mean, sse],
-                 (rows[a:b], depth) if splits(b - a, depth) else None)
-                for mean, sse, (a, b), depth in zip(means, sses, bounds, depths)]
+    def make(rows, sizes, depths, homes):
+        """Record the runs of rows, sizes[i] long, as the next nodes, at depths[i].
 
-    def splits(size, depth):
-        return size >= 2 * params.min_leaf and (params.max_depth is None
-                                                or depth < params.max_depth)
+        Each run that may split goes on homes[i] as (node, rows, depth, its
+        children may split, homes[i]), the last run first.
+        """
+        nonlocal top
+        means, sses, ends = _run_sse(y[rows], sizes)
+        made = slice(top, top + sizes.size)
+        n[made], mean[made], sse[made] = sizes, means, sses
+        may = np.flatnonzero(sizes >= 2 * min_leaf)[::-1].tolist()
+        ends, sizes = ends.tolist(), sizes.tolist()
+        for i in may:
+            depth = depths[i]
+            if depth < cap:
+                home, size = homes[i], sizes[i]
+                home.append((top + i, rows[ends[i] - size:ends[i]], depth,
+                             size >= 3 * min_leaf and depth + 1 < cap, home))
+        top += len(sizes)
 
-    # Per tree, its pending nodes that may split, as (node, rows, depth); the
-    # right child goes on first. Tree t's root is node t.
-    stacks = []
-    for column, pending in make(np.concatenate(roots), [len(idx) for idx in roots],
-                                [0] * len(roots)):
-        columns.append(column)
-        stacks.append([(len(columns) - 1, *pending)] if pending else [])
+    stacks = [[] for _ in roots]  # per tree, its pending nodes; the right child goes on first
+    make(rows, sizes, [0] * len(roots), stacks)
     codes, values = _code(X)  # (feature, row); the pad column reads +inf
-    padded_y = np.append(y, 0.0)
     stride = codes.shape[1]
     codes = codes.reshape(-1)  # one flat index per (feature, row) gathers faster
     everything = np.arange(X.shape[1])
+    lane = np.arange(sizes.max())
     while True:
-        able = []  # (node, rows, depth, candidates, its tree's stack)
+        taken, cands = [], []
         for t, stack in enumerate(stacks):
             while stack:
                 node = stack.pop()
-                able.append((*node, everything if picks is None else picks[t](), stack))
-                if picks is not None and splits(node[1].size - params.min_leaf, node[2] + 1):
-                    break  # its children may split, and they come next in preorder
-        if not able:
+                taken.append(node)
+                if picks is not None:
+                    cands.append(picks[t]())
+                    if node[3]:
+                        break  # its children may split, and they come next in preorder
+        if not taken:
             break
-        able.sort(key=lambda node: node[1].size)
-        sizes = [node[1].size for node in able]
-        for part in _buckets(sizes, X.shape[0]):
-            block, n = able[part], np.array(sizes[part])
-            real = np.arange(n[-1]) < n[:, None]
-            at = np.full(real.shape, X.shape[0])  # a pad reads the extra last row
-            at[real] = rows = np.concatenate([node[1] for node in block])
-            means = np.array([columns[node[0]][4] for node in block])
-            centred = np.where(real, padded_y[at] - means[:, None], 0.0)
-            feats = np.sort([node[3] for node in block], axis=1)
-            c, thr, gain = _best_cuts(codes[(feats * stride)[:, :, None] + at[:, None, :]],
-                                      centred, n, params.min_leaf, values)
-            feature = feats[np.arange(len(block)), c]
-            keep = gain > 0.0  # the nodes that split
-            if not keep.all():
-                block = [node for node, k in zip(block, keep.tolist()) if k]
-                rows = rows[np.repeat(keep, n)]
-                n, feature, thr = n[keep], feature[keep], thr[keep]
-            go_left = X[rows, np.repeat(feature, n)] < np.repeat(thr, n)
-            left_n = np.add.reduceat(go_left, np.cumsum(n) - n, dtype=np.intp)
-            depths = [node[2] + 1 for node in block]
-            kids = make(rows[np.argsort(~go_left, kind="stable")],  # the lefts, then the rights
-                        [*left_n.tolist(), *(n - left_n).tolist()], depths * 2)
-            for (i, *_, stack), f, threshold, (left, to_left), (right, to_right) in zip(
-                    block, feature.tolist(), thr.tolist(), kids, kids[len(block):]):
-                columns[i][:3] = f, threshold, len(columns)
-                columns += left, right
-                if to_right:
-                    stack.append((len(columns) - 1, *to_right))
-                if to_left:
-                    stack.append((len(columns) - 2, *to_left))
+        ids, parts, depths, _, homes = zip(*taken)
+        ids = np.array(ids)
+        sizes = n[ids]
+        order = np.argsort(sizes, kind="stable")
+        ids, sizes, places = ids[order], sizes[order], order.tolist()
+        rows = np.concatenate([parts[i] for i in places])
+        centred = y[rows] - np.repeat(mean[ids], sizes)
+        feats = (np.broadcast_to(everything, (ids.size, everything.size)) if picks is None
+                 else np.sort(np.array([cands[i] for i in places]), axis=1))
+        flat = feats * stride
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        found = []
+        for part in _buckets(sizes.tolist(), X.shape[0]):
+            a, b, nb = bounds[part.start], bounds[part.stop], sizes[part]
+            real = lane[:nb[-1]] < nb[:, None]
+            at = np.full(real.shape, X.shape[0])  # a pad reads the pad column
+            at[real] = rows[a:b]
+            block = np.zeros(real.shape)  # pads add 0 to every sum
+            block[real] = centred[a:b]
+            found.append(_best_cuts(codes[flat[part, :, None] + at[:, None, :]], block, nb,
+                                    min_leaf, values))
+        c, thr, gain = map(np.concatenate, zip(*found))
+        f = feats[np.arange(c.size), c]
+        keep = gain > 0.0  # the nodes that split
+        if not keep.all():
+            rows = rows[np.repeat(keep, sizes)]
+            ids, sizes, f, thr = ids[keep], sizes[keep], f[keep], thr[keep]
+            places = order[keep].tolist()
+        if not ids.size:
+            continue
+        go_left = X[rows, np.repeat(f, sizes)] < np.repeat(thr, sizes)
+        left_n = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
+        depth = [depths[i] for i in places]
+        splits.append((ids, f, thr, np.array(depth), top))
+        make(rows[np.argsort(~go_left, kind="stable")],  # the lefts, then the rights
+             np.concatenate([left_n, sizes - left_n]), [d + 1 for d in depth] * 2,
+             [homes[i] for i in places] * 2)
 
-    trees = []
-    for t in range(len(stacks)):  # lay each tree out in preorder
-        nodes, pending = [], [(t, None)]  # (node, the split whose right child it is)
-        while pending:
-            i, parent = pending.pop()
-            if parent is not None:
-                parent[2] = len(nodes)
-            node = columns[i]
-            if node[2] >= 0:
-                pending += (node[2] + 1, node), (node[2], None)
-            nodes.append(node)
-        trees.append(RegressionTree(*zip(*nodes), matrix.feature_names, params))
-    return trees
+    # Layout: subtree sizes bottom up, then places in the trees' concatenated
+    # preorders top down, a depth level at a time. Split j of a step's k
+    # splits has children top + j and top + k + j.
+    nodes, feats, thrs, depth, tops = zip(*splits)
+    k = np.array([len(ids) for ids in nodes])
+    nodes, feats, thrs, depth = map(np.concatenate, (nodes, feats, thrs, depth))
+    left = np.repeat(np.array(tops) - (np.cumsum(k) - k), k) + np.arange(nodes.size)
+    right = left + np.repeat(k, k)
+    levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+    size = np.ones(top, dtype=np.intp)
+    for s in reversed(levels):
+        size[nodes[s]] += size[left[s]] + size[right[s]]
+    counts = size[:len(roots)]
+    starts = np.cumsum(counts) - counts
+    place = np.empty(top, dtype=np.intp)
+    place[:len(roots)] = starts
+    for s in levels:
+        place[left[s]] = place[nodes[s]] + 1
+        place[right[s]] = place[left[s]] + size[left[s]]
+    inner = place[nodes]
+    feature, threshold, after = np.full(top, -1), np.full(top, np.nan), np.full(top, -1)
+    feature[inner], threshold[inner] = feats, thrs
+    after[inner] = place[right] - np.repeat(starts, counts)[inner]  # within its tree
+    by_place = np.empty(top, dtype=np.intp)
+    by_place[place] = np.arange(top)
+    columns = (feature, threshold, after, n[by_place], mean[by_place], sse[by_place])
+    return [RegressionTree(*(column[a:a + m].copy() for column in columns),
+                           matrix.feature_names, params)
+            for a, m in zip(starts.tolist(), counts.tolist())]
 
 
 def grow(matrix: ScoredMatrix, params: TreeParams = TreeParams()) -> RegressionTree:

@@ -132,6 +132,18 @@ def test_lockstep_forest_of_the_benchmark_shape_equals_trees_grown_one_by_one():
     assert all(np.array_equal(a, b) for a, b in zip(forest.bootstrap_indices, want_boots))
 
 
+def test_forests_of_one_chunk_and_one_more_tree_equal_trees_grown_one_by_one(monkeypatch):
+    # A call of the tree factory lays out every tree of its chunk from one
+    # node table; the last chunk may hold a single tree.
+    mat = signal_matrix(seed=10, n=120, noise_features=4)
+    monkeypatch.setattr("charterseg.forest._FOREST_ROWS", 3 * mat.n_rows)  # three trees a call
+    for n_trees in (3, 4):
+        want, want_boots = one_by_one(mat, n_trees, 2, TreeParams(2), 10)
+        forest = grow_forest(mat, ForestParams(n_trees, 2, 2), seed=10)
+        assert [export_json(t) for t in forest.trees] == [export_json(t) for t in want]
+        assert all(np.array_equal(a, b) for a, b in zip(forest.bootstrap_indices, want_boots))
+
+
 def test_batched_subsets_equal_choice_call_by_call():
     # grow_forest draws a batch of subsets per integers call; each must be
     # the sorted subset numpy's choice draws at that call, and a batch must

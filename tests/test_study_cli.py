@@ -668,6 +668,27 @@ def test_cli_subsample_name_unfit_for_a_file_name_or_heading_exits_2_before_read
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, says", [
+    ("", "proxy name '' is empty"),
+    ("Capt\n# injected", "'Capt\\n# injected' holds a line break"),
+    ("Capt\u2028b", "holds a line break, tab or other unprintable character"),
+], ids=["empty", "line_break", "line_separator"])
+def test_cli_proxy_name_unfit_for_a_report_line_exits_2_before_reading_the_panel(
+        no_env_config, capsys, tmp_path, name, says):
+    # A line break in a proxy name used to add a heading of its own to report.md.
+    out = tmp_path / "never"
+    proxy = {"name": name, "group": "C", "raw_field": "capital_ratio",
+             "direction": "decreasing", "mode": "quantile"}
+    cfg = write_config(tmp_path / "proxies.json", fast_config(
+        tmp_path / "no_such_panel.csv", out, proxies=[proxy],
+        selection={"mode": "fixed", "fixed": [name]}))
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert "no_such_panel" not in err
+    assert not out.exists()
+
+
 def test_cli_subsample_name_of_the_longest_file_name_runs(study_env, no_env_config, tmp_path):
     name = "n" * 238  # tables/correlations_<name>.csv is 255 bytes long
     out = tmp_path / "bundle"

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import json
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from charterseg.config import parse_config
 from charterseg.errors import (
     ChartersegError,
     ConfigError,
@@ -20,11 +25,13 @@ from charterseg.errors import (
 )
 from charterseg.forest import ForestParams, grow_forest
 from charterseg.seeding import make_rng
+from charterseg.study import run_study
 from charterseg.tree import (
     RegressionTree,
     SplitRule,
     TreeParams,
     _BLOCK_ROWS,
+    _NODE_ARRAYS,
     _best_cuts,
     _buckets,
     _build_many,
@@ -406,6 +413,60 @@ def test_fold_trees_of_one_batch_equal_trees_grown_alone():
             assert export_json(tree) == export_json(alone)
 
 
+def test_node_table_trees_equal_the_preorder_recursion(monkeypatch):
+    # _build_many keeps every node in one table and places it in its tree's
+    # preorder only at the end. Each tree must still equal reference_build's
+    # to the bit: roots that stay leaves, depth caps of 0 and 1, blocks in
+    # which no node splits, unsorted picks and a long right-hand chain.
+    gains = []
+
+    def scored(*args):
+        found = _best_cuts(*args)
+        gains.append(found[2])
+        return found
+
+    monkeypatch.setattr("charterseg.tree._best_cuts", scored)
+    rng = make_rng(51)
+    X = rng.integers(1, 6, size=(60, 3)).astype(float)
+    y = np.round(X[:, 0] + rng.normal(size=60), 1)
+    y[:20] = 1.5  # a root of these rows finds no cut with a gain
+    i = np.arange(40)
+    # y falls fourfold a row: every split cuts off the row of least x, and
+    # the right child goes on down.
+    chain = make_matrix(np.column_stack([1 + i / 10, 1 + (39 - i) % 7 / 2]), 0.25 ** i)
+    cases = [(make_matrix(X, y), [np.arange(60), np.arange(20), np.arange(20, 23),
+                                  rng.integers(0, 60, size=60), rng.permutation(60)[:33]]),
+             (chain, [i, i[::-1], i[::2]])]
+    leaf_roots = 0
+    for mat, roots in cases:
+        m = mat.n_features
+        for params in (TreeParams(min_leaf, max_depth)
+                       for min_leaf in (1, 3) for max_depth in (None, 0, 1, 3)):
+            for mtry in (None, 1, m - 1):
+                picks = None if mtry is None else [
+                    lambda r=make_rng(100 + t): r.permutation(m)[:mtry]  # unsorted
+                    for t in range(len(roots))]
+                got = _build_many(mat, roots, params, picks)
+                for t, (rows, tree) in enumerate(zip(roots, got)):
+                    draw = make_rng(100 + t)
+                    pick = ((lambda: np.arange(m)) if mtry is None
+                            else lambda: np.sort(draw.permutation(m)[:mtry]))
+                    want = RegressionTree(*reference_build(mat.scores[rows], mat.response[rows],
+                                                           params, pick),
+                                          mat.feature_names, params)
+                    assert export_json(tree) == export_json(want)
+                    leaf_roots += tree.n_leaves == 1
+                for a, b in itertools.combinations(got, 2):
+                    assert not any(np.shares_memory(getattr(a, name), getattr(b, name))
+                                   for name, _ in _NODE_ARRAYS)
+                assert not any(getattr(tree, name).flags.writeable
+                               for tree in got for name, _ in _NODE_ARRAYS)
+    assert leaf_roots and any(not (gain > 0.0).any() for gain in gains)
+    for rows in (i, i[::-1]):  # 39 levels: each left child is a leaf
+        tree = _build_many(chain, [rows], TreeParams(1))[0]
+        assert np.array_equal(tree.right[tree.feature >= 0], np.arange(2, 79, 2))
+
+
 def test_buckets_pad_at_most_x_rows_and_hold_at_most_rows_over_l_nodes():
     rng = make_rng(43)
     for _ in range(200):
@@ -447,6 +508,27 @@ def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
     mat = random_matrix(make_rng(49), n=890, m=6)
     cv_prune(mat, TreeParams(min_leaf=10), k=10, seed=0)
     assert (len(calls), sum(calls)) == (65, 693)
+
+
+def test_deep_prune_cv_scores_its_levels_in_few_blocks(monkeypatch, tmp_path):
+    # The one cv_prune of the benchmark's deep_prune study on its full
+    # sample (890 rows, six fixed proxies, min_leaf 10, ten folds): 26 calls
+    # score its 682 splittable nodes. The node table changed only the
+    # factory's bookkeeping, not these blocks.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_panel(tmp_path / "panel.csv", 75, 0)
+    config = parse_config({"data": {"path": str(tmp_path / "panel.csv")}, "seed": 1,
+                           "tree": {"min_leaf": 10, "cv_folds": 10},
+                           "selection": {"mode": "fixed"},
+                           "subsamples": [{"name": "full", "criterion": {"kind": "all"}}]})
+    calls = _count_best_cuts(monkeypatch)
+    (result,) = run_study(config).results
+    assert result.n_rows == 890 and len(result.tree.feature_names) == 6
+    assert (len(calls), sum(calls)) == (26, 682)
 
 
 def test_lockstep_forest_scores_its_steps_in_few_blocks(monkeypatch):
