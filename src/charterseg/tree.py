@@ -341,7 +341,6 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
     stride = codes.shape[1]
     codes = codes.reshape(-1)  # one flat index per (feature, row) gathers faster
     everything = np.arange(X.shape[1])
-    lane = np.arange(sizes.max())
     while True:
         taken, cands = [], []
         for t, stack in enumerate(stacks):
@@ -368,7 +367,7 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
         found = []
         for part in _buckets(sizes.tolist(), X.shape[0]):
             a, b, nb = bounds[part.start], bounds[part.stop], sizes[part]
-            real = lane[:nb[-1]] < nb[:, None]
+            real = np.arange(nb[-1]) < nb[:, None]
             at = np.full(real.shape, X.shape[0])  # a pad reads the pad column
             at[real] = rows[a:b]
             block = np.zeros(real.shape)  # pads add 0 to every sum

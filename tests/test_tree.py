@@ -459,8 +459,10 @@ def test_node_table_trees_equal_the_preorder_recursion(monkeypatch):
                 for a, b in itertools.combinations(got, 2):
                     assert not any(np.shares_memory(getattr(a, name), getattr(b, name))
                                    for name, _ in _NODE_ARRAYS)
-                assert not any(getattr(tree, name).flags.writeable
-                               for tree in got for name, _ in _NODE_ARRAYS)
+                for tree in got:  # its own read-only arrays, no views of a shared table
+                    assert all(getattr(tree, name).base is None
+                               and not getattr(tree, name).flags.writeable
+                               for name, _ in _NODE_ARRAYS)
     assert leaf_roots and any(not (gain > 0.0).any() for gain in gains)
     for rows in (i, i[::-1]):  # 39 levels: each left child is a leaf
         tree = _build_many(chain, [rows], TreeParams(1))[0]
