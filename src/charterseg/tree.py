@@ -152,10 +152,9 @@ def _run_sse(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         raise DegenerateInputError("a node cannot be empty")
     ends = np.cumsum(sizes)
     runs = list(map(slice, (ends - sizes).tolist(), ends.tolist()))
-    total, dot = np.add.reduce, np.dot
-    means = np.array([total(y[run]) for run in runs]) / sizes
-    centred = y - np.repeat(means, sizes)
-    return means, np.array([dot(c, c) for c in map(centred.__getitem__, runs)]), ends
+    means = np.fromiter(map(np.add.reduce, map(y.__getitem__, runs)), float, len(runs)) / sizes
+    centred = list(map((y - np.repeat(means, sizes)).__getitem__, runs))
+    return means, np.fromiter(map(np.dot, centred, centred), float, len(runs)), ends
 
 
 def _code(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
