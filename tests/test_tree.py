@@ -515,8 +515,8 @@ def test_cv_prune_scores_a_level_of_its_trees_in_few_blocks(monkeypatch):
 def test_deep_prune_cv_scores_its_levels_in_few_blocks(monkeypatch, tmp_path):
     # The one cv_prune of the benchmark's deep_prune study on its full
     # sample (890 rows, six fixed proxies, min_leaf 10, ten folds): 26 calls
-    # score its 682 splittable nodes. The node table changed only the
-    # factory's bookkeeping, not these blocks.
+    # score its 682 splittable nodes. How the factory keeps its nodes does
+    # not move these counts; only other blocks do.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
