@@ -308,10 +308,10 @@ def _build_many(matrix: ScoredMatrix, roots, params: TreeParams,
     # rows grows at most 2 * (r // min_leaf) - 1 nodes.
     room = int(np.maximum(2 * (sizes // min_leaf) - 1, 1).sum())
     n, mean, sse = np.empty(room, dtype=np.intp), np.empty(room), np.empty(room)
-    none = np.zeros(0, dtype=np.intp)
+    empty = np.zeros(0, dtype=np.intp)
     # Per step, its splits' nodes, features, thresholds and depths, and its
     # top; the first entry makes no split, so a call without splits lays out too.
-    splits = [(none, none, np.zeros(0), none, 0)]
+    splits = [(empty, empty, np.zeros(0), empty, 0)]
     top = 0  # nodes made
 
     def make(rows, sizes, depths, homes):
