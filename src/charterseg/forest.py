@@ -84,7 +84,7 @@ def _subsets(rng: np.random.Generator, m: int, mtry: int, bounds: np.ndarray):
         yield from rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forest:
     trees: tuple[RegressionTree, ...]
     bootstrap_indices: tuple[np.ndarray, ...]
@@ -128,20 +128,6 @@ def grow_forest(matrix: ScoredMatrix, params: ForestParams = ForestParams(), see
     return Forest(tuple(trees), tuple(boots))
 
 
-@dataclass(frozen=True)
-class OobResult:
-    """Ensemble out-of-bag predictions.
-
-    predictions averages only trees whose bootstrap missed the row; rows in
-    every bootstrap are flagged in always_in_bag and carry NaN predictions.
-    """
-
-    predictions: np.ndarray
-    oob_counts: np.ndarray
-    oob_mse: float
-    always_in_bag: np.ndarray
-
-
 def _oob_trees(forest: Forest, matrix: ScoredMatrix):
     """(t, tree t, its out-of-bag rows) for each tree with out-of-bag rows."""
     n = matrix.n_rows
@@ -155,34 +141,39 @@ def _oob_trees(forest: Forest, matrix: ScoredMatrix):
             yield t, tree, oob
 
 
-def _oob_result(sums: np.ndarray, counts: np.ndarray, y: np.ndarray) -> OobResult:
-    """The ensemble OOB result from each row's summed OOB predictions and their count."""
+def _oob_predictions(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's summed OOB predictions over their count; NaN where the count is 0."""
     covered = counts > 0
-    predictions = np.full(y.size, np.nan)
-    predictions[covered] = sums[covered] / counts[covered]
     if not covered.any():
         raise EmptyModelError("no row was ever out of bag; grow more trees")
-    resid = predictions[covered] - y[covered]
-    return OobResult(predictions, counts, float(np.mean(resid ** 2)), ~covered)
+    predictions = np.full(sums.size, np.nan)
+    predictions[covered] = sums[covered] / counts[covered]
+    return predictions
 
 
-def oob_predict(forest: Forest, matrix: ScoredMatrix) -> OobResult:
-    """Average each row's predictions over the trees that did not train on it."""
+def oob_predict(forest: Forest, matrix: ScoredMatrix) -> np.ndarray:
+    """Average each row's predictions over the trees that did not train on it.
+
+    Returns the (n,) predictions, NaN on each row that every bootstrap drew.
+    """
     sums = np.zeros(matrix.n_rows)
     counts = np.zeros(matrix.n_rows, dtype=int)
     for _, tree, oob in _oob_trees(forest, matrix):
         sums[oob] += tree.predict_batch(matrix.scores[oob])
         counts[oob] += 1
-    return _oob_result(sums, counts, matrix.response)
+    return _oob_predictions(sums, counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceReport:
     """Permutation importance per feature.
 
     raw_delta is the mean over trees of (OOB MSE after permuting the feature
     within the tree's OOB rows) minus (the tree's unpermuted OOB MSE);
     pct_inc_mse expresses it as a percentage of the forest-level OOB MSE.
+    A study's per_group report joins one forest per group: each group's
+    pct_inc_mse is scaled by its own forest's OOB MSE, which the report does
+    not keep, so oob_mse is NaN and the groups' values are on different scales.
     """
 
     feature_names: tuple[str, ...]
@@ -233,14 +224,15 @@ def permutation_importance(forest: Forest, matrix: ScoredMatrix,
         counts[oob] += 1
         mse = np.mean((pred - yo) ** 2, axis=1)
         deltas.append(mse[1:] - mse[0])
-    base = _oob_result(sums, counts, y)  # raises unless some tree had out-of-bag rows
+    covered = counts > 0
+    resid = _oob_predictions(sums, counts)[covered] - y[covered]  # raises unless some row was OOB
+    oob_mse = float(np.mean(resid ** 2))
     d = np.array(deltas)
     raw = d.mean(axis=0)
     if d.shape[0] > 1:
         stderr = d.std(axis=0, ddof=1) / np.sqrt(d.shape[0])
     else:
         stderr = np.zeros(m)
-    if base.oob_mse == 0.0:
+    if oob_mse == 0.0:
         raise EmptyModelError("forest OOB MSE is zero; %IncMSE undefined")
-    pct = 100.0 * raw / base.oob_mse
-    return ImportanceReport(matrix.feature_names, pct, raw, stderr, base.oob_mse)
+    return ImportanceReport(matrix.feature_names, 100.0 * raw / oob_mse, raw, stderr, oob_mse)

@@ -259,7 +259,7 @@ PROXY_FORMULAS = {
 PROXY_FIELDS = tuple(PROXY_FORMULAS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProxyFrame:
     """Column table of Tobin's Q and raw proxy ratios for the surviving panel rows."""
 

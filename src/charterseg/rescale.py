@@ -192,7 +192,7 @@ def threshold_rescale(values, direction: str, u: float, reference=None) -> np.nd
     return _threshold_increasing(sign * v, sign * float(u), sign * ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredMatrix:
     """Feature matrix of risk scores with the Tobin's Q response."""
 

@@ -50,7 +50,7 @@ from .stats import pearson
 from .tree import PruneTrace, RegressionTree, TreeParams, cv_prune, export_dot, export_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsampleResult:
     name: str
     status: str  # "ok" | "no_tree" | "empty"
@@ -69,7 +69,7 @@ class SubsampleResult:
     exclusions: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
     config: RunConfig
     results: tuple[SubsampleResult, ...]
@@ -109,7 +109,9 @@ def _run_selection(config: RunConfig, frame: ProxyFrame, reference: Optional[Pro
         matrix = build_scored_matrix(frame, block, reference)
         forest = grow_forest(matrix, config.forest, seed=derive_seed(seed, 1, *key))
         reports.append(permutation_importance(forest, matrix, seed=derive_seed(seed, 2, *key)))
-    # Per group there is no single forest, so the report carries no OOB MSE (NaN).
+    # Per group there is no single forest, so the report carries no OOB MSE
+    # (NaN), and each group's %IncMSE stays scaled by its own forest's OOB
+    # MSE: importance_<slug>.csv mixes scales across groups.
     importance = ImportanceReport(
         tuple(n for r in reports for n in r.feature_names),
         np.concatenate([r.pct_inc_mse for r in reports]),

@@ -495,7 +495,7 @@ def prune_at(tree: RegressionTree, alpha: float) -> RegressionTree:
                           tree.feature_names, tree.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneTrace:
     """Weakest-link collapse schedule plus the CV evidence used to cut it.
 
@@ -525,7 +525,9 @@ def _pruned_predictions(tree: RegressionTree, X: np.ndarray, alphas) -> np.ndarr
     """prune_at(tree, alpha).predict_batch(X) for every alpha, as (alphas, rows).
 
     Each row is routed once. At alpha it stops at the node on its path that
-    prune_at keeps as a leaf: penalty <= alpha < above.
+    prune_at keeps as a leaf: penalty <= alpha < above. The array is
+    C-contiguous: cv_prune's np.mean(..., axis=1) sums each row in memory
+    order, and another layout can move cv_mse in the last bit.
     """
     penalty, above = _fold_penalties(tree)
     alphas = np.asarray(alphas, dtype=float)

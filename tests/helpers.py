@@ -21,7 +21,6 @@ from typing import Union
 import numpy as np
 from hypothesis import strategies as st
 
-from charterseg.forest import oob_predict
 from charterseg.panel import ALL_FIELDS, Panel
 from charterseg.rescale import ScoredMatrix
 from charterseg.seeding import derive_seed, make_rng
@@ -189,13 +188,31 @@ def reference_best_cuts(cols, centred, n, min_leaf):
     return c, thr, gains[node, best]
 
 
+def reference_oob_predictions(forest, mat):
+    """Each row's mean prediction over the trees whose bootstrap missed it, NaN if none did.
+
+    Per tree, in tree order, predict_batch on its out-of-bag rows is added
+    to those rows' sums; the sums are divided by the miss counts at the end.
+    """
+    n = mat.n_rows
+    sums, counts = np.zeros(n), np.zeros(n, dtype=int)
+    for tree, boot in zip(forest.trees, forest.bootstrap_indices):
+        oob = np.setdiff1d(np.arange(n), boot)
+        sums[oob] += tree.predict_batch(mat.scores[oob])
+        counts[oob] += 1
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / counts, np.nan)
+
+
 def reference_importance(forest, mat, seed):
     """permutation_importance computed one predict_batch and one MSE per tree and copy.
 
     Returns (pct_inc_mse, raw_delta, stderr, oob_mse).
     """
     n, m = mat.n_rows, mat.n_features
-    base = oob_predict(forest, mat)
+    pred = reference_oob_predictions(forest, mat)
+    covered = ~np.isnan(pred)
+    oob_mse = float(np.mean((pred[covered] - mat.response[covered]) ** 2))
     deltas = []
     for t, (tree, boot) in enumerate(zip(forest.trees, forest.bootstrap_indices)):
         oob = np.setdiff1d(np.arange(n), boot)
@@ -214,7 +231,7 @@ def reference_importance(forest, mat, seed):
     d = np.array(deltas)
     raw = d.mean(axis=0)
     stderr = d.std(axis=0, ddof=1) / np.sqrt(d.shape[0])
-    return 100.0 * raw / base.oob_mse, raw, stderr, base.oob_mse
+    return 100.0 * raw / oob_mse, raw, stderr, oob_mse
 
 
 def ecdf(sample, t) -> float:

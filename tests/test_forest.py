@@ -20,7 +20,8 @@ from charterseg.study import write_importance_table
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
 from charterseg.tree import RegressionTree, TreeParams, _build_many, export_json, grow
 
-from helpers import make_matrix, random_matrix, reference_build, reference_importance
+from helpers import (make_matrix, random_matrix, reference_build, reference_importance,
+                     reference_oob_predictions)
 
 
 def identity_bootstrap(rng, n):
@@ -227,34 +228,49 @@ def test_forest_oob_fraction_near_one_over_e():
 def test_oob_single_tree_predictions():
     mat = signal_matrix(n=120)
     forest = grow_forest(mat, ForestParams(n_trees=1, min_leaf=5), seed=7)
-    result = oob_predict(forest, mat)
+    predictions = oob_predict(forest, mat)
     boot = forest.bootstrap_indices[0]
     oob_rows = np.setdiff1d(np.arange(120), boot)
     tree_pred = forest.trees[0].predict_batch(mat.scores[oob_rows])
-    assert np.array_equal(result.predictions[oob_rows], tree_pred)
-    assert np.isnan(result.predictions[np.unique(boot)]).all()
-    assert np.array_equal(np.flatnonzero(result.always_in_bag), np.unique(boot))
+    assert predictions.shape == (120,)
+    assert np.array_equal(predictions[oob_rows], tree_pred)
+    assert np.array_equal(np.flatnonzero(np.isnan(predictions)), np.unique(boot))
+    assert np.array_equal(predictions, reference_oob_predictions(forest, mat), equal_nan=True)
 
 
-def test_oob_counts_match_bootstrap_misses():
+def test_oob_predictions_equal_the_oracle():
     mat = signal_matrix(n=90)
     forest = grow_forest(mat, ForestParams(n_trees=15, min_leaf=5), seed=2)
-    result = oob_predict(forest, mat)
-    want = np.zeros(90, dtype=int)
+    predictions = oob_predict(forest, mat)
+    assert not np.isnan(predictions).any()
+    assert np.array_equal(predictions, reference_oob_predictions(forest, mat))
+
+
+def test_oob_predictions_are_nan_exactly_on_the_rows_every_bootstrap_drew():
+    # Every bootstrap draws rows 0-9; the rest of each is a seeded resample,
+    # so some later rows are out of bag for some trees and not others.
+    def with_first_ten(rng, n):
+        return np.concatenate([np.arange(10), rng.integers(0, n, size=n - 10)])
+
+    mat = signal_matrix(n=60)
+    forest = grow_forest(mat, ForestParams(n_trees=3, min_leaf=5), seed=5,
+                         bootstrap=with_first_ten)
+    always = set(range(60))
     for boot in forest.bootstrap_indices:
-        mask = np.ones(90, dtype=bool)
-        mask[boot] = False
-        want += mask
-    assert np.array_equal(result.oob_counts, want)
+        always &= set(boot.tolist())
+    assert set(range(10)) <= always and len(always) > 10
+    predictions = oob_predict(forest, mat)
+    assert np.flatnonzero(np.isnan(predictions)).tolist() == sorted(always)
+    assert np.array_equal(predictions, reference_oob_predictions(forest, mat), equal_nan=True)
 
 
 def test_oob_beats_single_leaf_on_planted_data(three_split_spec):
     panel = generate_synthetic_panel(three_split_spec, n=300, noise_sigma=0.02, seed=6)
     mat = planted_matrix(panel, three_split_spec)
     forest = grow_forest(mat, ForestParams(n_trees=200, min_leaf=5), seed=6)
-    result = oob_predict(forest, mat)
+    predictions = oob_predict(forest, mat)
     single_leaf_mse = float(np.var(mat.response))
-    assert result.oob_mse < single_leaf_mse
+    assert np.mean((predictions - mat.response) ** 2) < single_leaf_mse
 
 
 def test_oob_row_count_mismatch():

@@ -28,15 +28,17 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from charterseg.cli import main
-from charterseg.config import CONFIG_ENV_VAR, SubsampleSpec, load_config, parse_config
+from charterseg.config import CONFIG_ENV_VAR, RunConfig, SubsampleSpec, load_config, parse_config
 from charterseg.errors import ConfigError, DegenerateInputError
-from charterseg.panel import (PROXY_FIELDS, SizeHalf, compute_raw_proxies, filter_subsample,
-                              load_panel, row_ids)
+from charterseg.forest import Forest, ImportanceReport
+from charterseg.panel import (PANEL_DTYPE, PROXY_FIELDS, ProxyFrame, SizeHalf,
+                              compute_raw_proxies, filter_subsample, load_panel, row_ids)
 from charterseg.rescale import (DEFAULT_PROXY_SPECS, ScoredMatrix, build_scored_matrix,
                                 complete_rows)
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
-from charterseg.study import run_study, summary_table, write_study
+from charterseg.study import StudyResult, SubsampleResult, run_study, summary_table, write_study
+from charterseg.tree import PruneTrace
 
 from helpers import (CONFIG_EDGES, CONFIG_WORDS, FULL_HEADER, PANEL_BYTES, bundle_digests,
                      fast_config, json_paths, replaced, src_env, synth_panel_csv)
@@ -770,6 +772,38 @@ def test_each_module_imports_alone(module, tmp_path):
     done = subprocess.run([sys.executable, "-c", f"import charterseg.{module}"], cwd=tmp_path,
                           env=src_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _trace():
+    return PruneTrace((0.5,), (2, 1), (0.0, 0.5), np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5,
+                      "min_cv")
+
+
+def _report():
+    return ImportanceReport(("a", "b"), np.array([10.0, 5.0]), np.array([0.1, 0.05]),
+                            np.zeros(2), 1.0)
+
+
+def _subsample():
+    return SubsampleResult("full", "ok", n_rows=4, importance=_report(), trace=_trace())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProxyFrame(np.zeros(2, dtype=PANEL_DTYPE), np.ones(2), {"beta": np.ones(2)}),
+    lambda: ScoredMatrix(("a",), np.ones((2, 1)), np.ones(2)),
+    lambda: Forest((), (np.arange(3),)),
+    _report,
+    _trace,
+    _subsample,
+    lambda: StudyResult(RunConfig(), (_subsample(),)),
+], ids=["ProxyFrame", "ScoredMatrix", "Forest", "ImportanceReport", "PruneTrace",
+        "SubsampleResult", "StudyResult"])
+def test_array_holding_records_compare_by_identity(make):
+    # Value equality would compare numpy arrays, whose == has no single truth value.
+    a, b = make(), make()
+    assert a != b
+    assert a == a
+    assert hash(a) == hash(a)
 
 
 def test_cli_grow(study_env, no_env_config, capsys, tmp_path):

@@ -712,7 +712,11 @@ def test_pruning_matches_rescanning_reference(min_leaf):
         assert (trace.alphas, trace.subtree_sizes) == reference_cost_complexity_sequence(tree)
         alphas = [0.0, *trace.alphas, *midpoint_alphas(trace.alphas)]
         X = np.round(rng.uniform(1.0, 5.0, size=(40, 3)) * 2.0) / 2.0
-        for alpha, pred in zip(alphas, _pruned_predictions(tree, X, alphas)):
+        preds = _pruned_predictions(tree, X, alphas)
+        # cv_prune's np.mean(..., axis=1) sums each row in memory order, so
+        # another layout could move cv_mse in the last bit.
+        assert preds.flags.c_contiguous
+        for alpha, pred in zip(alphas, preds):
             reference = reference_prune_at(tree, alpha)
             assert export_json(prune_at(tree, alpha)) == export_json(reference)
             assert np.array_equal(pred, reference.predict_batch(X))
