@@ -82,67 +82,35 @@ def path_rows(matrix: ScoredMatrix, path: LeafPath) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """One split node's contribution to a factor's verdict."""
-
-    feature: int
-    name: str
-    threshold: float
-    low_risk_mean: float  # subtree mean Q on the left (score < threshold) side
-    high_risk_mean: float
-    aligned: Optional[bool]  # None when the two means tie
-
-
-@dataclass(frozen=True)
-class AlignmentVerdict:
-    factor: str
-    verdict: str
-    evidence: tuple[Evidence, ...]
-
-    @property
-    def label(self) -> str:
-        return VERDICT_LABELS[self.verdict]
-
-
-def alignment_verdicts(tree: RegressionTree, paths) -> dict[str, AlignmentVerdict]:
+def alignment_verdicts(tree: RegressionTree, paths) -> dict[str, str]:
     """Judge each factor by the split nodes along the extreme-leaf paths.
 
     A node splitting on factor X separates a low-risk side (score below the
     threshold) from a high-risk side. If the low-risk side's mean Q exceeds
     the high-risk side's, the node is evidence that X is aligned with
-    charter value; the opposite is misaligned evidence. Factors with mixed
-    evidence come back ambiguous, untouched factors have no evidence.
+    charter value; the opposite is misaligned evidence, and equal means are
+    no evidence. Factors with mixed evidence come back ambiguous, untouched
+    factors have no evidence. A path step's evidence stays readable from the
+    tree: the subtree means of its `node` are `tree.mean` at
+    `tree.children(node)`.
 
     Args:
         tree: pruned tree with per-node stats.
         paths: the (Q^Min, Q^Max) paths, as extreme_leaves returns them.
 
     Returns:
-        Verdict per feature name, every tree feature present.
+        ALIGNED, MISALIGNED, AMBIGUOUS or NO_EVIDENCE per feature name, every
+        tree feature present, in tree.feature_names order; VERDICT_LABELS maps
+        each to its report label.
     """
-    evidence: dict[str, list[Evidence]] = {name: [] for name in tree.feature_names}
-    for i in dict.fromkeys(step.node for path in paths for step in path.steps):
-        feature = int(tree.feature[i])
-        name = tree.feature_names[feature]
+    judged: dict[str, set[bool]] = {name: set() for name in tree.feature_names}
+    for i in {step.node for path in paths for step in path.steps}:
         low, high = (float(tree.mean[child]) for child in tree.children(i))
-        aligned = None if low == high else bool(low > high)
-        evidence[name].append(Evidence(feature, name, float(tree.threshold[i]),
-                                       low, high, aligned))
-
-    verdicts = {}
-    for name in tree.feature_names:
-        judged = [e.aligned for e in evidence[name] if e.aligned is not None]
-        if not judged:
-            verdict = NO_EVIDENCE
-        elif all(judged):
-            verdict = ALIGNED
-        elif not any(judged):
-            verdict = MISALIGNED
-        else:
-            verdict = AMBIGUOUS
-        verdicts[name] = AlignmentVerdict(name, verdict, tuple(evidence[name]))
-    return verdicts
+        if low != high:
+            judged[tree.feature_names[int(tree.feature[i])]].add(low > high)
+    outcome = {frozenset(): NO_EVIDENCE, frozenset({True}): ALIGNED,
+               frozenset({False}): MISALIGNED, frozenset({True, False}): AMBIGUOUS}
+    return {name: outcome[frozenset(seen)] for name, seen in judged.items()}
 
 
 @dataclass(frozen=True)

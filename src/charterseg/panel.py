@@ -197,8 +197,8 @@ def load_panel(path, schema: dict[str, str] | None = None,
         width = len(record)
         cells = [record[i] if i < width else "" for i in at]
         bank_id, country, year_text = (c.strip() for c in cells[:3])
-        row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
         if not bank_id or not country or not year_text:
+            row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
             exclusions.append(Exclusion(row_id, "missing bank_id, country, or year"))
             continue
         try:
@@ -208,6 +208,7 @@ def load_panel(path, schema: dict[str, str] | None = None,
         if year is None or not -2 ** 63 <= year < 2 ** 63:  # PANEL_DTYPE holds years as int64
             raise ParseError(f"expected an integer year within int64, got {echo(year_text)}",
                              line=line_no, column=colname["year"])
+        row_id = f"{bank_id}:{year}"  # the parsed year, as row_ids writes it
 
         values = [_parse_cell(c, line_no, col) for c, col in zip(cells[3:], numeric_columns)]
         missing_field = next((f for f, v in zip(REQUIRED_FIELDS, values) if math.isnan(v)),

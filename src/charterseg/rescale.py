@@ -203,12 +203,16 @@ class ScoredMatrix:
 
     def __post_init__(self):
         n, m = self.scores.shape
+        if m == 0:
+            raise SchemaError("a scored matrix needs at least one feature column")
         if m != len(self.feature_names):
             raise SchemaError("feature_names and score columns disagree")
         if n != self.response.shape[0]:
             raise SchemaError("row count mismatch between scores and response")
         if not ((self.scores >= 1.0) & (self.scores <= 5.0)).all():  # NaN fails both
             raise DegenerateInputError("scores must lie within [1, 5]")
+        if not np.isfinite(self.response).all():
+            raise DegenerateInputError("response must be finite")
 
     @property
     def n_rows(self) -> int:

@@ -51,8 +51,6 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     cdf_a = np.searchsorted(a, pooled, side="right") / na
     cdf_b = np.searchsorted(b, pooled, side="right") / nb
     d = float(np.max(np.abs(cdf_a - cdf_b)))
-    if d == 0.0:
-        return 0.0, 1.0
     ne = na * nb / (na + nb)
     root = math.sqrt(ne)
     lam = (root + 0.12 + 0.11 / root) * d

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (
+    VERDICT_LABELS,
     ComparisonRow,
     LeafPath,
     alignment_verdicts,
@@ -164,13 +165,9 @@ def _correlation_table(matrix: ScoredMatrix) -> tuple:
 
 
 def _comparison_table(matrix: ScoredMatrix, frame: ProxyFrame, specs,
-                      qmin: LeafPath, qmax: LeafPath) -> Optional[tuple[ComparisonRow, ...]]:
-    lo = path_rows(matrix, qmin)
-    hi = path_rows(matrix, qmax)
-    if not lo.any() or not hi.any():
-        return None
+                      qmin: LeafPath, qmax: LeafPath) -> tuple[ComparisonRow, ...]:
     idx = complete_rows(frame, specs)  # the frame rows behind the matrix rows
-    lo_idx, hi_idx = idx[lo], idx[hi]
+    lo_idx, hi_idx = idx[path_rows(matrix, qmin)], idx[path_rows(matrix, qmax)]
 
     raw = [("Q", frame.q, None)] + [(spec.name, frame.columns[spec.raw_field], spec.direction)
                                     for spec in specs]
@@ -210,7 +207,7 @@ def _study_subsample(config: RunConfig, panel: Panel, reference: Optional[ProxyF
                              rule=config.tree.prune_rule, seed=derive_seed(seed, 3))
     qmin, qmax = extreme_leaves(fitted)
     verdicts = alignment_verdicts(fitted, (qmin, qmax))
-    verdict_pairs = tuple((name, verdicts[name].label) for name in fitted.feature_names)
+    verdict_pairs = tuple((name, VERDICT_LABELS[v]) for name, v in verdicts.items())
     comparison = None
     if fitted.n_leaves > 1:
         comparison = _comparison_table(matrix, sub_frame, six, qmin, qmax)

@@ -223,22 +223,29 @@ def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
         X: (n, m) feature values for the node's rows.
         y: (n,) responses.
         min_leaf: both children must keep at least this many rows.
-        feature_indices: optional candidate features (ascending); all by default.
+        feature_indices: optional candidate features, a non-empty, strictly
+            ascending integer sequence within [0, m); all m by default.
 
     Returns:
         (SplitRule, gain) with gain in raw SSE units, or None when no cut
         satisfies min_leaf on both sides with a positive gain. Ties break to
         the lowest feature index, then the smallest threshold. A non-finite
-        X or y raises DegenerateInputError.
+        X or y, or a feature_indices of any other form, raises
+        DegenerateInputError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise DegenerateInputError("best_split needs finite X and y")
-    n = X.shape[0]
+    n, m = X.shape
+    features = np.arange(m) if feature_indices is None else np.asarray(feature_indices)
+    if feature_indices is not None and not (
+            features.ndim == 1 and features.size and features.dtype.kind in "iu"
+            and 0 <= features[0] and features[-1] < m and (np.diff(features) > 0).all()):
+        raise DegenerateInputError(f"feature_indices must be strictly ascending integers "
+                                   f"in [0, {m}), got {echo(feature_indices)}")
     if n < 2 * min_leaf:
         return None
-    features = np.arange(X.shape[1]) if feature_indices is None else np.asarray(feature_indices)
     codes, values = _code(X[:, features])
     c, thr, gain = _best_cuts(codes[None, :, :n], (y - float(y.sum()) / n)[None],
                               np.array([n]), min_leaf, values)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from charterseg.analysis import alignment_verdicts, extreme_leaves
+from charterseg.analysis import VERDICT_LABELS, alignment_verdicts, extreme_leaves
 from charterseg.cli import main
 from charterseg.forest import ForestParams, ImportanceReport, grow_forest, permutation_importance
 from charterseg.rescale import quantile_rescale, threshold_rescale
@@ -227,7 +227,7 @@ def test_criterion_07_reference_tree_fixture(reference_tree):
             ("C", 1.986, "ge"), ("E", 1.869, "lt"),
         ]
         verdicts = alignment_verdicts(reference_tree, (qmin, qmax))
-        assert {k: v.label for k, v in verdicts.items()} == {
+        assert {k: VERDICT_LABELS[v] for k, v in verdicts.items()} == {
             "C": "No", "A": "-", "M": "-", "E": "Yes", "L": "Yes", "S": "No",
         }
 

@@ -12,6 +12,7 @@ from charterseg.analysis import (
     ALIGNED,
     MISALIGNED,
     NO_EVIDENCE,
+    VERDICT_LABELS,
     alignment_verdicts,
     extreme_leaves,
     group_comparison,
@@ -99,26 +100,25 @@ def test_path_rows_match_leaf_counts():
 
 def test_verdict_stump_aligned():
     # Low-risk (left) side has the higher mean Q: aligned evidence.
-    verdicts = verdicts_on_paths(stump(1.2, 0.9))
-    assert verdicts["C"].verdict == ALIGNED
-    assert verdicts["C"].label == "Yes"
-    assert verdicts["A"].verdict == NO_EVIDENCE
-    assert verdicts["A"].label == "-"
-    ev = verdicts["C"].evidence[0]
-    assert ev.low_risk_mean == 1.2 and ev.high_risk_mean == 0.9
-    assert ev.aligned is True
+    tree = stump(1.2, 0.9)
+    verdicts = verdicts_on_paths(tree)
+    assert verdicts == {"C": ALIGNED, "A": NO_EVIDENCE}
+    assert list(verdicts) == list(tree.feature_names)
+    assert VERDICT_LABELS[verdicts["C"]] == "Yes"
+    assert VERDICT_LABELS[verdicts["A"]] == "-"
+    # The evidence behind the verdict is the root's two child means.
+    assert [float(tree.mean[i]) for i in tree.children(0)] == [1.2, 0.9]
 
 
 def test_verdict_stump_misaligned():
     verdicts = verdicts_on_paths(stump(0.9, 1.2))
-    assert verdicts["C"].verdict == MISALIGNED
-    assert verdicts["C"].label == "No"
+    assert verdicts["C"] == MISALIGNED
+    assert VERDICT_LABELS[verdicts["C"]] == "No"
 
 
 def test_verdict_tied_means_give_no_evidence():
     verdicts = verdicts_on_paths(stump(1.0, 1.0))
-    assert verdicts["C"].verdict == NO_EVIDENCE
-    assert verdicts["C"].evidence[0].aligned is None
+    assert verdicts == {"C": NO_EVIDENCE, "A": NO_EVIDENCE}
 
 
 def test_verdict_conflicting_nodes_are_ambiguous():
@@ -128,9 +128,8 @@ def test_verdict_conflicting_nodes_are_ambiguous():
     tree = build_tree(root, ["C", "A"], min_leaf=1)
     # Root: left mean 0.9 > right 0.7 (aligned); inner: 0.8 < 1.0 (misaligned).
     verdicts = verdicts_on_paths(tree)
-    assert verdicts["C"].verdict == AMBIGUOUS
-    assert verdicts["C"].label == "Ambig"
-    assert len(verdicts["C"].evidence) == 2
+    assert verdicts == {"C": AMBIGUOUS, "A": NO_EVIDENCE}
+    assert VERDICT_LABELS[verdicts["C"]] == "Ambig"
 
 
 def test_verdict_scope_all_sees_off_path_nodes():
@@ -144,12 +143,12 @@ def test_verdict_scope_all_sees_off_path_nodes():
     )
     tree = build_tree(root, ["C", "A"], min_leaf=1)
     on_path = verdicts_on_paths(tree)
-    assert on_path["A"].verdict == NO_EVIDENCE
+    assert on_path["A"] == NO_EVIDENCE
 
 
 def test_reference_tree_verdicts(reference_tree):
     verdicts = verdicts_on_paths(reference_tree)
-    assert {k: v.label for k, v in verdicts.items()} == {
+    assert {k: VERDICT_LABELS[v] for k, v in verdicts.items()} == {
         "C": "No", "A": "-", "M": "-", "E": "Yes", "L": "Yes", "S": "No",
     }
 

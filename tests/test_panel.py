@@ -162,6 +162,22 @@ def test_load_window_excludes_outside_years(tmp_path):
     assert panel.window == (2006, 2008)
 
 
+def test_load_exclusion_ids_use_the_parsed_year(tmp_path):
+    # "+2006" and "02005" parse to 2006 and 2005; their ids read as row_ids
+    # writes them, as compute_raw_proxies logs the rows it drops.
+    rows = [base_row(bank_id="b1", year="+2006"), base_row(bank_id="b2", year="02005"),
+            base_row(bank_id="b3", year="+2008", deposits=""),
+            base_row(bank_id="b4", year="+2008", deposits=0.0)]
+    panel = load_panel(write_csv(tmp_path / "p.csv", rows), window=(2007, 2016))
+    assert [(e.row_id, e.reason) for e in panel.exclusions] == [
+        ("b1:2006", "year 2006 outside window"), ("b2:2005", "year 2005 outside window"),
+        ("b3:2008", "missing deposits")]
+    assert [e.row_id for e in compute_raw_proxies(panel).exclusions] == ["b4:2008"]
+    # A blank key field leaves the year unparsed, so the id keeps its text.
+    panel = load_panel(write_csv(tmp_path / "q.csv", [base_row(country="", year="+2006")]))
+    assert [e.row_id for e in panel.exclusions] == ["b1:+2006"]
+
+
 def test_load_missing_key_fields_excluded(tmp_path):
     rows = [base_row(), dict(base_row(), bank_id="", year=2009)]
     panel = load_panel(write_csv(tmp_path / "p.csv", rows))
@@ -528,6 +544,12 @@ def test_filter_size_median_tie_goes_large():
             for i, a in enumerate([100.0, 300.0, 300.0, 500.0])]
     large = filter_subsample(make_panel(rows), SizeHalf("large"))
     assert large.rows["total_assets"].tolist() == [300.0, 300.0, 500.0]
+
+
+def test_filter_size_half_of_an_empty_panel():
+    # The median of no rows is undefined; refuse before numpy warns about it.
+    with pytest.raises(EmptySubsampleError, match="size half of an empty panel"):
+        filter_subsample(make_panel([]), SizeHalf("small"))
 
 
 def test_filter_empty_result():

@@ -335,6 +335,13 @@ def test_build_excludes_rows_missing_active_fields():
     assert any(e.row_id == "b3:2008" and "beta" in e.reason for e in m.exclusions)
 
 
+def test_complete_rows_needs_every_raw_field_in_the_frame():
+    frame = compute_raw_proxies(make_panel([bank_year()]))
+    del frame.columns["beta"]
+    with pytest.raises(SchemaError, match="raw field 'beta' not in proxy frame"):
+        complete_rows(frame, [ProxySpec("Syst", "S", "beta", "increasing", "quantile")])
+
+
 def test_build_inactive_nan_fields_cost_nothing():
     # all rows miss roa, but only capital is active
     panel = make_panel([bank_year(bank_id=f"b{i}", equity=40.0 + i) for i in range(5)])

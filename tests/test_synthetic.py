@@ -93,6 +93,14 @@ def test_generator_rejects_bad_requests(stump_spec):
         generate_synthetic_panel(offgrid, n=80, noise_sigma=0.0, seed=1)
 
 
+@pytest.mark.parametrize("grid", [(3.0, 2.0), (2.0, 2.0, 3.0), (2.0,)])
+def test_validate_rejects_a_grid_that_does_not_ascend(grid):
+    spec = PlantedTreeSpec(root=PlantedSplit("roa", 2.5, PlantedLeaf(1.0), PlantedLeaf(2.0)),
+                           grids={"roa": grid})
+    with pytest.raises(ConfigError, match="must be ascending with >= 2 points"):
+        spec.validate()
+
+
 def test_custom_grid_respected():
     spec = PlantedTreeSpec(
         root=PlantedSplit("beta", 3.0, PlantedLeaf(0.9), PlantedLeaf(1.1)),

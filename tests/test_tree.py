@@ -22,6 +22,7 @@ from charterseg.errors import (
     DegenerateInputError,
     EmptyModelError,
     ParseError,
+    SchemaError,
 )
 from charterseg.forest import ForestParams, grow_forest
 from charterseg.seeding import make_rng
@@ -236,6 +237,18 @@ def test_best_split_rejects_non_finite_y(bad):
         best_split(X, np.array([0.0, bad, 1.0, 1.0]), 1)
 
 
+@pytest.mark.parametrize("indices", [[], [-1], [2], [0, 2], [1.0], [True], [1, 0], [0, 0],
+                                     [[0, 1]]],
+                         ids=["empty", "negative", "past_m", "one_past_m", "float", "bool",
+                              "descending", "repeated", "nested"])
+def test_best_split_rejects_bad_feature_indices(indices):
+    # -1 would wrap to the last column and come back as feature -1, the leaf
+    # marker; [1, 0] on these tied columns would pick 1, not the lowest index.
+    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+    with pytest.raises(DegenerateInputError, match="feature_indices must be strictly ascending"):
+        best_split(X, np.array([0.0, 0.0, 10.0, 10.0]), 1, feature_indices=indices)
+
+
 # ------------------------------------------------------------ block scorer
 
 
@@ -316,6 +329,20 @@ def test_grow_too_few_rows():
     mat = make_matrix([[1.0], [2.0]], [0.0, 1.0])
     with pytest.raises(EmptyModelError):
         grow(mat, TreeParams(min_leaf=3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grow_refuses_a_non_finite_response(bad):
+    # A NaN response would grow a one-leaf tree of mean NaN; the matrix refuses it.
+    with pytest.raises(DegenerateInputError, match="response must be finite"):
+        grow(make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, bad, 1.0, 1.0]),
+             TreeParams(min_leaf=1))
+
+
+def test_grow_refuses_a_matrix_without_features():
+    # With no column to split on, the grower would fail on a numpy IndexError.
+    with pytest.raises(SchemaError, match="at least one feature column"):
+        grow(make_matrix(np.empty((4, 0)), np.zeros(4)), TreeParams(min_leaf=1))
 
 
 def test_grow_single_leaf_between_min_leaf_and_double():
@@ -585,6 +612,15 @@ def test_predict_batch_matches_scalar_predict():
     batch = tree.predict_batch(mat.scores)
     single = np.array([reference_predict(tree, row) for row in mat.scores])
     assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("node", [3, -1])
+def test_path_to_a_node_outside_the_tree(node):
+    stump = consistent_internal(SplitRule(0, 2.5), Leaf(2, 0.0, 0.0), Leaf(2, 10.0, 0.0))
+    tree = build_tree(stump, ("f0",))
+    assert tree.path(2) == [(0, False)]
+    with pytest.raises(DegenerateInputError, match=f"tree has no node {node}"):
+        tree.path(node)
 
 
 # ----------------------------------------------------------------- pruning
