@@ -31,13 +31,14 @@ Each section is read from its dataclass's fields: their names are its keys,
 their types the JSON types of its values, and those without a default its
 required keys. Values go through the typed readers of errors.py, as a tree
 document's do ("3" is no number, 30.0 no integer, and the Infinity and NaN
-that json.load reads are refused). A bad list entry's error names its index
-(selection.fixed[1]). DataConfig checks its window order and column field
-names when built, in Python as from JSON. RunConfig checks the finished
-config, so faults in proxy selection (duplicate proxy names, a bad
-selection.fixed, an mtry wider than a forest), two subsample names that
-map to one output file name and a name too long for a file name are found
-before the panel is read.
+that json.load reads and a key repeated in one object are refused). A bad
+list entry's error names its index (selection.fixed[1]). DataConfig checks
+its window order and column field names when built, in Python as from JSON.
+RunConfig checks the finished config, so faults in proxy selection
+(duplicate proxy names, a bad selection.fixed, an mtry wider than a
+forest), an empty out, two subsample names that map to one output file
+name and a name too long for a file name are found before the panel is
+read.
 
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
@@ -51,7 +52,7 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, echo, json_number, json_object, json_string
+from .errors import ConfigError, echo, json_number, json_object, json_string, unique_keys
 from .forest import ForestParams
 from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
@@ -157,6 +158,8 @@ class RunConfig:
                 f"rescale_scope must be subsample or full, got {echo(self.rescale_scope)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {echo(self.seed)}")
+        if not self.out:  # Path("") is the working directory
+            raise ConfigError("out must name an output directory, got ''")
         if not self.proxies:
             raise ConfigError("proxies must be a non-empty list")
         if not self.subsamples:
@@ -278,7 +281,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge integers

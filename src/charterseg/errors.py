@@ -3,8 +3,10 @@
 Both JSON inputs, the run config and an exported tree, read their values
 through json_number, json_string and json_object: an integer is a JSON
 integer (not a bool, not 30.0), a number is finite and exact as a float,
-and unknown keys are refused. A fault names its key. A message shows a value
-read from outside the program (a JSON value, a CSV cell) through echo.
+and unknown keys are refused. Both are parsed with unique_keys, so an
+object may not repeat a key (json.load keeps its last value). A fault names
+its key. A message shows a value read from outside the program (a JSON
+value, a CSV cell) through echo.
 """
 
 import math
@@ -90,3 +92,13 @@ def json_object(value, key: str, allowed, error=ConfigError) -> dict:
     if unknown:  # keys set in Python may mix types, so they sort as text
         raise error(f"unknown keys in {key}: {echo(sorted(unknown, key=str))}")
     return value
+
+
+def unique_keys(pairs, error=ConfigError) -> dict:
+    """A json object_pairs_hook: the object as a dict, unless it repeats a key."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise error(f"JSON object repeats the key {echo(key)}")
+        seen.add(key)
+    return dict(pairs)

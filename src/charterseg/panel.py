@@ -100,8 +100,8 @@ def _parse_cell(text: str, line: int, column: str) -> float:
     text = text.strip()
     if not text:
         return NAN
-    try:
-        value = float(text)
+    try:  # ASCII without "_": float() also reads "1_0" and other scripts' digits
+        value = float(text) if text.isascii() and "_" not in text else NAN
     except ValueError:
         value = NAN
     if not math.isfinite(value):  # nan, inf and 1e999 would pass as data
@@ -201,8 +201,8 @@ def load_panel(path, schema: dict[str, str] | None = None,
             row_id = f"{bank_id}:{year_text}" if bank_id and year_text else f"line:{line_no}"
             exclusions.append(Exclusion(row_id, "missing bank_id, country, or year"))
             continue
-        try:
-            year = int(year_text)
+        try:  # ASCII without "_", as a numeric cell
+            year = int(year_text) if year_text.isascii() and "_" not in year_text else None
         except ValueError:
             year = None
         if year is None or not -2 ** 63 <= year < 2 ** 63:  # PANEL_DTYPE holds years as int64

@@ -14,8 +14,7 @@ Each step pops every tree's stack of pending nodes, and a tree that draws
 its candidate features stops after the first node whose children may
 split: forest trees advance in lockstep, each drawing in its own preorder,
 while grow and cv_prune drain their stacks, a depth level per step, so
-cv_prune grows its full tree and every fold tree together.
-best_split is the one-node call of the same scorer. Pruning follows
+cv_prune grows its full tree and every fold tree together. Pruning follows
 the weakest-link sequence with k-fold cross-validated selection of the
 complexity penalty, read off two per-node arrays: the penalty at which each
 node folds and the least of its ancestors'. CV routes each test row once
@@ -34,15 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInputError, EmptyModelError, ParseError, echo,
-                     json_number, json_object, json_string)
+                     json_number, json_object, json_string, unique_keys)
 from .rescale import ScoredMatrix
 from .seeding import make_rng
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    feature: int
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -134,15 +127,8 @@ class RegressionTree:
         return steps
 
 
-def node_sse(responses) -> tuple[float, float]:
-    """Mean and sum of squared errors around it for one node's responses."""
-    y = np.asarray(responses, dtype=float)
-    means, sses, _ = _run_sse(y, np.array([y.size]))
-    return float(means[0]), float(sses[0])
-
-
 def _run_sse(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """node_sse of each consecutive run of y, sizes[i] long.
+    """The mean and sum of squared errors of each consecutive run of y, sizes[i] long.
 
     Returns the runs' means, their SSEs and their ends. Per run: one sum,
     whose division by the size is y.mean() to the bit at half the call cost,
@@ -181,9 +167,7 @@ def _best_cuts(codes: np.ndarray, centred: np.ndarray, n: np.ndarray, min_leaf: 
     where no cut keeps min_leaf rows a side. The first maximum in (candidate,
     cut) order wins: the lowest candidate, then the smallest threshold.
     """
-    N, F, L = codes.shape
-    if F == 0:
-        return np.zeros(N, dtype=np.intp), np.full(N, np.nan), np.full(N, -np.inf)
+    N, _, L = codes.shape
     b = (L - 1).bit_length()
     key = np.left_shift(codes, b, dtype=np.int32 if values.size << b < 2 ** 31 else np.int64)
     key |= np.arange(L, dtype=key.dtype)
@@ -211,47 +195,6 @@ def _best_cuts(codes: np.ndarray, centred: np.ndarray, n: np.ndarray, min_leaf: 
     thr = (below + above) / 2.0
     thr = np.where(thr <= below, above, thr)  # adjacent floats can round onto the left value
     return c, thr, gains[node, best]
-
-
-def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int,
-               feature_indices=None) -> Optional[tuple[SplitRule, float]]:
-    """Exhaustive best SSE-reducing split over the given rows.
-
-    The one-node call of the block scorer that grows every tree.
-
-    Args:
-        X: (n, m) feature values for the node's rows.
-        y: (n,) responses.
-        min_leaf: both children must keep at least this many rows.
-        feature_indices: optional candidate features, a non-empty, strictly
-            ascending integer sequence within [0, m); all m by default.
-
-    Returns:
-        (SplitRule, gain) with gain in raw SSE units, or None when no cut
-        satisfies min_leaf on both sides with a positive gain. Ties break to
-        the lowest feature index, then the smallest threshold. A non-finite
-        X or y, or a feature_indices of any other form, raises
-        DegenerateInputError.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise DegenerateInputError("best_split needs finite X and y")
-    n, m = X.shape
-    features = np.arange(m) if feature_indices is None else np.asarray(feature_indices)
-    if feature_indices is not None and not (
-            features.ndim == 1 and features.size and features.dtype.kind in "iu"
-            and 0 <= features[0] and features[-1] < m and (np.diff(features) > 0).all()):
-        raise DegenerateInputError(f"feature_indices must be strictly ascending integers "
-                                   f"in [0, {m}), got {echo(feature_indices)}")
-    if n < 2 * min_leaf:
-        return None
-    codes, values = _code(X[:, features])
-    c, thr, gain = _best_cuts(codes[None, :, :n], (y - float(y.sum()) / n)[None],
-                              np.array([n]), min_leaf, values)
-    if not gain[0] > 0.0:
-        return None
-    return SplitRule(int(features[c[0]]), float(thr[0])), float(gain[0])
 
 
 _BLOCK_ROWS = 4  # padded rows per block over X's rows: a CV level in few blocks, small temporaries
@@ -697,7 +640,7 @@ def import_json(text: str) -> RegressionTree:
     at least zero, and total_n is the root's n.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=lambda pairs: unique_keys(pairs, ParseError))
         if not isinstance(doc, dict) or doc.get("format") != "charterseg-tree":
             raise ParseError("not a charterseg tree document")
         json_object(doc, "tree document", ("format", "version", "feature_names", "total_n",

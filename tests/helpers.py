@@ -24,13 +24,19 @@ from hypothesis import strategies as st
 from charterseg.panel import ALL_FIELDS, Panel
 from charterseg.rescale import ScoredMatrix
 from charterseg.seeding import derive_seed, make_rng
-from charterseg.tree import (RegressionTree, SplitRule, _best_cuts, _code, export_json,
-                             import_json, node_sse)
+from charterseg.tree import (RegressionTree, TreeParams, _best_cuts, _build_many, _code,
+                             _run_sse, export_json, import_json)
 
 
 # The oracles' own tree form: nested frozen nodes, read from and written to
 # the nested document of export_json / import_json, so that they stay
 # independent of the library's array layout.
+
+
+@dataclass(frozen=True)
+class SplitRule:
+    feature: int
+    threshold: float  # rows with value < threshold go left
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,21 @@ def brute_force_best_split(X, y, min_leaf):
     return best
 
 
+def root_split(matrix, min_leaf, subset=None):
+    """The factory's root split as brute_force_best_split returns one, or None for a leaf.
+
+    The root is grown to depth 1, over every feature or, like a forest node,
+    over the features a pick returns (subset); its gain is its SSE less its
+    children's.
+    """
+    picks = None if subset is None else [lambda: subset]
+    tree = _build_many(matrix, [np.arange(matrix.n_rows)], TreeParams(min_leaf, 1), picks)[0]
+    if tree.feature[0] < 0:
+        return None
+    return (int(tree.feature[0]), float(tree.threshold[0]),
+            float(tree.sse[0] - tree.sse[1] - tree.sse[tree.right[0]]))
+
+
 def reference_build(X, y, params, pick) -> list[tuple]:
     """The node columns of a tree grown on every row by a preorder recursion.
 
@@ -135,8 +156,9 @@ def reference_build(X, y, params, pick) -> list[tuple]:
 
     def split(idx, depth):
         ysub = y[idx]
-        mean, sse = node_sse(ysub)
-        node = [-1, np.nan, -1, int(idx.size), mean, sse]
+        means, sses, _ = _run_sse(ysub, np.array([idx.size]))
+        mean = float(means[0])
+        node = [-1, np.nan, -1, int(idx.size), mean, float(sses[0])]
         nodes.append(node)
         if idx.size < 2 * params.min_leaf:
             return

@@ -26,10 +26,11 @@ from charterseg.seeding import derive_seed
 from charterseg.select import select_proxies
 from charterseg.stats import _kolmogorov_sf, ks_two_sample
 from charterseg.synthetic import generate_synthetic_panel, planted_matrix
-from charterseg.tree import TreeParams, best_split, cv_prune, grow
+from charterseg.tree import TreeParams, cv_prune, grow
 import helpers
 from helpers import (Internal, Leaf, brute_force_best_split, brute_force_ks_d, bundle_digests,
-                     fast_config, make_matrix, random_matrix, src_env, synth_panel_csv)
+                     fast_config, make_matrix, random_matrix, root_split, src_env,
+                     synth_panel_csv)
 
 
 @contextmanager
@@ -43,7 +44,7 @@ def criterion(number: int, title: str):
 
 
 def test_criterion_01_split_oracle_equivalence():
-    """best_split == brute force on 100 random matrices, gain to 1e-9 rel."""
+    """The factory's depth-1 root split == brute force on 100 random matrices, gain to 1e-9 rel."""
     with criterion(1, "split oracle equivalence (100 matrices, < 60 s)"):
         rng = np.random.default_rng(2024)
         start = time.monotonic()
@@ -51,16 +52,16 @@ def test_criterion_01_split_oracle_equivalence():
             matrix = random_matrix(rng, tie_heavy=bool(rng.random() < 0.4))
             X, y = matrix.scores, matrix.response
             min_leaf = int(rng.choice([1, 2, 5, 20]))
-            ours = best_split(X, y, min_leaf)
+            ours = root_split(matrix, min_leaf)
             ref = brute_force_best_split(X, y, min_leaf)
             if ref is None:
                 assert ours is None
                 continue
             assert ours is not None
-            rule, gain = ours
+            feature, threshold, gain = ours
             f, thr, ref_gain = ref
-            assert rule.feature == f
-            assert rule.threshold == thr
+            assert feature == f
+            assert threshold == thr
             assert gain == pytest.approx(ref_gain, rel=1e-9)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -20,8 +20,8 @@ from charterseg.analysis import (
     significance_stars,
 )
 from charterseg.errors import DegenerateInputError, ParseError
-from charterseg.tree import SplitRule, TreeParams, export_json, grow, import_json
-from helpers import Leaf, build_tree, consistent_internal, make_matrix
+from charterseg.tree import TreeParams, export_json, grow, import_json
+from helpers import Leaf, SplitRule, build_tree, consistent_internal, make_matrix
 
 
 def verdicts_on_paths(tree):

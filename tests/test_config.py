@@ -381,6 +381,18 @@ def test_unreadable_config_json_is_a_config_error(tmp_path, data):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 7}', "seed"),
+    ('{"tree": {"min_leaf": 30, "min_leaf": 5}}', "min_leaf"),
+], ids=["top_level", "nested"])
+def test_a_config_object_may_not_repeat_a_key(tmp_path, text, key):
+    # json.load keeps the last value: these ran with seed 7 and min_leaf 5.
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"JSON object repeats the key {key!r}")):
+        load_config(path)
+
+
 def test_env_var_name_is_stable():
     assert CONFIG_ENV_VAR == "CHARTERSEG_CONFIG"
 

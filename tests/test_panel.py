@@ -298,6 +298,21 @@ def test_load_year_outside_int64_is_a_located_parse_error(tmp_path):
     assert load_panel(write_csv(tmp_path / "p.csv", rows)).window == (-(2 ** 63), 2 ** 63 - 1)
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("year", "2_005"),
+    ("year", "\u0662\u0660\u0660\u0667"),  # Arabic-Indic digits
+    ("loans", "1_0"),
+    ("loans", "\uff11\uff10"),  # fullwidth digits
+], ids=["year_underscore", "year_arabic_indic", "cell_underscore", "cell_fullwidth"])
+def test_load_numbers_are_ascii_decimals(tmp_path, column, cell):
+    # int() and float() read these as 2005, 2007, 10.0 and 10.0, and they used to load.
+    rows = [base_row(), base_row(bank_id="b2", **{column: cell})]
+    with pytest.raises(ParseError) as err:
+        load_panel(write_csv(tmp_path / "p.csv", rows))
+    expected = "an integer year within int64" if column == "year" else "a finite number"
+    assert str(err.value) == f"expected {expected}, got {cell!r} (line 3, column {column!r})"
+
+
 @pytest.mark.parametrize("column, cell, prefix", [
     ("mve", "x" * 10_000, "expected a finite number, got "),
     ("year", "9" * 10_000, "expected an integer year within int64, got "),

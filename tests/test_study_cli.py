@@ -930,6 +930,45 @@ def test_cli_seed_override(study_env, no_env_config, capsys, tmp_path):
     assert "- master seed: 123" in report
 
 
+def test_cli_min_leaf_override(study_env, no_env_config, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(study_env["config"]), "--min-leaf", "40",
+                 "--out", str(out)]) == 0
+    trees = sorted((out / "trees").glob("*.json"))
+    assert [p.name for p in trees] == ["all.json", "early.json"]
+    for path in trees:
+        assert json.loads(path.read_text(encoding="utf-8"))["params"]["min_leaf"] == 40
+
+
+def test_cli_rescale_scope_override(study_env, no_env_config, capsys, tmp_path):
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    assert main(["grow", "--config", str(study_env["config"]), "--rescale-scope", "full",
+                 "--out", str(flag)]) == 0
+    full = write_config(tmp_path / "full.json",
+                        fast_config(study_env["csv"], config, rescale_scope="full"))
+    assert main(["grow", "--config", str(full)]) == 0
+    assert bundle_digests(flag) == bundle_digests(config)
+    assert "- rescale scope: full" in (flag / "report.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["ingest", "study"])
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_cli_empty_out_exits_2_and_writes_nothing(study_env, no_env_config, capsys, tmp_path,
+                                                  monkeypatch, command, form):
+    # An empty out is the working directory: study used to write its bundle
+    # there, and ingest summary.csv and exclusions.csv, and exit 0.
+    cfg = write_config(tmp_path / "c.json", fast_config(
+        study_env["csv"], "" if form == "config" else tmp_path / "unused"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    flags = ["--out", ""] if form == "flag" else []
+    assert main([command, "--config", str(cfg), *flags]) == 2
+    assert "out must name an output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "cwd"]
+    assert list(cwd.iterdir()) == []
+
+
 def child_env() -> dict[str, str]:
     """The outer environment without PYTHONPATH, so imports go through the install."""
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -29,7 +29,6 @@ from charterseg.seeding import make_rng
 from charterseg.study import run_study
 from charterseg.tree import (
     RegressionTree,
-    SplitRule,
     TreeParams,
     _BLOCK_ROWS,
     _NODE_ARRAYS,
@@ -39,7 +38,7 @@ from charterseg.tree import (
     _code,
     _fold_penalties,
     _pruned_predictions,
-    best_split,
+    _run_sse,
     cost_complexity_sequence,
     cv_prune,
     export_dot,
@@ -47,13 +46,13 @@ from charterseg.tree import (
     extreme_leaf_indices,
     grow,
     import_json,
-    node_sse,
     prune_at,
 )
 
 from helpers import (
     Internal,
     Leaf,
+    SplitRule,
     brute_force_best_split,
     build_tree,
     check_stats_consistency,
@@ -72,93 +71,83 @@ from helpers import (
     reference_prune_at,
     replaced,
     root,
+    root_split,
     same_topology,
 )
 
 
-# ---------------------------------------------------------------- node_sse
+# ------------------------------------------------------------ node statistics
 
 
 def test_node_sse_constant():
-    mean, sse = node_sse([5.0, 5.0, 5.0])
-    assert mean == 5.0
-    assert sse == 0.0
+    means, sses, ends = _run_sse(np.array([5.0, 5.0, 5.0]), np.array([3]))
+    assert (means.tolist(), sses.tolist(), ends.tolist()) == ([5.0], [0.0], [3])
 
 
 def test_node_sse_two_point():
-    mean, sse = node_sse([0.0, 10.0])
-    assert mean == 5.0
-    assert sse == 50.0
+    means, sses, _ = _run_sse(np.array([0.0, 10.0]), np.array([2]))
+    assert (means.tolist(), sses.tolist()) == ([5.0], [50.0])
 
 
 def test_node_sse_four_point():
-    mean, sse = node_sse([0.0, 0.0, 10.0, 10.0])
-    assert mean == 5.0
-    assert sse == 100.0
+    # Two runs in one call, each centred on its own mean.
+    means, sses, ends = _run_sse(np.array([0.0, 10.0, 0.0, 0.0, 10.0, 10.0]), np.array([2, 4]))
+    assert (means.tolist(), sses.tolist(), ends.tolist()) == ([5.0, 5.0], [50.0, 100.0], [2, 6])
 
 
 def test_node_sse_empty_rejected():
     with pytest.raises(DegenerateInputError):
-        node_sse([])
+        _run_sse(np.array([1.0, 2.0]), np.array([2, 0]))
 
 
-# -------------------------------------------------------------- best_split
+# ------------------------------------------------------------- best split
+# The root of a depth-1 tree from the one tree factory, read by root_split.
 
 
 def test_best_split_worked_example():
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([0.0, 0.0, 10.0, 10.0])
-    rule, gain = best_split(X, y, min_leaf=1)
-    assert rule == SplitRule(0, 2.5)
+    mat = make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 10.0, 10.0])
+    f, thr, gain = root_split(mat, 1)
+    assert (f, thr) == (0, 2.5)
     assert gain == pytest.approx(100.0, rel=1e-12)
 
 
 def test_best_split_constant_response():
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.zeros(4)
-    assert best_split(X, y, min_leaf=1) is None
+    mat = make_matrix([[1.0], [2.0], [3.0], [4.0]], np.zeros(4))
+    assert root_split(mat, 1) is None
 
 
 def test_best_split_min_leaf_infeasible():
-    X = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([0.0, 1.0, 2.0])
-    assert best_split(X, y, min_leaf=2) is None
+    mat = make_matrix([[1.0], [2.0], [3.0]], [0.0, 1.0, 2.0])
+    assert root_split(mat, 2) is None
 
 
 def test_best_split_tie_prefers_lower_feature():
     # second column duplicates the first; gains are float-identical
-    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-    y = np.array([0.0, 0.0, 10.0, 10.0])
-    rule, _ = best_split(X, y, min_leaf=1)
-    assert rule.feature == 0
+    mat = make_matrix([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]], [0.0, 0.0, 10.0, 10.0])
+    assert root_split(mat, 1)[0] == 0
 
 
 def test_best_split_tie_prefers_smaller_threshold():
     # symmetric response: cutting after the first or before the last point
     # reduces SSE by the same amount; the smaller threshold must win
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([0.0, 1.0, 1.0, 0.0])
-    rule, gain = best_split(X, y, min_leaf=1)
-    assert rule.threshold == 1.5
+    mat = make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, 1.0, 1.0, 0.0])
+    _, thr, gain = root_split(mat, 1)
+    assert thr == 1.5
     assert gain == pytest.approx(1.0 - direct_sse([1.0, 1.0, 0.0]), rel=1e-12)
 
 
 def test_best_split_midpoint_rounds_to_upper_value():
     a = 1.0
     b = float(np.nextafter(1.0, 2.0))
-    X = np.array([[a], [a], [b], [b]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    rule, _ = best_split(X, y, min_leaf=1)
+    _, thr, _ = root_split(make_matrix([[a], [a], [b], [b]], [0.0, 0.0, 1.0, 1.0]), 1)
     # (a + b) / 2 rounds back onto a, so the threshold must be b itself
-    assert rule.threshold == b
-    assert a < rule.threshold <= b
+    assert thr == b
+    assert a < thr <= b
 
 
 def test_best_split_restricted_features():
-    X = np.array([[1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]])
-    y = np.array([0.0, 0.0, 10.0, 10.0])
-    rule, _ = best_split(X, y, min_leaf=1, feature_indices=np.array([1]))
-    assert rule.feature == 1
+    mat = make_matrix([[1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]], [0.0, 0.0, 10.0, 10.0])
+    assert root_split(mat, 1, subset=np.array([1]))[0] == 1
 
 
 def test_best_split_matches_brute_force():
@@ -166,19 +155,18 @@ def test_best_split_matches_brute_force():
     for trial in range(25):
         mat = random_matrix(rng, tie_heavy=bool(trial % 2))
         min_leaf = int(rng.integers(1, 6))
-        got = best_split(mat.scores, mat.response, min_leaf)
+        got = root_split(mat, min_leaf)
         want = brute_force_best_split(mat.scores, mat.response, min_leaf)
         if want is None:
             assert got is None
             continue
-        rule, gain = got
-        assert (rule.feature, rule.threshold) == (want[0], want[1])
-        assert gain == pytest.approx(want[2], rel=1e-9)
+        assert got[:2] == want[:2]
+        assert got[2] == pytest.approx(want[2], rel=1e-9)
 
 
 def test_best_split_on_feature_subsets_matches_brute_force():
-    # Forest nodes search an ascending random subset of the columns, drawn as
-    # the forest's pick() draws it; the oracle searches those columns alone.
+    # Forest nodes search a random subset of the columns, drawn as the
+    # forest's pick() draws it; the oracle searches those columns alone.
     rng = make_rng(2025)
     for trial in range(40):
         mat = random_matrix(rng, m=int(rng.integers(2, 9)), tie_heavy=bool(trial % 2))
@@ -188,14 +176,13 @@ def test_best_split_on_feature_subsets_matches_brute_force():
             X[:, m - 1] = X[:, 0]  # the first and last columns tie on every cut
         subset = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
         min_leaf = int(rng.integers(1, 6))
-        got = best_split(X, y, min_leaf, feature_indices=subset)
+        got = root_split(make_matrix(X, y), min_leaf, subset)
         want = brute_force_best_split(X[:, subset], y, min_leaf)
         if want is None:
             assert got is None
             continue
-        rule, gain = got
-        assert (rule.feature, rule.threshold) == (subset[want[0]], want[1])
-        assert gain == pytest.approx(want[2], rel=1e-9)
+        assert got[:2] == (subset[want[0]], want[1])
+        assert got[2] == pytest.approx(want[2], rel=1e-9)
 
 
 def test_best_split_tie_between_non_adjacent_candidates_takes_the_lower():
@@ -203,50 +190,24 @@ def test_best_split_tie_between_non_adjacent_candidates_takes_the_lower():
     X = rng.uniform(1.0, 5.0, size=(60, 4))
     X[:, 3] = X[:, 1]
     y = np.where(X[:, 1] < 3.0, 0.0, 1.0) + rng.normal(0.0, 0.01, 60)
-    rule, gain = best_split(X, y, 5, feature_indices=np.array([0, 1, 3]))
-    alone, alone_gain = best_split(X, y, 5, feature_indices=np.array([0, 3]))
-    assert (rule.feature, alone.feature) == (1, 3)
-    assert (rule.threshold, gain) == (alone.threshold, alone_gain)
-    f, thr, ref_gain = brute_force_best_split(X[:, [0, 1, 3]], y, 5)
-    assert (f, thr) == (1, rule.threshold)
+    mat = make_matrix(X, y)
+    f, thr, gain = root_split(mat, 5, np.array([0, 1, 3]))
+    alone, alone_thr, alone_gain = root_split(mat, 5, np.array([0, 3]))
+    assert (f, alone) == (1, 3)
+    assert (thr, gain) == (alone_thr, alone_gain)
+    ref_f, ref_thr, ref_gain = brute_force_best_split(X[:, [0, 1, 3]], y, 5)
+    assert (ref_f, ref_thr) == (1, thr)
     assert gain == pytest.approx(ref_gain, rel=1e-9)
 
 
 def test_gain_shift_and_scale_behavior():
     rng = make_rng(5)
     mat = random_matrix(rng, n=120, m=4)
-    _, gain = best_split(mat.scores, mat.response, 5)
-    _, gain_shift = best_split(mat.scores, mat.response + 100.0, 5)
-    _, gain_scale = best_split(mat.scores, mat.response * 2.0, 5)
+    gain = root_split(mat, 5)[2]
+    gain_shift = root_split(make_matrix(mat.scores, mat.response + 100.0), 5)[2]
+    gain_scale = root_split(make_matrix(mat.scores, mat.response * 2.0), 5)[2]
     assert gain_shift == pytest.approx(gain, rel=1e-9)
     assert gain_scale == pytest.approx(4.0 * gain, rel=1e-9)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_best_split_rejects_non_finite_x(bad):
-    # Value ranks put NaN last, so a cut could land beside it; refuse instead.
-    X = np.array([[1.0], [2.0], [bad], [4.0]])
-    with pytest.raises(DegenerateInputError, match="finite"):
-        best_split(X, np.array([0.0, 0.0, 1.0, 1.0]), 1)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_best_split_rejects_non_finite_y(bad):
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    with pytest.raises(DegenerateInputError, match="finite"):
-        best_split(X, np.array([0.0, bad, 1.0, 1.0]), 1)
-
-
-@pytest.mark.parametrize("indices", [[], [-1], [2], [0, 2], [1.0], [True], [1, 0], [0, 0],
-                                     [[0, 1]]],
-                         ids=["empty", "negative", "past_m", "one_past_m", "float", "bool",
-                              "descending", "repeated", "nested"])
-def test_best_split_rejects_bad_feature_indices(indices):
-    # -1 would wrap to the last column and come back as feature -1, the leaf
-    # marker; [1, 0] on these tied columns would pick 1, not the lowest index.
-    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-    with pytest.raises(DegenerateInputError, match="feature_indices must be strictly ascending"):
-        best_split(X, np.array([0.0, 0.0, 10.0, 10.0]), 1, feature_indices=indices)
 
 
 # ------------------------------------------------------------ block scorer
@@ -263,7 +224,7 @@ def padded_block(rng, X, y, sizes, width):
     means = np.empty(sizes.size)
     for i, size in enumerate(sizes):
         at[i, :size] = rng.choice(X.shape[0], size=size, replace=False)
-        means[i] = node_sse(y[at[i, :size]])[0]
+        means[i] = y[at[i, :size]].mean()
     feats = np.sort(np.array([rng.choice(X.shape[1], size=width, replace=False)
                               for _ in sizes]), axis=1)
     padded_X = np.hstack([X.T, np.full((X.shape[1], 1), np.inf)])
@@ -303,7 +264,7 @@ def test_key_scorer_takes_int64_keys_when_int32_would_overflow():
     codes[np.broadcast_to(pad[:, None, :], codes.shape)] = values.size - 1
     centred = np.where(pad, 0.0, np.round(rng.normal(size=pad.shape), 1))
     for i, size in enumerate(sizes):
-        centred[i, :size] -= node_sse(centred[i, :size])[0]
+        centred[i, :size] -= centred[i, :size].mean()
     got = _best_cuts(codes, centred, sizes, min_leaf, values)
     want = reference_best_cuts(values[codes], centred, sizes, min_leaf)
     for a, b in zip(got, want):
@@ -336,6 +297,14 @@ def test_grow_refuses_a_non_finite_response(bad):
     # A NaN response would grow a one-leaf tree of mean NaN; the matrix refuses it.
     with pytest.raises(DegenerateInputError, match="response must be finite"):
         grow(make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, bad, 1.0, 1.0]),
+             TreeParams(min_leaf=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grow_refuses_a_non_finite_score(bad):
+    # Value ranks would put NaN last, so a cut could land beside it; the matrix refuses it.
+    with pytest.raises(DegenerateInputError, match=re.escape("scores must lie within [1, 5]")):
+        grow(make_matrix([[1.0], [2.0], [bad], [4.0]], [0.0, 0.0, 1.0, 1.0]),
              TreeParams(min_leaf=1))
 
 
@@ -775,7 +744,7 @@ def test_cv_prune_matches_rescanning_reference():
 
 
 def test_cv_prune_zero_gain_split_gives_no_negative_penalty():
-    # Integer responses let best_split accept a cut whose true gain is 0 with
+    # Integer responses let the split search accept a cut whose true gain is 0 with
     # a rounding residue, so its g computes to about -4e-16. Floored at 0,
     # no eval alpha is the NaN sqrt of a negative product, and every cv_mse
     # cell is written (a NaN alpha used to leave a row of np.empty unset).
@@ -1011,6 +980,15 @@ def test_import_json_echoes_refused_values_within_the_cap(path, value, message):
     with pytest.raises(ParseError) as err:
         import_json(json.dumps(replaced(stump_document(), path, value)))
     assert str(err.value) == message
+
+
+def test_import_json_refuses_a_node_that_repeats_a_key():
+    # json.loads keeps the last value, so the node used to load the second mean.
+    text = json.dumps(stump_document(), indent=2)
+    assert text.count('"mean": 0.9,') == 1
+    text = text.replace('"mean": 0.9,', '"mean": 0.9, "mean": 7.0,')
+    with pytest.raises(ParseError, match=re.escape("JSON object repeats the key 'mean'")):
+        import_json(text)
 
 
 def test_import_json_needs_a_version():
