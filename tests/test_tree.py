@@ -200,6 +200,13 @@ def test_best_split_tie_between_non_adjacent_candidates_takes_the_lower():
     assert gain == pytest.approx(ref_gain, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_split_rejects_non_finite_y(bad):
+    # The split search takes only a ScoredMatrix, which refuses a non-finite response.
+    with pytest.raises(DegenerateInputError, match="finite"):
+        root_split(make_matrix([[1.0], [2.0], [3.0], [4.0]], [0.0, bad, 1.0, 1.0]), 1)
+
+
 def test_gain_shift_and_scale_behavior():
     rng = make_rng(5)
     mat = random_matrix(rng, n=120, m=4)
