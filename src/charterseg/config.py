@@ -29,16 +29,16 @@ countries criterion takes group or codes, never both.
 
 Each section is read from its dataclass's fields: their names are its keys,
 their types the JSON types of its values, and those without a default its
-required keys. Values go through the typed readers of errors.py, as a tree
-document's do ("3" is no number, 30.0 no integer, and the Infinity and NaN
-that json.load reads and a key repeated in one object are refused). A bad
-list entry's error names its index (selection.fixed[1]). DataConfig checks
-its window order and column field names when built, in Python as from JSON.
-RunConfig checks the finished config, so faults in proxy selection
-(duplicate proxy names, a bad selection.fixed, an mtry wider than a
-forest), an empty out, two subsample names that map to one output file
-name and a name too long for a file name are found before the panel is
-read.
+required keys. Values go through the typed readers of errors.py ("3" is no
+number, 30.0 no integer, and the Infinity and NaN that json.load reads and
+a key repeated in one object are refused). A bad list entry's error names
+its index (selection.fixed[1]), a repeated key its path (tree.min_leaf).
+DataConfig checks its window order and column field names when built, in
+Python as from JSON. RunConfig checks the finished config, so faults in
+proxy selection (duplicate proxy names, a bad selection.fixed, an mtry
+wider than a forest), an empty out, two subsample names that map to one
+output file name and a name too long for a file name are found before the
+panel is read.
 
 The CHARTERSEG_CONFIG environment variable supplies the default --config path.
 """
@@ -52,7 +52,8 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, echo, json_number, json_object, json_string, unique_keys
+from .errors import (ConfigError, RepeatedKey, echo, json_number, json_object, json_string,
+                     unique_keys)
 from .forest import ForestParams
 from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
@@ -215,6 +216,9 @@ def _schema(cls) -> tuple[dict, list]:
 
 def _value(tp, value, key: str):
     """A parsed JSON value as the type tp that a config field declares; a fault names the key."""
+    prefix = "" if key == "config" else f"{key}."
+    if isinstance(value, RepeatedKey):  # first: every object of a config passes through here
+        raise ConfigError(f"JSON object repeats the key {echo(prefix + value.repeated)}")
     origin, args = get_origin(tp), get_args(tp)
     if tp is int or tp is float:
         return json_number(tp, value, key)
@@ -241,7 +245,6 @@ def _value(tp, value, key: str):
     missing = [k for k in required if k not in value]
     if missing:
         raise ConfigError(f"{key} missing key {missing[0]!r}")
-    prefix = "" if key == "config" else f"{key}."
     return tp(**{k: _value(types[k], v, prefix + k) for k, v in value.items()})
 
 

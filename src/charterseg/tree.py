@@ -32,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInputError, EmptyModelError, ParseError, echo,
-                     json_number, json_object, json_string, unique_keys)
+from .errors import ConfigError, DegenerateInputError, EmptyModelError, echo
 from .rescale import ScoredMatrix
 from .seeding import make_rng
 
@@ -596,74 +595,3 @@ def export_json(tree: RegressionTree) -> str:
            "params": {"min_leaf": tree.params.min_leaf, "max_depth": tree.params.max_depth},
            "root": node(0)}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _in_range(value, key: str, low: int, high: int = 2 ** 63) -> int:
-    """value, a JSON integer, if it lies in [low, high); counts and depths fit in int64."""
-    out = json_number(int, value, key, ParseError)
-    if not low <= out < high:
-        raise ParseError(f"{key} must be in [{low}, {high}), got {echo(out)}")
-    return out
-
-
-def _read_node(obj, where: str, n_features: int, nodes: list) -> None:
-    """Append the nodes of a nested export_json subtree to nodes, in preorder."""
-    inner = isinstance(obj, dict) and "split" in obj  # only a split has children
-    keys = ("n", "mean", "sse", "split", "left", "right") if inner else ("n", "mean", "sse")
-    obj = json_object(obj, where, keys, ParseError)
-    node = [-1, np.nan, -1, _in_range(obj.get("n"), f"{where}.n", 1),
-            json_number(float, obj.get("mean"), f"{where}.mean", ParseError),
-            json_number(float, obj.get("sse"), f"{where}.sse", ParseError)]
-    if node[5] < 0:
-        raise ParseError(f"{where}.sse must not be negative, got {echo(node[5])}")
-    at = len(nodes)
-    nodes.append(node)
-    if not inner:
-        return
-    split = json_object(obj["split"], f"{where}.split", ("feature", "threshold"), ParseError)
-    node[:2] = (_in_range(split.get("feature"), f"{where}.split.feature", 0, n_features),
-                json_number(float, split.get("threshold"), f"{where}.split.threshold", ParseError))
-    _read_node(obj.get("left"), f"{where}.left", n_features, nodes)
-    node[2] = len(nodes)
-    _read_node(obj.get("right"), f"{where}.right", n_features, nodes)
-    left_n, right_n = nodes[at + 1][3], nodes[node[2]][3]
-    if left_n + right_n != node[3]:
-        raise ParseError(f"{where}.n is {node[3]}, but its children hold {left_n} + {right_n} rows")
-
-
-def import_json(text: str) -> RegressionTree:
-    """Parse a tree produced by export_json; malformed input raises ParseError.
-
-    Values are read as the run config's are (errors.json_number and kin). The
-    version is 1, feature names are distinct, and only a split has children,
-    which hold all of its rows; every node holds a row or more and an SSE of
-    at least zero, and total_n is the root's n.
-    """
-    try:
-        doc = json.loads(text, object_pairs_hook=lambda pairs: unique_keys(pairs, ParseError))
-        if not isinstance(doc, dict) or doc.get("format") != "charterseg-tree":
-            raise ParseError("not a charterseg tree document")
-        json_object(doc, "tree document", ("format", "version", "feature_names", "total_n",
-                                           "params", "root"), ParseError)
-        _in_range(doc.get("version"), "tree document.version", 1, 2)  # export_json writes 1
-        names = doc.get("feature_names")
-        if not isinstance(names, list):
-            raise ParseError(f"tree feature_names must be a list, got {echo(names)}")
-        names = tuple(json_string(name, f"tree feature_names[{i}]", ParseError)
-                      for i, name in enumerate(names))
-        if len(set(names)) < len(names):
-            raise ParseError(f"tree feature_names must not repeat a name, got {echo(list(names))}")
-        given = json_object(doc.get("params"), "tree params", ("min_leaf", "max_depth"), ParseError)
-        depth = given.get("max_depth")
-        params = TreeParams(_in_range(given.get("min_leaf"), "tree params.min_leaf", 1),
-                            None if depth is None else _in_range(depth, "tree params.max_depth", 0))
-        total_n = json_number(int, doc.get("total_n"), "tree document.total_n", ParseError)
-        nodes = []
-        _read_node(doc.get("root"), "tree root", len(names), nodes)
-    except ValueError as exc:  # a JSONDecodeError, or an integer over 4,300 digits
-        raise ParseError(f"invalid tree JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("tree JSON nests too deeply") from None
-    if total_n != nodes[0][3]:
-        raise ParseError(f"tree document.total_n is {echo(total_n)}, but root.n is {nodes[0][3]}")
-    return RegressionTree(*zip(*nodes), names, params)

@@ -6,7 +6,8 @@ import warnings
 import pytest
 
 from charterseg.synthetic import PlantedLeaf, PlantedSplit, PlantedTreeSpec, generate_synthetic_panel
-from charterseg.tree import import_json
+
+from helpers import tree_from_json
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -27,7 +28,7 @@ with warnings.catch_warnings():
 def reference_tree():
     """Six-leaf bank tree with two evidence nodes per extreme path."""
     with open(os.path.join(DATA_DIR, "eurozone_tree.json"), encoding="utf-8") as fh:
-        return import_json(fh.read())
+        return tree_from_json(fh.read())
 
 
 @pytest.fixture

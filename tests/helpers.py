@@ -25,12 +25,12 @@ from charterseg.panel import ALL_FIELDS, Panel
 from charterseg.rescale import ScoredMatrix
 from charterseg.seeding import derive_seed, make_rng
 from charterseg.tree import (RegressionTree, TreeParams, _best_cuts, _build_many, _code,
-                             _run_sse, export_json, import_json)
+                             _run_sse, export_json)
 
 
-# The oracles' own tree form: nested frozen nodes, read from and written to
-# the nested document of export_json / import_json, so that they stay
-# independent of the library's array layout.
+# The oracles' own tree form: nested frozen nodes, read from the nested
+# document export_json writes and laid out as a RegressionTree's arrays by
+# build_tree, so that they stay independent of the library's array layout.
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ def _node_from_doc(obj) -> TreeNode:
     split = SplitRule(obj["split"]["feature"], obj["split"]["threshold"])
     return Internal(split, _node_from_doc(obj["left"]), _node_from_doc(obj["right"]),
                     obj["n"], obj["mean"], obj["sse"])
-
-
-def _node_to_doc(node: TreeNode) -> dict:
-    stats = {"n": node.n, "mean": node.mean, "sse": node.sse}
-    if isinstance(node, Leaf):
-        return stats
-    return {"split": {"feature": node.split.feature, "threshold": node.split.threshold},
-            **stats, "left": _node_to_doc(node.left), "right": _node_to_doc(node.right)}
 
 
 def root(tree: RegressionTree) -> TreeNode:
@@ -301,11 +293,29 @@ def consistent_internal(split, left, right):
 
 
 def build_tree(node, names, min_leaf=1, max_depth=None) -> RegressionTree:
-    """A library tree from oracle nodes, through import_json."""
-    return import_json(json.dumps({
-        "format": "charterseg-tree", "version": 1, "feature_names": list(names),
-        "total_n": node.n, "params": {"min_leaf": min_leaf, "max_depth": max_depth},
-        "root": _node_to_doc(node)}))
+    """A library tree from oracle nodes, laid out in the preorder export_json walks."""
+    nodes = []  # [feature, threshold, right, n, mean, sse] per node
+
+    def lay_out(node):
+        row = [-1, np.nan, -1, node.n, node.mean, node.sse]
+        nodes.append(row)
+        if isinstance(node, Internal):
+            row[:2] = node.split.feature, node.split.threshold
+            lay_out(node.left)
+            row[2] = len(nodes)
+            lay_out(node.right)
+
+    lay_out(node)
+    return RegressionTree(*zip(*nodes), tuple(names), TreeParams(min_leaf, max_depth))
+
+
+def tree_from_json(text: str) -> RegressionTree:
+    """The tree in export_json's text; the library writes tree JSON but does not read it."""
+    doc = json.loads(text)
+    assert (doc["format"], doc["version"]) == ("charterseg-tree", 1)
+    params = doc["params"]
+    return build_tree(_node_from_doc(doc["root"]), doc["feature_names"], params["min_leaf"],
+                      params["max_depth"])
 
 
 def check_stats_consistency(node, rel=1e-9):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -19,8 +17,8 @@ from charterseg.analysis import (
     path_rows,
     significance_stars,
 )
-from charterseg.errors import DegenerateInputError, ParseError
-from charterseg.tree import TreeParams, export_json, grow, import_json
+from charterseg.errors import DegenerateInputError
+from charterseg.tree import TreeParams, grow
 from helpers import Leaf, SplitRule, build_tree, consistent_internal, make_matrix
 
 
@@ -75,14 +73,9 @@ def test_reference_tree_extremes(reference_tree):
 
 
 def test_leaf_share_requires_rows():
-    # A leaf's share divides by the root's count; a document whose total_n
-    # disagrees with its root (0 over 3 rows) does not load.
+    # A leaf's share divides by the root's count, which holds every row.
     tree = build_tree(Leaf(3, 1.0, 0.0), ["C"])
     assert extreme_leaves(tree)[0].share == 1.0
-    doc = json.loads(export_json(tree))
-    doc["total_n"] = 0
-    with pytest.raises(ParseError, match=r"total_n is 0, but root\.n is 3"):
-        import_json(json.dumps(doc))
 
 
 def test_path_rows_match_leaf_counts():

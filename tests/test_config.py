@@ -383,10 +383,15 @@ def test_unreadable_config_json_is_a_config_error(tmp_path, data):
 
 @pytest.mark.parametrize("text, key", [
     ('{"seed": 1, "seed": 7}', "seed"),
-    ('{"tree": {"min_leaf": 30, "min_leaf": 5}}', "min_leaf"),
-], ids=["top_level", "nested"])
+    ('{"data": {"path": "p.csv"}, "tree": {"min_leaf": 30, "min_leaf": 5}, "seed": 3}',
+     "tree.min_leaf"),
+    ('{"subsamples": [{"name": "all", "criterion": {"kind": "all"}}, {"name": "crisis", '
+     '"criterion": {"kind": "years", "start": 2008, "end": 2009, "end": 2010}}]}',
+     "subsamples[1].criterion.end"),
+], ids=["top_level", "nested", "criterion"])
 def test_a_config_object_may_not_repeat_a_key(tmp_path, text, key):
-    # json.load keeps the last value: these ran with seed 7 and min_leaf 5.
+    # json.load keeps the last value: these ran with seed 7, min_leaf 5 and
+    # the years 2008-2010. The error names the repeated key by its path.
     path = tmp_path / "run.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"JSON object repeats the key {key!r}")):

@@ -198,6 +198,8 @@ def test_forest_needs_min_leaf_rows(n):
 def test_forest_default_mtry():
     assert ForestParams().resolve_mtry(9) == 3
     assert ForestParams().resolve_mtry(2) == 1
+    assert ForestParams().resolve_mtry(7) == 2  # floor(m / 3), as randomForest's default
+    assert ForestParams().resolve_mtry(8) == 2
     assert ForestParams(mtry=4).resolve_mtry(6) == 4
     with pytest.raises(ConfigError):
         ForestParams(mtry=7).resolve_mtry(6)

@@ -38,10 +38,11 @@ from charterseg.rescale import (DEFAULT_PROXY_SPECS, ScoredMatrix, build_scored_
 from charterseg.select import canonical_specs
 from charterseg.stats import pearson
 from charterseg.study import StudyResult, SubsampleResult, run_study, summary_table, write_study
-from charterseg.tree import PruneTrace
+from charterseg.tree import PruneTrace, export_dot, export_json
 
 from helpers import (CONFIG_EDGES, CONFIG_WORDS, FULL_HEADER, PANEL_BYTES, bundle_digests,
-                     fast_config, json_paths, replaced, src_env, synth_panel_csv)
+                     fast_config, json_paths, replaced, src_env, synth_panel_csv,
+                     tree_from_json)
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +102,12 @@ def test_study_bundle_files(study_env, study_result):
         for table in ("summary", "importance", "selection", "correlations"):
             assert (out / "tables" / f"{table}_{slug}.csv").exists()
 
-    with open(out / "trees" / "all.json", encoding="utf-8") as fh:
-        tree_doc = json.load(fh)
-    assert set(tree_doc["feature_names"]) == {"C", "A", "M", "E", "L", "S"}
+    data = (out / "trees" / "all.json").read_bytes()
+    assert set(json.loads(data)["feature_names"]) == {"C", "A", "M", "E", "L", "S"}
+    # The tree file is lossless: the tree read back writes the same JSON and DOT bytes.
+    tree = tree_from_json(data.decode("utf-8"))
+    assert export_json(tree).encode("utf-8") == data
+    assert export_dot(tree).encode("utf-8") == (out / "trees" / "all.dot").read_bytes()
 
 
 def test_study_rerun_is_byte_identical(study_env):
