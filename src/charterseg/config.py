@@ -29,10 +29,11 @@ countries criterion takes group or codes, never both.
 
 Each section is read from its dataclass's fields: their names are its keys,
 their types the JSON types of its values, and those without a default its
-required keys. Values go through the typed readers of errors.py ("3" is no
-number, 30.0 no integer, and the Infinity and NaN that json.load reads and
-a key repeated in one object are refused). A bad list entry's error names
-its index (selection.fixed[1]), a repeated key its path (tree.min_leaf).
+required keys. Values go through this module's typed JSON readers ("3" is
+no number, 30.0 no integer, and the Infinity and NaN that json.load reads
+and a key repeated in one object, whose last value json.load keeps, are
+refused). A bad list entry's error names its index (selection.fixed[1]),
+a repeated key its path (tree.min_leaf).
 DataConfig checks its window order and column field names when built, in
 Python as from JSON. RunConfig checks the finished config, so faults in
 proxy selection (duplicate proxy names, a bad selection.fixed, an mtry
@@ -47,13 +48,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import (ConfigError, RepeatedKey, echo, json_number, json_object, json_string,
-                     unique_keys)
+from .errors import ConfigError, echo
 from .forest import ForestParams
 from .panel import ALL_FIELDS, Countries, FullSample, SizeHalf, YearRange
 from .rescale import DEFAULT_PROXY_SPECS, ProxySpec
@@ -62,6 +63,47 @@ from .tree import TreeParams
 CONFIG_ENV_VAR = "CHARTERSEG_CONFIG"
 
 Criterion = FullSample | YearRange | Countries | SizeHalf
+
+
+def _json_number(kind, value, key: str):
+    """value as kind, int or float, if it is a JSON number of that type; a fault names the key."""
+    if isinstance(value, float) and not math.isfinite(value):  # json.load reads Infinity, NaN
+        raise ConfigError(f"{key} must be finite, got {echo(value)}")
+    try:  # a bool is no integer, and an integer a float rounds is no exact number
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and kind(value) == value
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {echo(value)}")
+    return kind(value)
+
+
+def _json_object(value, key: str, allowed) -> None:
+    """Refuse value unless it is a JSON object whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {echo(value)}")
+    unknown = set(value) - set(allowed)
+    if unknown:  # keys set in Python may mix types, so they sort as text
+        raise ConfigError(f"unknown keys in {key}: {echo(sorted(unknown, key=str))}")
+
+
+class _RepeatedKey(dict):
+    """A parsed JSON object that repeats a key, the first of which is .repeated."""
+
+    def __init__(self, pairs, repeated: str):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _unique_keys(pairs) -> dict:
+    """A json object_pairs_hook: the object as a dict, a _RepeatedKey if it repeats a key."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return _RepeatedKey(pairs, key)
+        seen.add(key)
+    return dict(pairs)
 
 
 @dataclass(frozen=True)
@@ -87,21 +129,19 @@ class DataConfig:
 
     def __post_init__(self):
         if self.columns is not None:  # a misspelt field would read as blank on every row
-            json_object(self.columns, "data.columns", ALL_FIELDS)
+            _json_object(self.columns, "data.columns", ALL_FIELDS)
         if self.window is not None and self.window[0] > self.window[1]:
             start, end = self.window
             raise ConfigError(f"data.window start {echo(start)} is after its end {echo(end)}")
 
 
 @dataclass(frozen=True)
-class TreeConfig:
-    min_leaf: int = 30
-    max_depth: Optional[int] = None
+class TreeConfig(TreeParams):
     cv_folds: int = 10
     prune_rule: str = "min_cv"
 
     def __post_init__(self):
-        TreeParams(self.min_leaf, self.max_depth)  # checks tree.min_leaf and tree.max_depth
+        super().__post_init__()
         if self.prune_rule not in ("min_cv", "one_se"):
             raise ConfigError(f"prune_rule must be min_cv or one_se, got {echo(self.prune_rule)}")
         if self.cv_folds < 2:
@@ -217,13 +257,15 @@ def _schema(cls) -> tuple[dict, list]:
 def _value(tp, value, key: str):
     """A parsed JSON value as the type tp that a config field declares; a fault names the key."""
     prefix = "" if key == "config" else f"{key}."
-    if isinstance(value, RepeatedKey):  # first: every object of a config passes through here
+    if isinstance(value, _RepeatedKey):  # first: every object of a config passes through here
         raise ConfigError(f"JSON object repeats the key {echo(prefix + value.repeated)}")
     origin, args = get_origin(tp), get_args(tp)
     if tp is int or tp is float:
-        return json_number(tp, value, key)
+        return _json_number(tp, value, key)
     if tp is str:
-        return json_string(value, key)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {echo(value)}")
+        return value
     if tp is Criterion:
         return _criterion(value, key)
     if origin is Union:  # Optional[X]
@@ -241,7 +283,7 @@ def _value(tp, value, key: str):
             raise ConfigError(f"{key} must map field names to column names, got {echo(value)}")
         return value
     types, required = _schema(tp)
-    json_object(value, key, types)
+    _json_object(value, key, types)
     missing = [k for k in required if k not in value]
     if missing:
         raise ConfigError(f"{key} missing key {missing[0]!r}")
@@ -259,7 +301,7 @@ def _criterion(obj, key: str) -> Criterion:
     if kind != "countries":
         raise ConfigError(f"{key}.kind must be all, years, countries or size, got {echo(kind)}")
     # Countries.exclude is no JSON key: the pigs and non_pigs groups set it.
-    json_object(rest, key, ["group"] if "group" in rest else ["codes"])
+    _json_object(rest, key, ["group"] if "group" in rest else ["codes"])
     if "group" in rest:
         if rest["group"] == "pigs":
             return Countries.pigs()
@@ -284,7 +326,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge integers

@@ -111,11 +111,6 @@ def _samples(values, reference) -> tuple[np.ndarray, np.ndarray]:
     return v, ref
 
 
-def _quantile_knots(refs: np.ndarray) -> np.ndarray:
-    """Min, Q1, median, Q3 and max of each column of refs, as a (5, columns) array."""
-    return np.quantile(refs, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
-
-
 def _quantile_increasing(v: np.ndarray, knots: np.ndarray) -> np.ndarray:
     # Knots min, Q1, median, Q3, max of ref -> scores 1..5, linear inside each
     # piece. A value on a repeated knot takes the highest score touching it,
@@ -158,7 +153,7 @@ def quantile_rescale(values, direction: str, reference=None) -> np.ndarray:
     """
     v, ref = _samples(values, reference)
     sign = _oriented(direction)
-    return _quantile_increasing(sign * v, _quantile_knots(sign * ref[:, None])[:, 0])
+    return _quantile_increasing(sign * v, np.quantile(sign * ref, [0.0, 0.25, 0.5, 0.75, 1.0]))
 
 
 def _threshold_increasing(v: np.ndarray, u: float, ref: np.ndarray) -> np.ndarray:
@@ -246,9 +241,10 @@ def build_scored_matrix(frame: ProxyFrame, specs,
     """Assemble the scored feature matrix for a set of proxy specs.
 
     Rows of frame missing any active raw field (or Q) are excluded and logged
-    on the returned matrix; inactive proxies never cost a row. Knots and
-    threshold extremes come from the complete rows of reference (default:
-    frame), whose values must span those of frame's complete rows.
+    on the returned matrix; inactive proxies never cost a row. Column j is
+    quantile_rescale or threshold_rescale of spec j's raw field on the
+    complete rows, with the complete rows of reference (default: frame) as
+    the reference; their values must span those of frame's complete rows.
     """
     specs = tuple(specs)
     if not specs:
@@ -263,24 +259,12 @@ def build_scored_matrix(frame: ProxyFrame, specs,
         raise EmptySubsampleError("no rows left after per-proxy exclusions")
     ref_idx = None if reference is None else complete_rows(reference, specs)
 
-    # Every column's checks first, in spec order; then the knots of each
-    # direction's quantile columns in one call.
-    signs = [_oriented(s.direction) for s in specs]
-    samples = []
-    for s, sign in zip(specs, signs):
+    cols = []
+    for s in specs:
+        v = frame.columns[s.raw_field][idx]
         ref = None if ref_idx is None else reference.columns[s.raw_field][ref_idx]
-        v, ref = _samples(frame.columns[s.raw_field][idx], ref)
-        samples.append((sign * v, sign * ref))
-    cols = [None] * len(specs)
-    for sign in (1.0, -1.0):
-        at = [i for i, s in enumerate(specs) if s.mode == QUANTILE and signs[i] == sign]
-        if at:
-            knots = _quantile_knots(np.column_stack([samples[i][1] for i in at]))
-            for j, i in enumerate(at):
-                cols[i] = _quantile_increasing(samples[i][0], knots[:, j])
-    for i, s in enumerate(specs):
-        if s.mode == THRESHOLD:
-            cols[i] = _threshold_increasing(samples[i][0], signs[i] * s.threshold, samples[i][1])
+        cols.append(quantile_rescale(v, s.direction, ref) if s.mode == QUANTILE
+                    else threshold_rescale(v, s.direction, s.threshold, ref))
 
     return ScoredMatrix(
         feature_names=tuple(names),

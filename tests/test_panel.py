@@ -481,6 +481,22 @@ def test_raw_proxies_excludes_bad_rows():
     assert reasons["b5:2008"] == "loans < 0"
 
 
+def test_raw_proxies_log_a_row_under_its_first_failed_check():
+    # The checks run in docstring order: nta, total_assets, deposits, loans, Q.
+    rows = [
+        bank_year(),
+        bank_year(bank_id="b2", nta=0.0, total_assets=0.0),
+        bank_year(bank_id="b3", total_assets=-1.0, deposits=0.0),
+        bank_year(bank_id="b4", deposits=0.0, loans=-1.0),
+        bank_year(bank_id="b5", loans=-1.0, mve=-2000.0),  # q <= 0 too
+    ]
+    frame = compute_raw_proxies(make_panel(rows))
+    assert row_ids(frame.rows) == ("b1:2008",)
+    assert [(e.row_id, e.reason) for e in frame.exclusions] == [
+        ("b2:2008", "nta <= 0"), ("b3:2008", "total_assets <= 0"),
+        ("b4:2008", "deposits <= 0"), ("b5:2008", "loans < 0")]
+
+
 def test_raw_proxies_missing_optional_gives_nan_not_exclusion():
     frame = compute_raw_proxies(make_panel([bank_year()]))
     assert len(frame) == 1

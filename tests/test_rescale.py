@@ -9,6 +9,7 @@ from charterseg.config import DEFAULT_SUBSAMPLES
 from charterseg.errors import ConfigError, DegenerateInputError, EmptySubsampleError, SchemaError
 from charterseg.panel import (
     PIGS_COUNTRIES,
+    Countries,
     Panel,
     compute_raw_proxies,
     filter_subsample,
@@ -309,6 +310,23 @@ def test_build_single_spec_composition():
     raw = compute_raw_proxies(panel).columns["capital_ratio"]
     assert np.array_equal(m.scores[:, 0], quantile_rescale(raw, "decreasing"))
 
+    # Each column of the catalog matrix is the public rescaler applied to the
+    # complete rows, against the reference's complete rows when one is given.
+    panel = gappy_panel(seed=5)
+    full_frame = compute_raw_proxies(panel)
+    pigs = compute_raw_proxies(filter_subsample(panel, Countries.pigs()))
+    for frame, reference in ((full_frame, None), (pigs, full_frame)):
+        m = build_scored_matrix(frame, DEFAULT_PROXY_SPECS, reference)
+        idx = complete_rows(frame, DEFAULT_PROXY_SPECS)
+        ref_idx = None if reference is None else complete_rows(reference, DEFAULT_PROXY_SPECS)
+        assert m.feature_names == tuple(s.name for s in DEFAULT_PROXY_SPECS)
+        for j, s in enumerate(DEFAULT_PROXY_SPECS):
+            v = frame.columns[s.raw_field][idx]
+            ref = None if reference is None else reference.columns[s.raw_field][ref_idx]
+            want = (quantile_rescale(v, s.direction, ref) if s.mode == "quantile"
+                    else threshold_rescale(v, s.direction, s.threshold, ref))
+            assert np.array_equal(m.scores[:, j], want), s.name
+
 
 def test_build_canonical_six_columns():
     panel = ratio_panel()
@@ -333,6 +351,18 @@ def test_build_excludes_rows_missing_active_fields():
     assert m.n_rows == 5
     assert "b3:2008" not in row_ids(frame.rows[complete_rows(frame, [spec])])
     assert any(e.row_id == "b3:2008" and "beta" in e.reason for e in m.exclusions)
+
+
+def test_complete_rows_logs_a_row_under_its_first_missing_field_in_spec_order():
+    rows = [bank_year(bank_id=f"b{i}", beta=0.8 + 0.1 * i, roa=0.01 * i) for i in range(3)]
+    rows.append(bank_year(bank_id="b3"))  # beta and roa both left NaN
+    frame = compute_raw_proxies(make_panel(rows))
+    syst = ProxySpec("Syst", "S", "beta", "increasing", "quantile")
+    ergs = ProxySpec("Ergs", "E", "roa", "decreasing", "quantile")
+    for specs, reason in (([syst, ergs], "missing beta"), ([ergs, syst], "missing roa")):
+        exclusions = []
+        assert complete_rows(frame, specs, exclusions).tolist() == [0, 1, 2]
+        assert [(e.row_id, e.reason) for e in exclusions] == [("b3:2008", reason)]
 
 
 def test_complete_rows_needs_every_raw_field_in_the_frame():
